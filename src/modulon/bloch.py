@@ -2,13 +2,12 @@
 band-edge fits, and unstable eigenfunctions.
 
 Conventions: in the Fourier basis {e^{inx}}, |n| <= N/2, the generator at
-Bloch parameter k is
+Bloch parameter k is A = D_k L_k with xi = kappa (n+k),
 
-    kdv_type:  A = D_k L_k,  D_k = diag(i kappa (n+k)),
-               L_k = diag(alpha(kappa (n+k)) - c) + Toeplitz(f'(u_c))
-    bbm:       A = diag(i kappa (n+k) / (1 + xi^2)) (c diag(1 + xi^2) - I - T)
+    D_k = diag(model.j_symbol(xi)),
+    L_k = diag(model.energy_diag(xi, c)[0]) + model.nl_sign * Toeplitz(f'(u_c))
 
-with xi = kappa (n+k).  L_k is Hermitian, so every spectrum is closed under
+(see ``ModelSpec``).  L_k is Hermitian, so every spectrum is closed under
 lambda -> -conj(lambda); the maximal real part lambda0 is the growth rate.
 """
 
@@ -24,9 +23,8 @@ from .errors import (BandFitError, DomainError, InsufficientDataError,
                      ModulonError, RationalApproximationError,
                      StructureViolationError)
 from .fields import PeriodicField, csv_float, l2_norm
-from .symbols import ModelSpec, evaluate_symbol
-from .waves import TravelingWave, pointwise_image, resample, _nonlinear_pad, \
-    spectral_decay_diagnostic
+from .symbols import ModelSpec
+from .waves import TravelingWave, _df_fourier_coeffs, spectral_decay_diagnostic
 
 UNSTABLE_THRESHOLD = 1e-8
 
@@ -41,21 +39,12 @@ class BlochOperator:
     xi: np.ndarray          # physical frequencies kappa*(n+k)
     D_diag: np.ndarray      # diagonal of the symplectic factor
     L_mat: np.ndarray       # Hermitian energy matrix
-    A_mat: np.ndarray       # generator D L (or BBM pencil)
+    A_mat: np.ndarray       # generator D L
     model: ModelSpec | None = None
     wave: TravelingWave | None = None
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         return (1.0 + np.abs(self.xi) ** 2) ** (s / 2.0)
-
-
-def _df_coefficients(model: ModelSpec, wave: TravelingWave, N: int) -> np.ndarray:
-    """Complex Fourier coefficients of f'(u_c) for modes -N..N."""
-    base = resample(wave.profile, 2 * N + 4)
-    w = pointwise_image(base, model.nonlinearity.df,
-                        pad=_nonlinear_pad(model.nonlinearity))
-    half = w.N // 2
-    return w.coef[half - N:half + N + 1].copy()
 
 
 def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
@@ -68,18 +57,13 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
     n = np.arange(-(N // 2), N // 2 + 1)
     kap = model.kappa
     xi = kap * (n + k)
-    w = _df_coefficients(model, wave, N)
+    w = _df_fourier_coeffs(model, wave.profile, N)
     # Toeplitz block T[i, j] = w_{n_i - n_j}
     col = w[N:]          # w_0 .. w_N
     row = w[N::-1]       # w_0 .. w_{-N}
     T = scipy.linalg.toeplitz(col, row)
-    if model.family == "kdv_type":
-        L = np.diag(evaluate_symbol(model.symbol, xi) - wave.c) + T
-        D = 1j * kap * (n + k)
-    else:
-        s2 = 1.0 + xi ** 2
-        L = np.diag(wave.c * s2 - 1.0) - T
-        D = 1j * kap * (n + k) / s2
+    L = np.diag(model.energy_diag(xi, wave.c)[0]) + model.nl_sign * T
+    D = model.j_symbol(xi)
     A = D[:, None] * L
     return BlochOperator(k=float(k), N=N, family=model.family, xi=xi,
                          D_diag=D, L_mat=L, A_mat=A, model=model, wave=wave)
@@ -138,32 +122,14 @@ class BlochSpectrum:
         return None
 
 
-def _spectra_at(model, wave, ks, N, jobs=1):
-    def one(k):
-        vals, _ = eigens(assemble_bloch(model, wave, k, N), check_residual=False)
-        return vals
-    if jobs <= 1 or len(ks) < 4:
-        return [one(k) for k in ks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_eig_worker, [(model, wave, k, N) for k in ks]))
-
-
-def _eig_worker(args):
-    model, wave, k, N = args
-    vals, _ = eigens(assemble_bloch(model, wave, k, N), check_residual=False)
-    return vals
-
-
 def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
-               threshold: float = UNSTABLE_THRESHOLD, jobs: int = 1,
+               threshold: float = UNSTABLE_THRESHOLD,
                fit_fill: int = 12) -> BlochSpectrum:
     """Scan k in [0, 1]: uniform grid, trisection refinement of local maxima,
     then a small uniform fill around the global maximum for band fitting."""
     if k_count < 16:
         raise DomainError("k_count must be at least 16")
-    ks = list(np.linspace(0.0, 1.0, k_count))
-    samples = dict(zip(ks, _spectra_at(model, wave, ks, N, jobs)))
+    samples = {}
 
     def r_of(k):
         if k not in samples:
@@ -172,7 +138,7 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
             samples[k] = vals
         return float(np.max(samples[k].real))
 
-    grid = sorted(samples)
+    grid = list(np.linspace(0.0, 1.0, k_count))
     rvals = [r_of(k) for k in grid]
     # local maxima on the uniform grid (interior only); refine anything that
     # could plausibly clear the instability threshold at its true peak
@@ -393,9 +359,12 @@ def unstable_eigenfunction(model: ModelSpec, wave: TravelingWave, k: float,
 # -- persistence ------------------------------------------------------------------
 
 
-def export_spectrum_dump(spectrum: BlochSpectrum, path, top: int = 20):
-    """CSV rows k, re_lambda, im_lambda for the top eigenvalues by Re at each k."""
+def export_spectrum_dump(spectrum: BlochSpectrum, path, top: int = 20,
+                         header: str = ""):
+    """CSV rows k, re_lambda, im_lambda for the top eigenvalues by Re at each k,
+    after an optional ``header`` line block."""
     with open(path, "w") as fh:
+        fh.write(header)
         fh.write("k,re_lambda,im_lambda\n")
         for k, ev in zip(spectrum.k_grid, spectrum.eigenvalues):
             order = np.lexsort((-ev.imag, -ev.real))

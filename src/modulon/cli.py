@@ -24,24 +24,25 @@ import configparser
 import hashlib
 import json
 import os
+import struct
 import sys
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ModulonError
-from .symbols import ModelSpec, NonlinearitySpec, parse_symbol
+from .symbols import ModelSpec, NonlinearitySpec, model_for_symbol, parse_symbol
 from .waves import (TravelingWave, load_wave, refine_newton, save_wave,
                     small_amplitude_wave)
-from .bloch import (fit_band, scan_bloch, spectrum_summary,
-                    unstable_eigenfunction, assemble_bloch)
+from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
+                    spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
 from .evolve import (EvolutionState, lift_wave, orbital_distance,
                      record_conserved, step, stable_dt, ConservedLedger,
-                     _evolver_for, _lift_eigenfunction)
-from .fields import PeriodicField, csv_float, l2_norm
-from .experiments import run_localized, run_multiperiodic, threshold_sweep
-from .waves import resample
+                     _evolver_for)
+from .fields import csv_float, l2_norm
+from .experiments import (eigenfunction_seed, export_run_csv, run_localized,
+                          run_multiperiodic, threshold_sweep, _pick_rational_k0)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -129,16 +130,12 @@ def parse_config(path: str) -> RunConfig:
 
 def build_model(cfg: RunConfig) -> ModelSpec:
     sym = parse_symbol(cfg.require("model", "symbol"))
-    family = "bbm" if sym.kind == "bbm_linear" else "kdv_type"
-    nl_name = cfg.get("model", "nonlinearity")
-    if nl_name is None:
-        nl_name = "quadratic"
-    p = cfg.get("model", "p", 2.0)
-    nl = NonlinearitySpec(nl_name, p=p)
+    nl = NonlinearitySpec(cfg.get("model", "nonlinearity", "quadratic"),
+                          p=cfg.get("model", "p", 2.0))
     kappa = cfg.get("wave", "kappa")
     if kappa is None:
         kappa = cfg.get("wave", "m", 1.0)
-    return ModelSpec(family, sym, nl, kappa=float(kappa))
+    return model_for_symbol(sym, nl, kappa=float(kappa))
 
 
 def out_dir(cfg: RunConfig) -> str:
@@ -189,7 +186,8 @@ def cmd_wave(cfg: RunConfig, args) -> int:
 def _load_wave_checked(path: str) -> TravelingWave:
     try:
         return load_wave(path)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, struct.error,
+            ModulonError) as exc:
         raise BadData(f"cannot load wave {path}: {exc}") from exc
 
 
@@ -202,25 +200,16 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     model = wave.model
     N = cfg.get("numerics", "N", 128)
     k_count = cfg.get("numerics", "k_count", 64)
-    sp = scan_bloch(model, wave, k_count=k_count, N=N, jobs=args.jobs)
+    sp = scan_bloch(model, wave, k_count=k_count, N=N)
     d = out_dir(cfg)
     csv_path = os.path.join(d, args.name + ".csv")
-    with open(csv_path, "w") as fh:
-        fh.write(_csv_header(cfg))
-    with open(csv_path, "a") as fh:
-        fh.write("k,re_lambda,im_lambda\n")
-        for k, ev in zip(sp.k_grid, sp.eigenvalues):
-            order = np.lexsort((-ev.imag, -ev.real))
-            for lam in ev[order][:20]:
-                fh.write(f"{csv_float(k)},{csv_float(lam.real)},"
-                         f"{csv_float(lam.imag)}\n")
+    export_spectrum_dump(sp, csv_path, header=_csv_header(cfg))
     curve = None
     pq = None
     if sp.lambda0 > sp.threshold:
         try:
             curve = fit_band(sp)
             q_max = cfg.get("numerics", "q_max", 8)
-            from .experiments import _pick_rational_k0
             pq = _pick_rational_k0(sp, curve, q_max)
         except ModulonError:
             pass
@@ -236,7 +225,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     model = wave.model
     N = cfg.get("numerics", "N", 96)
     k_count = cfg.get("numerics", "k_count", 32)
-    sp = scan_bloch(model, wave, k_count=k_count, N=N, jobs=args.jobs)
+    sp = scan_bloch(model, wave, k_count=k_count, N=N)
     k_probe = sp.k0 if sp.lambda0 > sp.threshold else 0.25
     op = assemble_bloch(model, wave, k_probe, N)
     d = out_dir(cfg)
@@ -276,24 +265,17 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     wave = _load_wave_checked(args.wave)
     model = wave.model
     N = cfg.get("numerics", "N", 96)
-    q = 1
     delta = cfg.get("evolve", "delta", 0.0)
-    u0 = lift_wave(wave, q, N)
+    u0 = lift_wave(wave, 1, N)
     if delta:
         sp = scan_bloch(model, wave, k_count=32, N=N)
         if sp.lambda0 <= sp.threshold:
             print("wave is stable; evolving the unperturbed wave")
         else:
-            q_max = cfg.get("numerics", "q_max", 8)
-            curve = fit_band(sp)
-            from .experiments import _pick_rational_k0
-            p, q = _pick_rational_k0(sp, curve, q_max)
-            lam, v = unstable_eigenfunction(model, wave, p / q, N)
-            Nb = q * N
-            wl = _lift_eigenfunction(resample(v, N), p, q, Nb)
-            u1 = PeriodicField(q, Nb, wl + np.conj(wl[::-1]), real=True)
-            u1 = u1 * (1.0 / l2_norm(u1))
-            u0 = lift_wave(wave, q, Nb) + delta * u1
+            _, q, _, u1 = eigenfunction_seed(model, wave, sp,
+                                             cfg.get("numerics", "q_max", 8),
+                                             N, N)
+            u0 = lift_wave(wave, q, u1.N) + delta * u1
     dt = cfg.get("evolve", "dt") or stable_dt(model, wave.c, u0.q, u0.N)
     t_end = cfg.get("evolve", "t_end", 10.0)
     snap_every = cfg.get("evolve", "snap_every", 10)
@@ -337,7 +319,7 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     deltas = [float(x) for x in
               cfg.get("experiment", "deltas", "1e-3,1e-4,1e-5").split(",")]
     theta0 = cfg.get("experiment", "theta0")
-    sp = scan_bloch(model, wave, k_count=k_count, N=N, jobs=args.jobs)
+    sp = scan_bloch(model, wave, k_count=k_count, N=N)
     d = out_dir(cfg)
     if kind == "multiperiodic":
         rep = run_multiperiodic(model, wave, sp, deltas, theta0=theta0,
@@ -357,13 +339,8 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
     for i, run in enumerate(rep.runs):
-        csv_path = os.path.join(d, f"{args.name}_delta{i}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write(_csv_header(cfg))
-        with open(csv_path, "a") as fh:
-            fh.write("t,l2_perturbation,orbital_distance\n")
-            for t, p_, o in zip(run.times, run.pert_norm, run.orbital):
-                fh.write(f"{csv_float(t)},{csv_float(p_)},{csv_float(o)}\n")
+        export_run_csv(rep, run, os.path.join(d, f"{args.name}_delta{i}.csv"),
+                       header=_csv_header(cfg))
     print(f"experiment {kind}: passes = {rep.passes} -> {path}")
     return EXIT_OK
 
@@ -376,8 +353,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         a=cfg.get("sweep", "a", 0.02),
         m_exp=cfg.get("sweep", "m_exp", 2.0),
         N=cfg.get("sweep", "N", 128),
-        k_count=cfg.get("sweep", "k_count", 64),
-        jobs=args.jobs)
+        k_count=cfg.get("sweep", "k_count", 64))
     d = out_dir(cfg)
     path = os.path.join(d, args.name + ".json")
     obj = res.to_dict()
@@ -426,8 +402,6 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the run configuration")
         p.add_argument("--name", default=name,
                        help="basename for output artifacts")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size for k-scans and sweeps")
         if needs_wave:
             p.add_argument("--wave", required=True,
                            help="basename of a persisted wave (no extension)")

@@ -1,14 +1,14 @@
 """Time integration of the traveling-frame equations, conserved-quantity
 ledgers, higher-order approximate solutions, and orbital distances.
 
-In the package's frequency orientation the evolved equations are
+In the package's frequency orientation the evolved equation is
 
-    kdv_type:  dU/dt = kappa d/dz ((M - c) U + f(U))
-    bbm:       dU/dt = c kappa dU/dz - kappa (1 - kappa^2 dzz)^{-1} d/dz (U + f(U))
+    dU/dt = J (E U + nl_sign f(U)),  J = j_symbol(xi),  E = energy_diag(xi, c)[0]
 
-whose linearizations at u_c are exactly the assembled Bloch generators at
-k = 0 (and at k = p/q on the 2 pi q torus).  Converged waves are fixed
-points of both steppers to round-off.
+with the operator pieces of ``ModelSpec``.  Its linearization at u_c is
+exactly the assembled Bloch generator at k = 0 (and at k = p/q on the
+2 pi q torus).  Converged waves are fixed points of both steppers to
+round-off.
 
 The kdv family is integrated with fourth-order exponential time
 differencing (the linear symbol applied exactly, phi-functions evaluated by
@@ -74,19 +74,10 @@ class Evolver:
         self.q, self.N, self.dt = q, N, float(dt)
         self.linearized = linearized
         self.forcing = forcing
-        kap = model.kappa
-        n_over_q = np.arange(-(N // 2), N // 2 + 1) / q
-        xi = kap * n_over_q            # physical frequencies
-        self.deriv = 1j * xi           # kappa * d/dz
-        if model.family == "kdv_type":
-            self.lin = self.deriv * (evaluate_symbol(model.symbol, xi) - c)
-            self.jop = self.deriv
-            self.nl_sign = 1.0
-        else:
-            helm = 1.0 + xi ** 2
-            self.lin = self.deriv * (c - 1.0 / helm)
-            self.jop = self.deriv / helm
-            self.nl_sign = -1.0
+        xi = model.kappa * (np.arange(-(N // 2), N // 2 + 1) / q)
+        jop = model.j_symbol(xi)
+        self.lin = jop * model.energy_diag(xi, c)[0]
+        self.push = model.nl_sign * jop    # f(U) -> its term of dU/dt
         self.lin[0] = 0.0
         self.lin[-1] = 0.0
         self.tr = _Transform(q, N, _nonlinear_pad(model.nonlinearity))
@@ -114,11 +105,11 @@ class Evolver:
         with np.errstate(invalid="ignore", over="ignore"):
             if self.linearized:
                 vals = self.tr.values(coef)
-                out = self.jop * self.tr.coef(self.df_vals * vals) * self.nl_sign
+                out = self.push * self.tr.coef(self.df_vals * vals)
             else:
                 vals = self.tr.values(coef).real
                 fv = self.model.nonlinearity.f(vals)
-                out = self.jop * self.tr.coef(fv) * self.nl_sign
+                out = self.push * self.tr.coef(fv)
         if self.forcing is not None:
             out = out + self.forcing(t, coef)
         return out
@@ -200,13 +191,7 @@ class EvolutionState:
 
 def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
     """Extend the 2 pi periodic profile to T_{2 pi q} (modes at multiples of q)."""
-    out = PeriodicField(q, N, np.zeros(N + 1, dtype=np.complex128), real=True)
-    half_big, half_small = N // 2, wave.profile.N // 2
-    for m in range(-half_small, half_small + 1):
-        idx = m * q
-        if abs(idx) <= half_big:
-            out.coef[idx + half_big] = wave.profile.coef[m + half_small]
-    return out
+    return PeriodicField(q, N, _lift_eigenfunction(wave.profile, 0, q, N), real=True)
 
 
 def _evolver_for(state: EvolutionState) -> Evolver:
@@ -421,12 +406,8 @@ class _TaylorForcing:
         nl = model.nonlinearity
         self.d2f_uc = nl.d2f(uc_vals)
         self.d3f_uc = nl.d3f(uc_vals)
-        kap = model.kappa
-        xi = kap * np.arange(-(N_big // 2), N_big // 2 + 1) / q
-        if model.family == "kdv_type":
-            self.gop = 1j * xi
-        else:
-            self.gop = -1j * xi / (1.0 + xi ** 2)
+        xi = model.kappa * np.arange(-(N_big // 2), N_big // 2 + 1) / q
+        self.gop = model.nl_sign * model.j_symbol(xi)
 
     def G2(self, u1_coef: np.ndarray) -> np.ndarray:
         u1v = self.tr.values(u1_coef)
@@ -464,8 +445,7 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
     """
     if n_order < 1 or n_order > 3:
         raise DomainError("approximate solutions support orders 1..3 only")
-    if n_order >= 2 and model.nonlinearity.form != "quadratic" \
-            and not float(model.nonlinearity.p).is_integer():
+    if n_order >= 2 and not float(model.nonlinearity.p).is_integer():
         raise DomainError("higher-order corrections need a polynomial f")
     p, q = int(pq[0]), int(pq[1])
     N_big = q * wave.profile.N

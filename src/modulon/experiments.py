@@ -201,6 +201,38 @@ def _linregress(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), r2
 
 
+def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
+                 uc_big: PeriodicField, deltas, theta0: float, rate: float,
+                 dt: float, snap_dt: float, t_max: float | None,
+                 escape_metric: str, integrator: str | None):
+    """Nonlinear runs from uc_big + delta * u1 for each delta, then the
+    regression of the escape times on |ln delta| (None below two escapes)."""
+    runs = []
+    for d in deltas:
+        if t_max is None:
+            t_pred = np.log(max(theta0 / d, 10.0)) / rate
+            run_tmax = 1.6 * t_pred + 50.0 / rate
+        else:
+            run_tmax = t_max
+        run = _monitor_run(model, wave, uc_big + d * u1, uc_big, dt, run_tmax,
+                           snap_dt, theta0, escape_metric, integrator=integrator)
+        run.delta = d
+        run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
+        if not run.escaped:
+            run.flags["incomplete_escape"] = True
+        runs.append(run)
+
+    escaped = [r for r in runs if r.escaped]
+    regression = None
+    if len(escaped) >= 2:
+        x = np.array([abs(np.log(r.delta)) for r in escaped])
+        y = np.array([r.escape_time for r in escaped])
+        slope, intercept, r2 = _linregress(x, y)
+        regression = {"slope": slope, "intercept": intercept, "r2": r2,
+                      "slope_times_rate": slope * rate}
+    return runs, regression
+
+
 def _pick_rational_k0(spectrum: BlochSpectrum, curve: GrowthCurve,
                       q_max: int) -> tuple:
     """Rational k0 = p/q inside the unstable band, sacrificing at most ~20%
@@ -223,6 +255,22 @@ def _pick_rational_k0(spectrum: BlochSpectrum, curve: GrowthCurve,
 # -- multi-periodic experiment -----------------------------------------------------
 
 
+def eigenfunction_seed(model: ModelSpec, wave: TravelingWave,
+                       spectrum: BlochSpectrum, q_max: int, N_op: int,
+                       N_ev: int):
+    """Unit-L2 real perturbation 2 Re(e^{i k0 z} v) on T_{2 pi q}, with v the
+    unstable eigenfunction at a rational k0 = p/q near the band maximum.
+
+    Returns (p, q, lam, u1); u1 carries q * N_ev modes.
+    """
+    p, q = _pick_rational_k0(spectrum, fit_band(spectrum), q_max)
+    lam, v = unstable_eigenfunction(model, wave, p / q, N_op)
+    N_big = q * N_ev
+    w_lift = _lift_eigenfunction(resample(v, N_ev), p, q, N_big)
+    u1 = PeriodicField(q, N_big, w_lift + np.conj(w_lift[::-1]), real=True)
+    return p, q, lam, u1 * (1.0 / l2_norm(u1))
+
+
 def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
                       spectrum: BlochSpectrum, deltas, theta0: float | None = None,
                       q_max: int = 8, N_op: int | None = None,
@@ -235,52 +283,23 @@ def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
         raise DomainError("delta list must be strictly decreasing")
     if spectrum.lambda0 <= spectrum.threshold:
         raise DomainError("the wave is spectrally stable; nothing to escape from")
-    curve = fit_band(spectrum)
-    p, q = _pick_rational_k0(spectrum, curve, q_max)
     N_op = N_op or wave.profile.N
-    lam, v = unstable_eigenfunction(model, wave, p / q, N_op)
+    p, q, lam, u1 = eigenfunction_seed(model, wave, spectrum, q_max, N_op,
+                                       N_ev or min(N_op, 96))
     rate = float(lam.real)
-
-    N_ev = N_ev or min(N_op, 96)
-    N_big = q * N_ev
-    w_lift = _lift_eigenfunction(resample(v, N_ev), p, q, N_big)
-    u1 = PeriodicField(q, N_big, w_lift + np.conj(w_lift[::-1]), real=True)
-    u1 = u1 * (1.0 / l2_norm(u1))
-    uc_big = lift_wave(wave, q, N_big)
+    uc_big = lift_wave(wave, q, u1.N)
     if theta0 is None:
         theta0 = DEFAULT_THETA_FRACTION * l2_norm(uc_big)
 
     if integrator is None and model.family == "bbm":
         integrator = "etdrk4"
     if dt is None:
-        dt = _default_experiment_dt(model, wave, q, N_big, integrator)
+        dt = _default_experiment_dt(model, wave, q, u1.N, integrator)
     if snap_dt is None:
         snap_dt = max(0.05 / rate, 20 * dt)
-
-    runs = []
-    for d in deltas:
-        if t_max is None:
-            t_pred = np.log(max(theta0 / d, 10.0)) / rate
-            run_tmax = 1.6 * t_pred + 50.0 / rate
-        else:
-            run_tmax = t_max
-        u0 = uc_big + d * u1
-        run = _monitor_run(model, wave, u0, uc_big, dt, run_tmax, snap_dt,
-                           theta0, "orbital", integrator=integrator)
-        run.delta = d
-        run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
-        if not run.escaped:
-            run.flags["incomplete_escape"] = True
-        runs.append(run)
-
-    escaped = [r for r in runs if r.escaped]
-    regression = None
-    if len(escaped) >= 2:
-        x = np.array([abs(np.log(r.delta)) for r in escaped])
-        y = np.array([r.escape_time for r in escaped])
-        slope, intercept, r2 = _linregress(x, y)
-        regression = {"slope": slope, "intercept": intercept, "r2": r2,
-                      "slope_times_rate": slope * rate}
+    runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
+                                    rate, dt, snap_dt, t_max, "orbital",
+                                    integrator)
 
     report = ExperimentReport(
         kind="multiperiodic", model=model_to_dict(model),
@@ -482,28 +501,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
         "envelope_width": float(packet_width),
     }
 
-    runs = []
-    for d in deltas:
-        rate = lambda0
-        t_pred = np.log(max(theta0 / d, 10.0)) / rate
-        u0 = uc_big + d * u1
-        run = _monitor_run(model, wave, u0, uc_big, dt,
-                           1.6 * t_pred + 50.0 / rate, max(0.05 / rate, 20 * dt),
-                           theta0, "plain", integrator=integrator)
-        run.delta = d
-        run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
-        if not run.escaped:
-            run.flags["incomplete_escape"] = True
-        runs.append(run)
-
-    escaped = [r for r in runs if r.escaped]
-    regression = None
-    if len(escaped) >= 2:
-        x = np.array([abs(np.log(r.delta)) for r in escaped])
-        y = np.array([r.escape_time for r in escaped])
-        slope, intercept, r2 = _linregress(x, y)
-        regression = {"slope": slope, "intercept": intercept, "r2": r2,
-                      "slope_times_rate": slope * lambda0}
+    runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
+                                    lambda0, dt, max(0.05 / lambda0, 20 * dt),
+                                    None, "plain", integrator)
 
     report = ExperimentReport(
         kind="localized", model=model_to_dict(model),
@@ -559,7 +559,7 @@ _LOWK_LADDER = (5e-4, 1e-3, 2e-3, 3.5e-3, 5e-3, 7e-3, 1e-2, 1.5e-2,
 
 
 def _sweep_lambda0(family: str, value: float, m_exp: float, a: float,
-                   N: int, k_count: int, jobs: int = 1, b: float = 0.0):
+                   N: int, k_count: int, b: float = 0.0):
     """Growth rate of the small-amplitude wave at one sweep point.
 
     The fractional family uses the two-parameter (a, b) waves with a mean
@@ -584,7 +584,7 @@ def _sweep_lambda0(family: str, value: float, m_exp: float, a: float,
         # round-off floor; the unbounded kdv-family scans accumulate
         # near-defective collision noise at high k that would swamp the
         # threshold, and the sideband index lives at k -> 0 anyway
-        sp = scan_bloch(model, wave, k_count=k_count, N=N, jobs=jobs)
+        sp = scan_bloch(model, wave, k_count=k_count, N=N)
         lam0 = max(lam0, sp.lambda0)
     return lam0
 
@@ -593,7 +593,7 @@ def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
                     N: int = 128, k_count: int = 64,
                     threshold: float = UNSTABLE_THRESHOLD,
                     bisect_tol: float = 5e-3, max_bisect: int = 12,
-                    jobs: int = 1, b: float | None = None) -> SweepResult:
+                    b: float | None = None) -> SweepResult:
     """Mark grid points stable/unstable at small amplitude and bisect the
     boundary in the swept parameter (m for bbm, p for fractional).
 
@@ -607,8 +607,7 @@ def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
     points = []
     for v in grid:
         try:
-            lam0 = _sweep_lambda0(family, float(v), m_exp, a, N, k_count,
-                                  jobs, b=b)
+            lam0 = _sweep_lambda0(family, float(v), m_exp, a, N, k_count, b=b)
             verdict = "unstable" if lam0 > threshold else "stable"
         except ModulonError:
             lam0, verdict = float("nan"), "indeterminate"
@@ -628,8 +627,7 @@ def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
                 break
             mid = 0.5 * (lo + hi)
             try:
-                lam0 = _sweep_lambda0(family, mid, m_exp, a, N, k_count,
-                                      jobs, b=b)
+                lam0 = _sweep_lambda0(family, mid, m_exp, a, N, k_count, b=b)
                 unstable = lam0 > threshold
             except ModulonError:
                 history.append([mid, None, "indeterminate"])
@@ -654,9 +652,12 @@ def save_report(report: ExperimentReport, path):
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
 
 
-def export_run_csv(report: ExperimentReport, run: DeltaRun, path):
-    """Per-run time series: t, l2_perturbation, orbital_distance."""
+def export_run_csv(report: ExperimentReport, run: DeltaRun, path,
+                   header: str = ""):
+    """Per-run time series: t, l2_perturbation, orbital_distance, after an
+    optional ``header`` line block."""
     with open(path, "w") as fh:
+        fh.write(header)
         fh.write("t,l2_perturbation,orbital_distance\n")
         for t, p, o in zip(run.times, run.pert_norm, run.orbital):
             fh.write(f"{csv_float(t)},{csv_float(p)},{csv_float(o)}\n")

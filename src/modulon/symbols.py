@@ -143,18 +143,22 @@ def positive_shift(spec: SymbolSpec, grid_max_xi: float, samples: int = 4097):
 class NonlinearitySpec:
     """Nonlinearity f(u) with derivatives and antiderivative F, F(0) = 0.
 
-    Power forms with non-integer exponent use the even extension
-    u^p := |u|^p, matching the p = even/odd rational convention; its
-    antiderivative is the odd extension sign(u)|u|^(p+1)/(p+1).
+    ``"quadratic"`` is an alias of ``"power"`` with p = 2 and is normalized
+    on construction.  Power forms with non-integer exponent use the even
+    extension u^p := |u|^p, matching the p = even/odd rational convention;
+    its antiderivative is the odd extension sign(u)|u|^(p+1)/(p+1).
     """
 
-    form: str    # "power" | "minus_power" | "quadratic"
+    form: str    # "power" | "minus_power"
     p: float = 2.0
 
     def __post_init__(self):
-        if self.form not in ("power", "minus_power", "quadratic"):
+        if self.form == "quadratic":
+            object.__setattr__(self, "form", "power")
+            object.__setattr__(self, "p", 2.0)
+        if self.form not in ("power", "minus_power"):
             raise DomainError(f"unknown nonlinearity form {self.form!r}")
-        if self.form != "quadratic" and not self.p > 1:
+        if not self.p > 1:
             raise DomainError(f"power exponent must exceed 1, got {self.p}")
 
     @property
@@ -163,7 +167,7 @@ class NonlinearitySpec:
 
     @property
     def _integer_p(self) -> bool:
-        return self.form == "quadratic" or float(self.p).is_integer()
+        return float(self.p).is_integer()
 
     def _pow(self, u, q):
         # even-extension power |u|^q; q may be negative at isolated zeros
@@ -172,16 +176,12 @@ class NonlinearitySpec:
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
-        if self.form == "quadratic":
-            return u * u
         if self._integer_p:
             return self._sign * u ** int(self.p)
         return self._sign * self._pow(u, self.p)
 
     def df(self, u):
         u = np.asarray(u, dtype=float)
-        if self.form == "quadratic":
-            return 2.0 * u
         p = self.p
         if self._integer_p:
             return self._sign * p * u ** (int(p) - 1)
@@ -189,8 +189,6 @@ class NonlinearitySpec:
 
     def d2f(self, u):
         u = np.asarray(u, dtype=float)
-        if self.form == "quadratic":
-            return np.full_like(u, 2.0)
         p = self.p
         if self._integer_p:
             return self._sign * p * (p - 1.0) * u ** (int(p) - 2)
@@ -198,8 +196,6 @@ class NonlinearitySpec:
 
     def d3f(self, u):
         u = np.asarray(u, dtype=float)
-        if self.form == "quadratic":
-            return np.zeros_like(u)
         p = self.p
         if int(self.p) < 3 and self._integer_p:
             return np.zeros_like(u)
@@ -209,8 +205,6 @@ class NonlinearitySpec:
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
-        if self.form == "quadratic":
-            return u ** 3 / 3.0
         p = self.p
         if self._integer_p:
             return self._sign * u ** (int(p) + 1) / (p + 1.0)
@@ -238,6 +232,30 @@ class ModelSpec:
             raise DomainError("bbm family pairs only with the bbm_linear symbol")
         if not self.kappa > 0:
             raise DomainError("kappa must be positive")
+
+    # The linearization at a wave of speed c is A = J L with the skew
+    # multiplier J = j_symbol(xi) and the self-adjoint
+    # L = diag(energy_diag(xi, c)[0]) + nl_sign * f'(u_c); the full
+    # equation reads dU/dt = J (E U + nl_sign f(U)), E = energy_diag(xi, c)[0].
+
+    def j_symbol(self, xi):
+        """J: i xi (kdv_type) or i xi / (1 + xi^2) (bbm)."""
+        if self.family == "bbm":
+            return 1j * xi / (1.0 + xi ** 2)
+        return 1j * xi
+
+    def energy_diag(self, xi, c: float):
+        """Diagonal of L and its c-derivative: (alpha(xi) - c, -1) for
+        kdv_type, (c (1 + xi^2) - 1, 1 + xi^2) for bbm."""
+        if self.family == "bbm":
+            s2 = 1.0 + xi ** 2
+            return c * s2 - 1.0, s2
+        return evaluate_symbol(self.symbol, xi) - c, -1.0
+
+    @property
+    def nl_sign(self) -> float:
+        """Sign of f in L: +1 for kdv_type, -1 for bbm."""
+        return -1.0 if self.family == "bbm" else 1.0
 
 
 def parse_symbol(name: str) -> SymbolSpec:
@@ -282,7 +300,7 @@ def catalog_symbols() -> list[SymbolSpec]:
 
 def model_for_symbol(sym: SymbolSpec, nonlinearity: NonlinearitySpec | None = None,
                      kappa: float = 1.0) -> ModelSpec:
-    """Wrap a symbol in the matching family with a default quadratic f."""
+    """Wrap a symbol in the matching family with a default f(u) = u^2."""
     family = "bbm" if sym.kind == "bbm_linear" else "kdv_type"
     if nonlinearity is None:
         nonlinearity = NonlinearitySpec("quadratic")

@@ -4,8 +4,9 @@ amplitude continuation, and regularity diagnostics.
 Profiles are even real fields on the normalized 2*pi torus; the physical
 wavenumber sits in ``model.kappa``.  The steady equation solved here is
 
-    kdv_type:  M u - c u + f(u) = a        (M with symbol alpha(kappa n))
-    bbm:       c (1 - kappa^2 dzz) u - u - f(u) = a
+    E u + nl_sign f(u) = a,    E = diag(energy_diag(kappa n, c)[0])
+
+with the operator pieces of ``ModelSpec``.
 
 Phase is fixed by solving in cosine space, which removes the translation
 null direction; the amplitude parameter is the coefficient of cos z.
@@ -46,8 +47,6 @@ class TravelingWave:
 
 
 def _nonlinear_pad(nl: NonlinearitySpec) -> float:
-    if nl.form == "quadratic":
-        return 2.0
     p = nl.p
     if float(p).is_integer():
         return max(2.0, np.ceil((p + 1.0) / 2.0))
@@ -59,14 +58,8 @@ def steady_residual_field(model: ModelSpec, u: PeriodicField, c: float,
     """The steady equation evaluated at (u, c, a): zero for a traveling wave."""
     nl = model.nonlinearity
     fu = pointwise_image(u, nl.f, pad=_nonlinear_pad(nl))
-    kap = model.kappa
-    xi = kap * u.xi()
-    if model.family == "kdv_type":
-        lin = evaluate_symbol(model.symbol, xi) - c
-        coef = lin * u.coef + fu.coef
-    else:
-        lin = c * (1.0 + xi ** 2) - 1.0
-        coef = lin * u.coef - fu.coef
+    lin, _ = model.energy_diag(model.kappa * u.xi(), c)
+    coef = lin * u.coef + model.nl_sign * fu.coef
     out = PeriodicField(u.q, u.N, coef, real=True)
     out.set_mode(0, out.mode(0) - a_const)
     return out
@@ -81,19 +74,13 @@ def residual_norm(model: ModelSpec, u: PeriodicField, c: float,
 
 def apply_energy_operator(model: ModelSpec, wave: TravelingWave,
                           v: PeriodicField, k: float = 0.0) -> PeriodicField:
-    """Apply L_k = M_k - c + f'(u_c) (or the BBM pencil analogue) to v."""
-    kap = model.kappa
-    xi = kap * (v.xi() + k)
+    """Apply L_k = diag(energy_diag) + nl_sign f'(u_c) (see ``ModelSpec``) to v."""
     dfu = pointwise_image(wave.profile, model.nonlinearity.df,
                           pad=_nonlinear_pad(model.nonlinearity))
     dfu = _match_grid(dfu, v)
     prod = dealiased_product(dfu, v)
-    if model.family == "kdv_type":
-        lin = evaluate_symbol(model.symbol, xi) - wave.c
-        coef = lin * v.coef + prod.coef
-    else:
-        lin = wave.c * (1.0 + xi ** 2) - 1.0
-        coef = lin * v.coef - prod.coef
+    lin, _ = model.energy_diag(model.kappa * (v.xi() + k), wave.c)
+    coef = lin * v.coef + model.nl_sign * prod.coef
     return PeriodicField(v.q, v.N, coef, real=v.real and k == 0.0)
 
 
@@ -155,7 +142,7 @@ def small_amplitude_wave(model: ModelSpec, a: float, b: float = 0.0,
         c = 1.0 / (1.0 + m2) - a * a * 5.0 / (6.0 * m2)
         a_const = 0.0
     elif sym.kind == "whitham":
-        if nl.form != "quadratic":
+        if nl.form != "power" or nl.p != 2.0:
             raise DomainError("the whitham expansion assumes f(u) = u^2")
         m1 = evaluate_symbol(sym, kap)
         m2 = evaluate_symbol(sym, 2.0 * kap)
@@ -205,14 +192,13 @@ def _even_projection(f: PeriodicField) -> np.ndarray:
     return cosine_coefficients(g)
 
 
-def _df_fourier_coeffs(model: ModelSpec, u: PeriodicField) -> np.ndarray:
-    """Fourier coefficients w_m of f'(u), m = 0 .. N (even real profile)."""
-    N = u.N
+def _df_fourier_coeffs(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray:
+    """Complex Fourier coefficients of f'(u) for modes -N..N."""
     big = resample(u, 2 * N + 4)
     w = pointwise_image(big, model.nonlinearity.df,
                         pad=_nonlinear_pad(model.nonlinearity))
     half = w.N // 2
-    return w.coef[half:half + N + 1].real.copy()
+    return w.coef[half - N:half + N + 1]
 
 
 def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
@@ -224,19 +210,10 @@ def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
     dcos = cosine_coefficients(res_f)
     R = dcos[:J + 1]
 
-    kap = model.kappa
-    j_idx = np.arange(J + 1)
-    xi = kap * j_idx
-    if model.family == "kdv_type":
-        lin = evaluate_symbol(model.symbol, xi) - c
-        dRdc = -d[:J + 1].copy()
-        sgn = 1.0
-    else:
-        lin = c * (1.0 + xi ** 2) - 1.0
-        dRdc = (1.0 + xi ** 2) * d[:J + 1]
-        sgn = -1.0
+    lin, dlin_dc = model.energy_diag(model.kappa * np.arange(J + 1), c)
+    dRdc = dlin_dc * d[:J + 1]
 
-    w = _df_fourier_coeffs(model, u)   # w_m, m >= 0; w_{-m} = w_m
+    w = _df_fourier_coeffs(model, u, N)[N:].real   # w_m, m >= 0; w_{-m} = w_m
     B = np.zeros((J + 1, J + 1))
     for j in range(J + 1):
         for l in range(J + 1):
@@ -248,7 +225,7 @@ def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
                 B[j, l] = 2.0 * w[j]
             else:
                 B[j, l] = w[abs(j - l)] + w[j + l]
-    A = np.diag(lin) + sgn * B
+    A = np.diag(lin) + model.nl_sign * B
     return R, A, dRdc
 
 
@@ -264,8 +241,9 @@ def refine_newton(model: ModelSpec, guess: TravelingWave,
     The first constraint pins the amplitude (cos z coefficient) or the
     speed c; the second pins the integration constant (default, taken from
     the guess) or, with fix_mean, the profile mean while a_const floats.
-    The bordered Jacobian is diag(alpha(kappa j)) - c + the f'(u_c)
-    multiplication block, with two border rows for the constraints.
+    The bordered Jacobian is the cosine-space L of ``ModelSpec``
+    (diag(energy_diag) + nl_sign times the f'(u_c) multiplication block),
+    with two border rows for the constraints.
     """
     if (fix_amplitude is None) == (fix_speed is None):
         raise DomainError("exactly one of fix_amplitude / fix_speed must be set")

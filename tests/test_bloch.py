@@ -282,15 +282,6 @@ def test_unstable_eigenfunction_stable_k_errors(bbm2_model, bbm2_wave):
         unstable_eigenfunction(bbm2_model, bbm2_wave, 0.3, N=64)
 
 
-def test_parallel_scan_matches_serial(bbm2_model, bbm2_wave):
-    sp1 = scan_bloch(bbm2_model, bbm2_wave, k_count=24, N=64, jobs=1)
-    sp2 = scan_bloch(bbm2_model, bbm2_wave, k_count=24, N=64, jobs=2)
-    assert np.array_equal(sp1.k_grid, sp2.k_grid)
-    assert sp1.lambda0 == sp2.lambda0
-    for e1, e2 in zip(sp1.eigenvalues, sp2.eigenvalues):
-        assert np.max(np.abs(np.sort_complex(e1) - np.sort_complex(e2))) < 1e-12
-
-
 def test_spectrum_dump_csv(tmp_path, bbm2_spectrum):
     path = tmp_path / "dump.csv"
     export_spectrum_dump(bbm2_spectrum, path, top=5)

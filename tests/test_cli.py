@@ -1,7 +1,9 @@
 import json
+import struct
 
 import pytest
 
+from modulon import save_field, zero_field
 from modulon.cli import (EXIT_BAD_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          main, parse_config, build_model)
 from modulon.errors import ConfigError
@@ -63,9 +65,29 @@ def test_usage_exit_code(tmp_path):
 
 def test_missing_wave_is_bad_data(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
-    code = main(["spectrum", path, "--wave", str(tmp_path / "missing"),
-                 "--jobs", "1"])
+    code = main(["spectrum", path, "--wave", str(tmp_path / "missing")])
     assert code == EXIT_BAD_DATA
+
+
+@pytest.mark.parametrize("defect", ["bad_magic", "short_header", "negative_N",
+                                    "unknown_symbol"])
+def test_bad_wave_file_is_bad_data(tmp_path, defect):
+    base = tmp_path / "w"
+    save_field(zero_field(1, 16), str(base) + ".fld")
+    good = (tmp_path / "w.fld").read_bytes()
+    fld = {"bad_magic": b"NOTAFLD!" + good[8:],
+           "short_header": good[:20],
+           "negative_N": good[:8] + struct.pack("<qqq", 1, -1, 1)}
+    (tmp_path / "w.fld").write_bytes(fld.get(defect, good))
+    model = {"family": "bbm", "symbol": "bbm", "symbol_shift": 0.0,
+             "nonlinearity": "power", "p": 2.0, "kappa": 2.0}
+    if defect == "unknown_symbol":
+        model["symbol"] = "nonsense"
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"model": model, "c": 0.2, "a_const": 0.0, "amplitude": 0.0,
+         "residual": 0.0, "converged": True}))
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
+    assert main(["spectrum", path, "--wave", str(base)]) == EXIT_BAD_DATA
 
 
 def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
@@ -79,8 +101,7 @@ def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
     assert "provenance" in sidecar
 
     wave_base = str(tmp_path / "w")
-    assert main(["spectrum", path, "--wave", wave_base, "--name", "s",
-                 "--jobs", "1"]) == EXIT_OK
+    assert main(["spectrum", path, "--wave", wave_base, "--name", "s"]) == EXIT_OK
     summary = json.loads((tmp_path / "s.json").read_text())
     assert summary["lambda0"] > 1e-8
     assert summary["bands"]
@@ -89,14 +110,12 @@ def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
     assert csv_lines[0].startswith("# modulon=")
     assert csv_lines[1] == "k,re_lambda,im_lambda"
 
-    assert main(["verify", path, "--wave", wave_base, "--name", "v",
-                 "--jobs", "1"]) == EXIT_OK
+    assert main(["verify", path, "--wave", wave_base, "--name", "v"]) == EXIT_OK
     verdicts = json.loads((tmp_path / "v.json").read_text())
     assert verdicts["pass"] is True
     assert verdicts["trichotomy"]["dim_Eu"] == verdicts["trichotomy"]["dim_Es"]
 
-    assert main(["evolve", path, "--wave", wave_base, "--name", "e",
-                 "--jobs", "1"]) == EXIT_OK
+    assert main(["evolve", path, "--wave", wave_base, "--name", "e"]) == EXIT_OK
     rows = (tmp_path / "e.csv").read_text().splitlines()
     assert rows[1] == ("t,l2_perturbation,orbital_distance,mass_drift,"
                        "momentum_drift,energy_drift")
@@ -108,10 +127,8 @@ def test_spectrum_determinism(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
     assert main(["wave", path, "--name", "w"]) == EXIT_OK
     wave_base = str(tmp_path / "w")
-    assert main(["spectrum", path, "--wave", wave_base, "--name", "s1",
-                 "--jobs", "1"]) == EXIT_OK
-    assert main(["spectrum", path, "--wave", wave_base, "--name", "s2",
-                 "--jobs", "1"]) == EXIT_OK
+    assert main(["spectrum", path, "--wave", wave_base, "--name", "s1"]) == EXIT_OK
+    assert main(["spectrum", path, "--wave", wave_base, "--name", "s2"]) == EXIT_OK
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
@@ -132,8 +149,7 @@ dir = {out}
 """.format(out=tmp_path)
     path = write_cfg(tmp_path, cfg_text)
     assert main(["wave", path, "--name", "w15"]) == EXIT_OK
-    code = main(["experiment", path, "--wave", str(tmp_path / "w15"),
-                 "--jobs", "1"])
+    code = main(["experiment", path, "--wave", str(tmp_path / "w15")])
     assert code == EXIT_NUMERIC
 
 
@@ -191,7 +207,7 @@ dir = {out}
     path = write_cfg(tmp_path, cfg_text)
     assert main(["wave", path, "--name", "wk"]) == EXIT_OK
     assert main(["experiment", path, "--wave", str(tmp_path / "wk"),
-                 "--name", "exp", "--jobs", "1"]) == EXIT_OK
+                 "--name", "exp"]) == EXIT_OK
     obj = json.loads((tmp_path / "exp.json").read_text())
     assert obj["kind"] == "multiperiodic"
     assert obj["q"] <= 8
@@ -222,7 +238,7 @@ dir = {out}
     path = write_cfg(tmp_path, cfg_text)
     assert main(["wave", path, "--name", "wk"]) == EXIT_OK
     code = main(["experiment", path, "--wave", str(tmp_path / "wk"),
-                 "--name", "loc", "--jobs", "1"])
+                 "--name", "loc"])
     assert code == EXIT_OK
     obj = json.loads((tmp_path / "loc.json").read_text())
     assert obj["kind"] == "localized"

@@ -52,16 +52,24 @@ def test_bbm_wave_is_equilibrium_rk4(bbm2_model, bbm2_wave):
     assert l2_norm(st.field - uc) < 1e-8
 
 
-def test_linearized_matches_matrix_exponential(whitham_model, whitham_wave):
+@pytest.mark.parametrize("name,integrator", [
+    pytest.param("whitham", None, id="whitham"),
+    pytest.param("bbm2", "etdrk4", id="bbm2-etdrk4"),
+])
+def test_linearized_matches_matrix_exponential(name, integrator, request):
+    # the Evolver and the Bloch assembly share J and L from ModelSpec
+    model = request.getfixturevalue(name + "_model")
+    wave = request.getfixturevalue(name + "_wave")
     N = 64
-    op = assemble_bloch(whitham_model, whitham_wave, 0.0, N)
+    op = assemble_bloch(model, wave, 0.0, N)
     rng = np.random.default_rng(0)
     n = np.arange(-(N // 2), N // 2 + 1)
     c0 = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
     c0 *= np.exp(-0.6 * np.abs(n))
     c0[0] = c0[-1] = 0.0
     f0 = PeriodicField(1, N, c0.copy(), real=False)
-    st = make_state(whitham_model, whitham_wave, f0, 0.002, linearized=True)
+    st = make_state(model, wave, f0, 0.002, linearized=True,
+                    integrator=integrator)
     ev = _evolver_for(st)
     coef = c0.copy()
     for i in range(500):
