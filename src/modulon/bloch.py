@@ -27,6 +27,7 @@ from .symbols import ModelSpec
 from .waves import TravelingWave, _df_fourier_coeffs, spectral_decay_diagnostic
 
 UNSTABLE_THRESHOLD = 1e-8
+FIT_FILL = 12      # uniform samples added around the maximum for band fits
 
 
 @dataclass
@@ -122,9 +123,8 @@ class BlochSpectrum:
         return None
 
 
-def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
-               threshold: float = UNSTABLE_THRESHOLD,
-               fit_fill: int = 12) -> BlochSpectrum:
+def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
+               N: int) -> BlochSpectrum:
     """Scan k in [0, 1]: uniform grid, trisection refinement of local maxima,
     then a small uniform fill around the global maximum for band fitting."""
     if k_count < 16:
@@ -142,7 +142,7 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
     rvals = [r_of(k) for k in grid]
     # local maxima on the uniform grid (interior only); refine anything that
     # could plausibly clear the instability threshold at its true peak
-    refine_floor = max(threshold / 100.0, 1e-12)
+    refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
     maxima = [i for i in range(1, len(grid) - 1)
               if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
               and rvals[i] > refine_floor]
@@ -167,10 +167,10 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
     k0 = all_k[i0]
     lambda0 = float(rs[i0])
 
-    if lambda0 > threshold and fit_fill > 0:
+    if lambda0 > UNSTABLE_THRESHOLD:
         spacing = 1.0 / (k_count - 1)
         w = 1.5 * spacing
-        for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w), fit_fill):
+        for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w), FIT_FILL):
             r_of(float(kk))
 
     all_k = sorted(samples)
@@ -178,11 +178,11 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int, N: int,
     i0 = int(np.argmax(rs))
     k0 = float(all_k[i0])
     lambda0 = float(rs[i0])
-    bands = _bands_from_samples(np.array(all_k), rs, threshold)
+    bands = _bands_from_samples(np.array(all_k), rs, UNSTABLE_THRESHOLD)
     return BlochSpectrum(k_grid=np.array(all_k),
                          eigenvalues=[samples[k] for k in all_k],
                          lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
-                         threshold=threshold,
+                         threshold=UNSTABLE_THRESHOLD,
                          grid_spacing=1.0 / (k_count - 1))
 
 

@@ -24,16 +24,14 @@ import configparser
 import hashlib
 import json
 import os
-import struct
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ModulonError
+from .errors import BadDataError, ConfigError, ModulonError
 from .symbols import ModelSpec, NonlinearitySpec, model_for_symbol, parse_symbol
-from .waves import (TravelingWave, load_wave, refine_newton, save_wave,
-                    small_amplitude_wave)
+from .waves import load_wave, refine_newton, save_wave, small_amplitude_wave
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
@@ -55,7 +53,7 @@ _SCHEMA = {
     "wave": {"a": float, "b": float, "kappa": float, "m": float},
     "numerics": {"N": int, "k_count": int, "Q": int, "q_max": int},
     "evolve": {"dt": float, "t_end": float, "snap_every": int,
-               "delta": float, "integrator": str},
+               "delta": float},
     "experiment": {"kind": str, "deltas": str, "theta0": float,
                    "t_max": float, "Q": int, "n_nodes": int},
     "sweep": {"family": str, "grid": str, "a": float, "m_exp": float,
@@ -174,29 +172,14 @@ def cmd_wave(cfg: RunConfig, args) -> int:
         wave = refine_newton(model, seed, fix_amplitude=a,
                              fix_a_const=seed.a_const)
     base = os.path.join(out_dir(cfg), args.name)
-    sidecar = save_wave(wave, base)
-    sidecar["provenance"] = provenance(cfg)
-    with open(base + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    _write_json(save_wave(wave, base), base + ".json", cfg)
     print(f"wave converged: c = {wave.c:.12g}, residual = {wave.residual:.3e} "
           f"-> {base}.fld")
     return EXIT_OK
 
 
-def _load_wave_checked(path: str) -> TravelingWave:
-    try:
-        return load_wave(path)
-    except (OSError, KeyError, TypeError, ValueError, struct.error,
-            ModulonError) as exc:
-        raise BadData(f"cannot load wave {path}: {exc}") from exc
-
-
-class BadData(Exception):
-    pass
-
-
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    wave = _load_wave_checked(args.wave)
+    wave = load_wave(args.wave)
     model = wave.model
     N = cfg.get("numerics", "N", 128)
     k_count = cfg.get("numerics", "k_count", 64)
@@ -221,7 +204,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    wave = _load_wave_checked(args.wave)
+    wave = load_wave(args.wave)
     model = wave.model
     N = cfg.get("numerics", "N", 96)
     k_count = cfg.get("numerics", "k_count", 32)
@@ -262,13 +245,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
-    wave = _load_wave_checked(args.wave)
+    wave = load_wave(args.wave)
     model = wave.model
     N = cfg.get("numerics", "N", 96)
     delta = cfg.get("evolve", "delta", 0.0)
     u0 = lift_wave(wave, 1, N)
     if delta:
-        sp = scan_bloch(model, wave, k_count=32, N=N)
+        sp = scan_bloch(model, wave, k_count=cfg.get("numerics", "k_count", 32),
+                        N=N)
         if sp.lambda0 <= sp.threshold:
             print("wave is stable; evolving the unperturbed wave")
         else:
@@ -279,8 +263,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     dt = cfg.get("evolve", "dt") or stable_dt(model, wave.c, u0.q, u0.N)
     t_end = cfg.get("evolve", "t_end", 10.0)
     snap_every = cfg.get("evolve", "snap_every", 10)
-    integrator = cfg.get("evolve", "integrator")
-    state = EvolutionState(model, wave, u0, 0.0, dt, integrator=integrator)
+    state = EvolutionState(model, wave, u0, 0.0, dt)
     ev = _evolver_for(state)
     uc_big = lift_wave(wave, u0.q, u0.N)
     ledger = ConservedLedger()
@@ -311,7 +294,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, args) -> int:
-    wave = _load_wave_checked(args.wave)
+    wave = load_wave(args.wave)
     model = wave.model
     N = cfg.get("numerics", "N", 128)
     k_count = cfg.get("numerics", "k_count", 64)
@@ -333,11 +316,8 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
                             N_op=N, enforce_envelope=False)
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    obj = rep.to_dict()
-    obj["provenance"] = provenance(cfg)
     path = os.path.join(d, args.name + ".json")
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    _write_json(rep.to_dict(), path, cfg)
     for i, run in enumerate(rep.runs):
         export_run_csv(rep, run, os.path.join(d, f"{args.name}_delta{i}.csv"),
                        header=_csv_header(cfg))
@@ -356,10 +336,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         k_count=cfg.get("sweep", "k_count", 64))
     d = out_dir(cfg)
     path = os.path.join(d, args.name + ".json")
-    obj = res.to_dict()
-    obj["provenance"] = provenance(cfg)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    _write_json(res.to_dict(), path, cfg)
     print(f"sweep {family}: boundary = {res.boundary} -> {path}")
     return EXIT_OK
 
@@ -417,7 +394,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BadData as exc:
+    except BadDataError as exc:
         print(f"bad data file: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
     except ModulonError as exc:

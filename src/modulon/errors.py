@@ -9,6 +9,10 @@ class DomainError(ModulonError):
     """Argument outside the documented domain (bad frequency, Bloch shift, grid)."""
 
 
+class BadDataError(DomainError):
+    """Malformed persisted data: a field snapshot or a wave sidecar."""
+
+
 class GridMismatchError(ModulonError):
     """Two fields with incompatible (q, N) grids."""
 

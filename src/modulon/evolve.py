@@ -7,13 +7,14 @@ In the package's frequency orientation the evolved equation is
 
 with the operator pieces of ``ModelSpec``.  Its linearization at u_c is
 exactly the assembled Bloch generator at k = 0 (and at k = p/q on the
-2 pi q torus).  Converged waves are fixed points of both steppers to
+2 pi q torus).  Converged waves are fixed points of the stepper to
 round-off.
 
-The kdv family is integrated with fourth-order exponential time
-differencing (the linear symbol applied exactly, phi-functions evaluated by
-a 16-point unit-circle contour mean); the semilinear BBM family uses the
-classical explicit fourth-order Runge-Kutta scheme by default.
+Every model is integrated with the fourth-order exponential time
+differencing of Cox & Matthews (ETDRK4): the linear part J E is propagated
+exactly, as e^{tA} is in the nonlinear-instability estimates, and the
+phi-functions are evaluated by a 16-point unit-circle contour mean
+(Kassam & Trefethen).
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import numpy as np
 import scipy.fft
 
 from .errors import BlowupError, DomainError, GridMismatchError
-from .fields import PeriodicField
+from .fields import PeriodicField, _lift_eigenfunction
 from .symbols import ModelSpec, evaluate_symbol
 from .waves import TravelingWave, _nonlinear_pad, resample
 
 _TWO_PI = 2.0 * np.pi
+_CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 
 
 class _Transform:
@@ -55,7 +57,7 @@ class _Transform:
 
 
 class Evolver:
-    """Stepper for one (model, grid, dt) combination.
+    """ETDRK4 stepper for one (model, grid, dt) combination.
 
     ``linearized`` freezes the nonlinearity to multiplication by f'(u_c);
     an optional ``forcing(t, coef)`` is added to the right-hand side,
@@ -65,8 +67,7 @@ class Evolver:
 
     def __init__(self, model: ModelSpec, c: float, q: int, N: int, dt: float,
                  linearized: bool = False, wave_profile: PeriodicField | None = None,
-                 forcing=None, integrator: str | None = None,
-                 contour_points: int = 16):
+                 forcing=None):
         if dt <= 0:
             raise DomainError("dt must be positive")
         self.model = model
@@ -91,15 +92,7 @@ class Evolver:
                                   "(lift it to q first)")
             uc = self.tr.values(base.coef).real
             self.df_vals = model.nonlinearity.df(uc)
-        if integrator is None:
-            integrator = "etdrk4" if model.family == "kdv_type" else "rk4"
-        self.integrator = integrator
-        if integrator == "etdrk4":
-            self._etdrk4_tables(contour_points)
-        elif integrator != "rk4":
-            raise DomainError(f"unknown integrator {integrator!r}")
-
-    # -- right-hand side pieces ------------------------------------------------
+        self._etdrk4_tables()
 
     def nonlinear(self, coef: np.ndarray, t: float) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -114,13 +107,8 @@ class Evolver:
             out = out + self.forcing(t, coef)
         return out
 
-    def rhs(self, coef: np.ndarray, t: float) -> np.ndarray:
-        return self.lin * coef + self.nonlinear(coef, t)
-
-    # -- integrators -------------------------------------------------------------
-
-    def _etdrk4_tables(self, n_pts: int):
-        h = self.dt
+    def _etdrk4_tables(self):
+        h, n_pts = self.dt, _CONTOUR_POINTS
         L = self.lin.astype(np.complex128)
         self.E = np.exp(h * L)
         self.E2 = np.exp(0.5 * h * L)
@@ -133,7 +121,7 @@ class Evolver:
         self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr3, axis=1)
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
 
-    def _step_etdrk4(self, u, t):
+    def step_coef(self, u: np.ndarray, t: float) -> np.ndarray:
         h = self.dt
         n0 = self.nonlinear(u, t)
         a = self.E2 * u + self.Q * n0
@@ -144,29 +132,21 @@ class Evolver:
         nc = self.nonlinear(cst, t + h)
         return self.E * u + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
 
-    def _step_rk4(self, u, t):
-        h = self.dt
-        k1 = self.rhs(u, t)
-        k2 = self.rhs(u + 0.5 * h * k1, t + 0.5 * h)
-        k3 = self.rhs(u + 0.5 * h * k2, t + 0.5 * h)
-        k4 = self.rhs(u + h * k3, t + h)
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def step_coef(self, u: np.ndarray, t: float) -> np.ndarray:
-        if self.integrator == "etdrk4":
-            return self._step_etdrk4(u, t)
-        return self._step_rk4(u, t)
-
 
 def stable_dt(model: ModelSpec, c: float, q: int, N: int,
               u_inf: float = 1.0) -> float:
-    """Default step: 0.5/max|linear symbol| for the explicit BBM scheme;
-    nonlinear CFL 0.2 dx / max|f'(U)| for the exactly-propagated kdv family."""
+    """Default ETDRK4 step.
+
+    BBM: 4 / max|linear symbol|, capped at 0.1.  The linear part is exact
+    and the J-smoothed nonlinearity is bounded, so no stiffness limit
+    applies.  kdv family: the nonlinear CFL 0.2 dx / max|f'(U)| over
+    |U| <= u_inf.
+    """
     kap = model.kappa
     xi = kap * np.arange(N // 2 + 1) / q
     if model.family == "bbm":
         mult = np.max(np.abs(xi * (c - 1.0 / (1.0 + xi ** 2))))
-        return 0.5 / max(mult, 1e-12)
+        return min(8.0 * (0.5 / max(mult, 1e-12)), 0.1)
     dx = _TWO_PI * q / (2 * N)
     dfmax = float(np.max(np.abs(model.nonlinearity.df(
         np.array([-u_inf, u_inf, 1e-9])))))
@@ -186,7 +166,6 @@ class EvolutionState:
     t: float
     dt: float
     linearized: bool = False
-    integrator: str | None = None
 
 
 def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
@@ -199,8 +178,7 @@ def _evolver_for(state: EvolutionState) -> Evolver:
     if state.linearized:
         prof = lift_wave(state.wave, state.field.q, state.field.N)
     return Evolver(state.model, state.wave.c, state.field.q, state.field.N,
-                   state.dt, linearized=state.linearized, wave_profile=prof,
-                   integrator=state.integrator)
+                   state.dt, linearized=state.linearized, wave_profile=prof)
 
 
 def step(state: EvolutionState, evolver: Evolver | None = None) -> EvolutionState:
@@ -214,15 +192,14 @@ def step(state: EvolutionState, evolver: Evolver | None = None) -> EvolutionStat
         coef = 0.5 * (coef + np.conj(coef[::-1]))
     f = PeriodicField(state.field.q, state.field.N, coef, state.field.real)
     return EvolutionState(state.model, state.wave, f, state.t + state.dt,
-                          state.dt, state.linearized, state.integrator)
+                          state.dt, state.linearized)
 
 
 def linearized_step(state: EvolutionState,
                     evolver: Evolver | None = None) -> EvolutionState:
     if not state.linearized:
         state = EvolutionState(state.model, state.wave, state.field, state.t,
-                               state.dt, linearized=True,
-                               integrator=state.integrator)
+                               state.dt, linearized=True)
     return step(state, evolver)
 
 
@@ -418,19 +395,6 @@ class _TaylorForcing:
         u2v = self.tr.values(u2_coef)
         g = self.d2f_uc * u1v * u2v + self.d3f_uc * u1v ** 3 / 6.0
         return self.gop * self.tr.coef(g)
-
-
-def _lift_eigenfunction(v: PeriodicField, p: int, q: int, N_big: int) -> np.ndarray:
-    """Coefficients of e^{i (p/q) z} v(z) on the 2 pi q torus."""
-    out = np.zeros(N_big + 1, dtype=np.complex128)
-    half_big, half_small = N_big // 2, v.N // 2
-    for n in range(-half_small, half_small + 1):
-        idx = n * q + p
-        if abs(idx) <= half_big:
-            out[idx + half_big] = v.coef[n + half_small]
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
 
 
 def build_approximate_solution(model: ModelSpec, wave: TravelingWave,

@@ -29,14 +29,15 @@ from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, eigens,
 from .errors import (DomainError, DomainTooSmallError, ModulonError,
                      RationalApproximationError)
 from .evolve import (ConservedLedger, Evolver, conserved_quantities, lift_wave,
-                     orbital_distance, _lift_eigenfunction)
+                     orbital_distance, stable_dt)
 from .fields import PeriodicField, csv_float, l2_norm, midpoint_band_nodes, \
-    synthesize_packet
+    synthesize_packet, _lift_eigenfunction
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
 from .waves import TravelingWave, refine_newton, resample, small_amplitude_wave, \
     model_to_dict
 
 DEFAULT_THETA_FRACTION = 0.05
+PACKET_PROFILE_N = 48     # modes kept per packet eigenprofile
 
 
 # -- shared monitoring machinery ------------------------------------------------
@@ -110,14 +111,13 @@ class ExperimentReport:
 def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
                  ref: PeriodicField, dt: float, t_max: float,
                  snap_dt: float, theta0: float, escape_metric: str,
-                 integrator: str | None = None,
                  linearized: bool = False) -> DeltaRun:
     """Evolve u0, recording perturbation norms (relative to ref) until the
     escape threshold is crossed or t_max is reached."""
     per = max(1, int(round(snap_dt / dt)))
     frozen = lift_wave(wave, u0.q, u0.N) if linearized else None
     ev = Evolver(model, wave.c, u0.q, u0.N, dt, linearized=linearized,
-                 wave_profile=frozen, integrator=integrator)
+                 wave_profile=frozen)
     coef = u0.coef.copy()
     t = 0.0
     times, perts, orbs = [], [], []
@@ -204,7 +204,7 @@ def _linregress(x: np.ndarray, y: np.ndarray):
 def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
                  uc_big: PeriodicField, deltas, theta0: float, rate: float,
                  dt: float, snap_dt: float, t_max: float | None,
-                 escape_metric: str, integrator: str | None):
+                 escape_metric: str):
     """Nonlinear runs from uc_big + delta * u1 for each delta, then the
     regression of the escape times on |ln delta| (None below two escapes)."""
     runs = []
@@ -215,7 +215,7 @@ def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
         else:
             run_tmax = t_max
         run = _monitor_run(model, wave, uc_big + d * u1, uc_big, dt, run_tmax,
-                           snap_dt, theta0, escape_metric, integrator=integrator)
+                           snap_dt, theta0, escape_metric)
         run.delta = d
         run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
         if not run.escaped:
@@ -275,8 +275,8 @@ def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
                       spectrum: BlochSpectrum, deltas, theta0: float | None = None,
                       q_max: int = 8, N_op: int | None = None,
                       N_ev: int | None = None, dt: float | None = None,
-                      snap_dt: float | None = None, t_max: float | None = None,
-                      integrator: str | None = None) -> ExperimentReport:
+                      snap_dt: float | None = None,
+                      t_max: float | None = None) -> ExperimentReport:
     """Escape-time experiment for eigenfunction-seeded periodic perturbations."""
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -291,15 +291,13 @@ def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
     if theta0 is None:
         theta0 = DEFAULT_THETA_FRACTION * l2_norm(uc_big)
 
-    if integrator is None and model.family == "bbm":
-        integrator = "etdrk4"
     if dt is None:
-        dt = _default_experiment_dt(model, wave, q, u1.N, integrator)
+        dt = stable_dt(model, wave.c, q, u1.N,
+                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
     if snap_dt is None:
         snap_dt = max(0.05 / rate, 20 * dt)
     runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
-                                    rate, dt, snap_dt, t_max, "orbital",
-                                    integrator)
+                                    rate, dt, snap_dt, t_max, "orbital")
 
     report = ExperimentReport(
         kind="multiperiodic", model=model_to_dict(model),
@@ -308,17 +306,6 @@ def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
         k0=p / q, deltas=deltas, runs=runs, p=p, q=q, regression=regression)
     report.passes = _multiperiodic_passes(report)
     return report
-
-
-def _default_experiment_dt(model, wave, q, N_big, integrator):
-    from .evolve import stable_dt
-    base = stable_dt(model, wave.c, q, N_big,
-                     u_inf=2.0 * max(abs(wave.amplitude), 0.05))
-    if model.family == "bbm" and integrator == "etdrk4":
-        # the linear part is exact and the J-smoothed nonlinearity is
-        # bounded, so the explicit-scheme bound does not apply
-        return min(8.0 * base, 0.1)
-    return base
 
 
 def _multiperiodic_passes(report: ExperimentReport) -> dict:
@@ -342,8 +329,7 @@ def _multiperiodic_passes(report: ExperimentReport) -> dict:
 
 def build_band_packet(model: ModelSpec, wave: TravelingWave,
                       spectrum: BlochSpectrum, curve: GrowthCurve, Q: int,
-                      n_nodes: int | None = None, N_op: int | None = None,
-                      N_profile: int = 48):
+                      n_nodes: int | None = None, N_op: int | None = None):
     """Packet of unstable eigenfunctions on the cell-midpoint lattice j/Q.
 
     The band ends at the lattice point nearest the most unstable k0 (folded
@@ -383,7 +369,7 @@ def build_band_packet(model: ModelSpec, wave: TravelingWave,
     freqs = []
     for k_j in packet.nodes:
         lam, v = unstable_eigenfunction(model, wave, float(k_j), N_op)
-        packet.profiles.append(resample(v, N_profile))
+        packet.profiles.append(resample(v, PACKET_PROFILE_N))
         rates.append(lam)
         freqs.append(float(k_j))
     return packet, np.array(rates), np.array(freqs)
@@ -414,8 +400,6 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
                   spectrum: BlochSpectrum, curve: GrowthCurve, Q: int, deltas,
                   theta0: float | None = None, n_nodes: int | None = None,
                   N_op: int | None = None, dt: float | None = None,
-                  t_linear: float | None = None,
-                  integrator: str | None = None,
                   enforce_envelope: bool = True) -> ExperimentReport:
     """Wave-packet instability: linear packet-law fit plus nonlinear escape.
 
@@ -441,8 +425,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     a_fit = curve.a_fit
     t1 = 1.5 / (a_fit * eta ** curve.l)
     t2 = (Q / 3.0) ** curve.l / a_fit
-    if t_linear is None:
-        t_linear = 1.05 * t2
+    t_linear = 1.05 * t2
 
     env_t_end = 0.0
     if deltas:
@@ -453,10 +436,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     else:
         packet_width = 2.0 * np.pi / max(packet.width(), 1e-9)
 
-    if integrator is None and model.family == "bbm":
-        integrator = "etdrk4"
     if dt is None:
-        dt = _default_experiment_dt(model, wave, Q, N_big, integrator)
+        dt = stable_dt(model, wave.c, Q, N_big,
+                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
     # frozen-coefficient dynamics has no transport CFL; only the bounded
     # coupling |i xi f'(u_c)| at the active (low) modes limits accuracy
     dt_lin = min(8.0 * dt, 0.25) if model.family == "kdv_type" else dt
@@ -464,8 +446,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
 
     zero_ref = uc_big * 0.0
     lin = _monitor_run(model, wave, u1, zero_ref, dt_lin, t_linear, snap_dt,
-                       theta0=0.0, escape_metric="plain",
-                       integrator=integrator, linearized=True)
+                       theta0=0.0, escape_metric="plain", linearized=True)
     mask = (lin.times >= t1) & (lin.times <= t2)
     if int(np.sum(mask)) < 8:
         mask = lin.times >= 0.5 * t1
@@ -503,7 +484,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
 
     runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
                                     lambda0, dt, max(0.05 / lambda0, 20 * dt),
-                                    None, "plain", integrator)
+                                    None, "plain")
 
     report = ExperimentReport(
         kind="localized", model=model_to_dict(model),

@@ -9,12 +9,13 @@ conj(g) over the torus, so ||e^{i xi_n x}||_L2 = sqrt(2 pi q).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import BadDataError, DomainError, GridMismatchError
 from .symbols import SymbolSpec, evaluate_symbol
 
 _TWO_PI = 2.0 * np.pi
@@ -161,6 +162,18 @@ def cosine_coefficients(f: PeriodicField) -> np.ndarray:
     d = 2.0 * half.real
     d[0] = half[0].real
     return d
+
+
+def _lift_eigenfunction(v: PeriodicField, p: int, q: int, N_big: int) -> np.ndarray:
+    """Coefficients of e^{i (p/q) z} v(z) on the 2 pi q torus, truncated to
+    N_big; with q = 1, p = 0 this re-truncates or zero-extends v to N_big."""
+    out = np.zeros(N_big + 1, dtype=np.complex128)
+    idx = v.modes() * q + p
+    keep = np.abs(idx) <= N_big // 2
+    out[idx[keep] + N_big // 2] = v.coef[keep]
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
 
 
 # -- norms and inner products -------------------------------------------------
@@ -346,12 +359,24 @@ def save_field(f: PeriodicField, path):
 
 
 def load_field(path) -> PeriodicField:
+    """Read a snapshot written by ``save_field``; BadDataError on a wrong
+    magic, a short header, an invalid grid or a payload of the wrong size."""
+    n_head = len(_MAGIC) + 24
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DomainError(f"not a field snapshot: {path}")
-        q, N, realness = struct.unpack("<qqq", fh.read(24))
-        raw = np.frombuffer(fh.read(16 * (N + 1)), dtype="<f8").reshape(N + 1, 2)
+        head = fh.read(n_head)
+        if head[:len(_MAGIC)] != _MAGIC:
+            raise BadDataError(f"not a field snapshot: {path}")
+        if len(head) < n_head:
+            raise BadDataError(f"truncated snapshot header: {path}")
+        q, N, realness = struct.unpack("<qqq", head[len(_MAGIC):])
+        if q < 1 or N < 2 or N % 2 != 0:
+            raise BadDataError(f"invalid grid q = {q}, N = {N} in {path}")
+        # sized from the file, so a corrupt N never sizes a read
+        payload = os.fstat(fh.fileno()).st_size - n_head
+        if payload != 16 * (N + 1):
+            raise BadDataError(f"{path} holds {payload} payload bytes, "
+                               f"N = {N} needs {16 * (N + 1)}")
+        raw = np.frombuffer(fh.read(payload), dtype="<f8").reshape(N + 1, 2)
         coef = raw[:, 0] + 1j * raw[:, 1]
         return PeriodicField(int(q), int(N), coef.copy(), real=bool(realness))
 

@@ -26,6 +26,12 @@ from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
 
 _LOG_OVERFLOW = 600.0   # cap on lambda0 * t before expm overflows
+DUALITY_TOL = 1e-8      # relative H^1/H^-1 duality defect allowed
+RIESZ_QUAD_POINTS = 64  # starting trapezoidal nodes on the Riesz contour
+RIESZ_MAX_POINTS = 2048
+RIESZ_IDEM_TOL = 1e-8   # idempotence defect that ends the node doubling
+TRICHOTOMY_THRESHOLD = 1e-8   # |Re lambda| below this counts as center
+EIGBASIS_COND_CAP = 1e6       # skip the expm cross-check past this cond
 
 
 def _weighted_norm(mat: np.ndarray, weights: np.ndarray) -> float:
@@ -51,7 +57,7 @@ def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
 
 
 def dual_propagator_norm(op: BlochOperator, t: float,
-                         check: bool = True, tol: float = 1e-8) -> float:
+                         check: bool = True) -> float:
     """H^1 norm of exp(t L D), the dual propagator of e^{tA} in H^{-1}.
 
     For the real symmetric L of an even real wave the two norms agree to
@@ -64,7 +70,7 @@ def dual_propagator_norm(op: BlochOperator, t: float,
     nrm = _weighted_norm(E, op.sobolev_weights(1.0))
     if check:
         direct = propagator_norm(op, t, s=-1.0)
-        if abs(nrm - direct) > tol * max(1.0, abs(direct)):
+        if abs(nrm - direct) > DUALITY_TOL * max(1.0, abs(direct)):
             raise StructureViolationError(
                 f"H^1/H^-1 duality defect {abs(nrm - direct):.3e} at t = {t}")
     return nrm
@@ -99,14 +105,13 @@ def probe_growth(op: BlochOperator, s: float, t_min: float = 5.0,
     return PropagatorProbe(op, t, s).run()
 
 
-def riesz_projection(M: np.ndarray, center: complex, radius: float,
-                     quad_points: int = 64, idem_tol: float = 1e-8,
-                     max_points: int = 2048) -> np.ndarray:
+def riesz_projection(M: np.ndarray, center: complex,
+                     radius: float) -> np.ndarray:
     """Spectral projector (1/2 pi i) contour integral of (zI - M)^{-1}.
 
     Trapezoidal quadrature on the circle, with the point count doubled until
-    the idempotence defect drops below ``idem_tol``.  The contour must keep
-    clear of the spectrum (distance > radius/100).
+    the idempotence defect drops below ``RIESZ_IDEM_TOL``.  The contour must
+    keep clear of the spectrum (distance > radius/100).
     """
     vals = np.linalg.eigvals(M)
     dist = np.abs(np.abs(vals - center) - radius)
@@ -116,7 +121,7 @@ def riesz_projection(M: np.ndarray, center: complex, radius: float,
             f"(center {center}, radius {radius}); move the circle")
     n_enclosed = int(np.sum(np.abs(vals - center) < radius))
     I = np.eye(M.shape[0], dtype=complex)
-    n = quad_points
+    n = RIESZ_QUAD_POINTS
     while True:
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         z = center + radius * np.exp(1j * theta)
@@ -125,13 +130,13 @@ def riesz_projection(M: np.ndarray, center: complex, radius: float,
             P += np.linalg.solve(zj * I - M, I) * np.exp(1j * np.angle(zj - center))
         P *= radius / n
         defect = np.linalg.norm(P @ P - P, 2)
-        if defect < idem_tol:
+        if defect < RIESZ_IDEM_TOL:
             break
         n *= 2
-        if n > max_points:
+        if n > RIESZ_MAX_POINTS:
             raise ContourError(
-                f"projector defect {defect:.2e} did not reach {idem_tol:g} "
-                f"with {max_points} quadrature points")
+                f"projector defect {defect:.2e} did not reach {RIESZ_IDEM_TOL:g} "
+                f"with {RIESZ_MAX_POINTS} quadrature points")
     rank = int(round(np.trace(P).real))
     if rank != n_enclosed:
         raise ContourError(
@@ -148,8 +153,7 @@ class TrichotomySplit:
     n_minus_L: int
 
 
-def trichotomy_split(op: BlochOperator, threshold: float = 1e-8,
-                     strict: bool = True) -> TrichotomySplit:
+def trichotomy_split(op: BlochOperator, strict: bool = True) -> TrichotomySplit:
     """Count unstable/stable/center dimensions and the Morse index of L.
 
     Asserts dim E^u = dim E^s <= n^-(L); a violation signals a truncation
@@ -160,8 +164,8 @@ def trichotomy_split(op: BlochOperator, threshold: float = 1e-8,
         raise StructureViolationError(
             f"L matrix not Hermitian (defect {herm_defect:.2e})")
     vals = np.linalg.eigvals(op.A_mat)
-    dim_u = int(np.sum(vals.real > threshold))
-    dim_s = int(np.sum(vals.real < -threshold))
+    dim_u = int(np.sum(vals.real > TRICHOTOMY_THRESHOLD))
+    dim_s = int(np.sum(vals.real < -TRICHOTOMY_THRESHOLD))
     dim_c = len(vals) - dim_u - dim_s
     n_minus = int(np.sum(np.linalg.eigvalsh(op.L_mat) < -1e-10))
     split = TrichotomySplit(dim_u, dim_s, dim_c, n_minus)
@@ -176,7 +180,7 @@ def trichotomy_split(op: BlochOperator, threshold: float = 1e-8,
     return split
 
 
-def expm_cross_check(op: BlochOperator, t: float, cond_cap: float = 1e6):
+def expm_cross_check(op: BlochOperator, t: float):
     """Compare scaling-and-squaring with the eigendecomposition propagator.
 
     Returns (relative difference, eigenvector condition number); the
@@ -185,7 +189,7 @@ def expm_cross_check(op: BlochOperator, t: float, cond_cap: float = 1e6):
     """
     vals, vecs = eigens(op, check_residual=False)
     cond = float(np.linalg.cond(vecs))
-    if cond > cond_cap:
+    if cond > EIGBASIS_COND_CAP:
         return None, cond
     E_pade = scipy.linalg.expm(t * op.A_mat)
     E_eig = (vecs * np.exp(t * vals)) @ np.linalg.inv(vecs)

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (ContinuationStallError, DegenerateJacobianError,
-                     DivergenceError, DomainError, InsufficientDataError)
+from .errors import (BadDataError, ContinuationStallError,
+                     DegenerateJacobianError, DivergenceError, DomainError,
+                     InsufficientDataError)
 from .fields import (PeriodicField, cosine_coefficients, cosine_field,
                      dealiased_product, l2_norm, pointwise_image, save_field,
-                     load_field, zero_field)
+                     load_field, _lift_eigenfunction)
 from .symbols import ModelSpec, NonlinearitySpec, evaluate_symbol, parse_symbol
 
 NEWTON_TOL_UPDATE = 1e-12
@@ -77,30 +78,16 @@ def apply_energy_operator(model: ModelSpec, wave: TravelingWave,
     """Apply L_k = diag(energy_diag) + nl_sign f'(u_c) (see ``ModelSpec``) to v."""
     dfu = pointwise_image(wave.profile, model.nonlinearity.df,
                           pad=_nonlinear_pad(model.nonlinearity))
-    dfu = _match_grid(dfu, v)
+    dfu = resample(dfu, v.N)
     prod = dealiased_product(dfu, v)
     lin, _ = model.energy_diag(model.kappa * (v.xi() + k), wave.c)
     coef = lin * v.coef + model.nl_sign * prod.coef
     return PeriodicField(v.q, v.N, coef, real=v.real and k == 0.0)
 
 
-def _match_grid(f: PeriodicField, target: PeriodicField) -> PeriodicField:
-    """Re-truncate/extend f onto the grid of target (same q required)."""
-    if f.q != target.q:
-        raise DomainError("cannot match fields with different period multiples")
-    if f.N == target.N:
-        return f
-    out = zero_field(target.q, target.N, real=f.real)
-    half_f, half_t = f.N // 2, target.N // 2
-    m = min(half_f, half_t)
-    out.coef[half_t - m:half_t + m + 1] = f.coef[half_f - m:half_f + m + 1]
-    out.coef[0] = 0.0
-    out.coef[-1] = 0.0
-    return out
-
-
 def resample(f: PeriodicField, N: int) -> PeriodicField:
-    return _match_grid(f, zero_field(f.q, N, real=f.real))
+    """Re-truncate or zero-extend f to N modes on its own torus."""
+    return PeriodicField(f.q, N, _lift_eigenfunction(f, 0, 1, N), real=f.real)
 
 
 def kernel_defect(model: ModelSpec, wave: TravelingWave) -> float:
@@ -214,17 +201,10 @@ def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
     dRdc = dlin_dc * d[:J + 1]
 
     w = _df_fourier_coeffs(model, u, N)[N:].real   # w_m, m >= 0; w_{-m} = w_m
-    B = np.zeros((J + 1, J + 1))
-    for j in range(J + 1):
-        for l in range(J + 1):
-            if j == 0 and l == 0:
-                B[j, l] = w[0]
-            elif j == 0:
-                B[j, l] = w[l]
-            elif l == 0:
-                B[j, l] = 2.0 * w[j]
-            else:
-                B[j, l] = w[abs(j - l)] + w[j + l]
+    # Toeplitz plus Hankel; column 0 is 2 w_j, row 0 the mean row w_l
+    j = np.arange(J + 1)
+    B = w[np.abs(j[:, None] - j)] + w[j[:, None] + j]
+    B[0] = w[:J + 1]
     A = np.diag(lin) + model.nl_sign * B
     return R, A, dRdc
 
@@ -439,10 +419,17 @@ def save_wave(wave: TravelingWave, basepath: str) -> dict:
 
 
 def load_wave(basepath: str) -> TravelingWave:
-    with open(str(basepath) + ".json") as fh:
-        sidecar = json.load(fh)
-    profile = load_field(str(basepath) + ".fld")
-    model = model_from_dict(sidecar["model"])
-    return TravelingWave(model, profile, sidecar["c"], sidecar["a_const"],
-                         sidecar["amplitude"], sidecar["residual"],
-                         converged=sidecar["converged"])
+    """Read a wave written by ``save_wave``; BadDataError when either file is
+    missing or malformed."""
+    try:
+        with open(str(basepath) + ".json") as fh:
+            sidecar = json.load(fh)
+        model = model_from_dict(sidecar["model"])
+        params = [float(sidecar[key])
+                  for key in ("c", "a_const", "amplitude", "residual")]
+        converged = bool(sidecar["converged"])
+        profile = load_field(str(basepath) + ".fld")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            DomainError) as exc:
+        raise BadDataError(f"cannot load wave {basepath}: {exc}") from exc
+    return TravelingWave(model, profile, *params, converged=converged)

@@ -6,7 +6,7 @@ import pytest
 from modulon import save_field, zero_field
 from modulon.cli import (EXIT_BAD_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          main, parse_config, build_model)
-from modulon.errors import ConfigError
+from modulon.errors import ConfigError, DomainError
 
 
 BASE_CFG = """\
@@ -70,14 +70,15 @@ def test_missing_wave_is_bad_data(tmp_path):
 
 
 @pytest.mark.parametrize("defect", ["bad_magic", "short_header", "negative_N",
-                                    "unknown_symbol"])
+                                    "short_payload", "unknown_symbol"])
 def test_bad_wave_file_is_bad_data(tmp_path, defect):
     base = tmp_path / "w"
     save_field(zero_field(1, 16), str(base) + ".fld")
     good = (tmp_path / "w.fld").read_bytes()
     fld = {"bad_magic": b"NOTAFLD!" + good[8:],
            "short_header": good[:20],
-           "negative_N": good[:8] + struct.pack("<qqq", 1, -1, 1)}
+           "negative_N": good[:8] + struct.pack("<qqq", 1, -1, 1),
+           "short_payload": good[:-16]}
     (tmp_path / "w.fld").write_bytes(fld.get(defect, good))
     model = {"family": "bbm", "symbol": "bbm", "symbol_shift": 0.0,
              "nonlinearity": "power", "p": 2.0, "kappa": 2.0}
@@ -121,6 +122,21 @@ def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
                        "momentum_drift,energy_drift")
     last = rows[-1].split(",")
     assert abs(float(last[5])) < 1e-9     # equilibrium: tiny energy drift
+
+
+def test_evolve_scans_with_configured_k_count(tmp_path, monkeypatch):
+    cfg = BASE_CFG.format(out=tmp_path).replace("k_count = 32", "k_count = 16")
+    path = write_cfg(tmp_path, cfg + "[evolve]\ndelta = 1e-3\n")
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    seen = []
+
+    def fake_scan(model, wave, k_count, N):
+        seen.append(k_count)
+        raise DomainError("stop after the scan")
+
+    monkeypatch.setattr("modulon.cli.scan_bloch", fake_scan)
+    assert main(["evolve", path, "--wave", str(tmp_path / "w")]) == EXIT_NUMERIC
+    assert seen == [16]
 
 
 def test_spectrum_determinism(tmp_path):

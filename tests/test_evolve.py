@@ -16,9 +16,8 @@ from modulon.evolve import (ConservedLedger, EvolutionState,
 TWO_PI = 2.0 * np.pi
 
 
-def make_state(model, wave, field, dt, linearized=False, integrator=None):
-    return EvolutionState(model, wave, field, 0.0, dt, linearized=linearized,
-                          integrator=integrator)
+def make_state(model, wave, field, dt, linearized=False):
+    return EvolutionState(model, wave, field, 0.0, dt, linearized=linearized)
 
 
 def run_steps(state, n):
@@ -44,19 +43,16 @@ def test_wave_is_equilibrium(whitham_model, whitham_wave):
     assert l2_norm(st.field - uc) < 1e-8
 
 
-def test_bbm_wave_is_equilibrium_rk4(bbm2_model, bbm2_wave):
+def test_bbm_wave_is_equilibrium(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, 1, 64)
     dt = stable_dt(bbm2_model, bbm2_wave.c, 1, 64)
-    st = make_state(bbm2_model, bbm2_wave, uc.copy(), dt, integrator="rk4")
+    st = make_state(bbm2_model, bbm2_wave, uc.copy(), dt)
     st = run_steps(st, int(np.ceil(10.0 / dt)))
     assert l2_norm(st.field - uc) < 1e-8
 
 
-@pytest.mark.parametrize("name,integrator", [
-    pytest.param("whitham", None, id="whitham"),
-    pytest.param("bbm2", "etdrk4", id="bbm2-etdrk4"),
-])
-def test_linearized_matches_matrix_exponential(name, integrator, request):
+@pytest.mark.parametrize("name", ["whitham", "bbm2"])
+def test_linearized_matches_matrix_exponential(name, request):
     # the Evolver and the Bloch assembly share J and L from ModelSpec
     model = request.getfixturevalue(name + "_model")
     wave = request.getfixturevalue(name + "_wave")
@@ -68,8 +64,7 @@ def test_linearized_matches_matrix_exponential(name, integrator, request):
     c0 *= np.exp(-0.6 * np.abs(n))
     c0[0] = c0[-1] = 0.0
     f0 = PeriodicField(1, N, c0.copy(), real=False)
-    st = make_state(model, wave, f0, 0.002, linearized=True,
-                    integrator=integrator)
+    st = make_state(model, wave, f0, 0.002, linearized=True)
     ev = _evolver_for(st)
     coef = c0.copy()
     for i in range(500):
@@ -116,8 +111,7 @@ def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, q, N_big)
     delta = 1e-6
     dt = 0.02
-    st = make_state(bbm2_model, bbm2_wave, uc + delta * u1, dt,
-                    integrator="etdrk4")
+    st = make_state(bbm2_model, bbm2_wave, uc + delta * u1, dt)
     ev = _evolver_for(st)
     t_end = 5.0 / max(lam.real, 1e-3)
     t_end = min(t_end, 5.0 / lam.real)
@@ -168,8 +162,7 @@ def test_conservation_bbm_analogues(bbm2_model, bbm2_wave):
     pert = zero_field(1, N)
     pert.set_mode(1, 0.004)
     pert.set_mode(-1, 0.004)
-    st = make_state(bbm2_model, bbm2_wave, uc + pert, 0.05,
-                    integrator="etdrk4")
+    st = make_state(bbm2_model, bbm2_wave, uc + pert, 0.05)
     ev = _evolver_for(st)
     led = ConservedLedger()
     record_conserved(led, st)
@@ -182,9 +175,8 @@ def test_conservation_bbm_analogues(bbm2_model, bbm2_wave):
     assert np.max(np.abs(led.energy_drift())) < 1e-8
 
 
-@pytest.mark.parametrize("family,integrator", [("whitham", "etdrk4"),
-                                               ("bbm", "rk4")])
-def test_dt_halving_fourth_order(family, integrator, whitham_model,
+@pytest.mark.parametrize("family", ["whitham", "bbm"])
+def test_dt_halving_fourth_order(family, whitham_model,
                                  whitham_wave, bbm2_model, bbm2_wave):
     model, wave = ((whitham_model, whitham_wave) if family == "whitham"
                    else (bbm2_model, bbm2_wave))
@@ -198,7 +190,7 @@ def test_dt_halving_fourth_order(family, integrator, whitham_model,
     base_dt = 0.1 if family == "bbm" else 0.05
 
     def final(dt):
-        st = make_state(model, wave, u0.copy(), dt, integrator=integrator)
+        st = make_state(model, wave, u0.copy(), dt)
         ev = _evolver_for(st)
         for _ in range(int(round(t_end / dt))):
             st = step(st, ev)

@@ -7,7 +7,8 @@ from modulon import (PeriodicField, SymbolSpec, apply_multiplier,
                      l2_norm, load_field, midpoint_band_nodes, save_field,
                      sobolev_norm, synthesize_packet, zero_field,
                      export_spectrum_csv)
-from modulon.errors import DomainError, GridMismatchError
+from modulon.errors import BadDataError, DomainError, GridMismatchError
+from modulon.fields import _lift_eigenfunction
 
 TWO_PI = 2.0 * np.pi
 
@@ -303,6 +304,26 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"not a field at all")
     with pytest.raises(DomainError):
         load_field(path)
+
+
+def test_snapshot_short_payload_is_bad_data(tmp_path):
+    path = tmp_path / "short.fld"
+    save_field(random_field(1, 16, seed=17), path)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(BadDataError):
+        load_field(path)
+
+
+@pytest.mark.parametrize("p,q,N_big", [(0, 1, 24), (0, 1, 96), (1, 8, 256),
+                                       (3, 8, 96), (-2, 5, 400)])
+def test_lift_matches_mode_loop(p, q, N_big):
+    v = random_field(1, 48, seed=18, real=False)
+    ref = np.zeros(N_big + 1, dtype=np.complex128)
+    for n in range(-24, 25):
+        if abs(n * q + p) <= N_big // 2:
+            ref[n * q + p + N_big // 2] = v.mode(n)
+    ref[0] = ref[-1] = 0.0
+    assert np.array_equal(_lift_eigenfunction(v, p, q, N_big), ref)
 
 
 def test_spectrum_csv(tmp_path):

@@ -9,6 +9,7 @@ from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
                      whitham_condition_margin, zero_field, save_wave,
                      load_wave)
 from modulon.fields import PeriodicField, cosine_field
+from modulon.waves import _df_fourier_coeffs, _newton_system
 from modulon.errors import (ContinuationStallError, DivergenceError,
                             DomainError, InsufficientDataError)
 
@@ -236,3 +237,22 @@ def test_wave_persistence_round_trip(tmp_path, whitham_wave):
     assert abs(back.c - whitham_wave.c) < 1e-15
     assert np.array_equal(back.profile.coef, whitham_wave.profile.coef)
     assert back.model.symbol.kind == "whitham"
+
+
+def test_newton_jacobian_matches_loop(bbm2_model, bbm2_wave):
+    model, N = bbm2_model, bbm2_wave.profile.N
+    J = N // 2 - 1
+    d = cosine_coefficients(bbm2_wave.profile)
+    _, A, _ = _newton_system(model, d, bbm2_wave.c, bbm2_wave.a_const, N)
+    w = _df_fourier_coeffs(model, cosine_field(1, N, d), N)[N:].real
+    B = np.zeros((J + 1, J + 1))
+    for j in range(J + 1):
+        for l in range(J + 1):
+            if j == 0:
+                B[j, l] = w[l]
+            elif l == 0:
+                B[j, l] = 2.0 * w[j]
+            else:
+                B[j, l] = w[abs(j - l)] + w[j + l]
+    lin, _ = model.energy_diag(model.kappa * np.arange(J + 1), bbm2_wave.c)
+    assert np.array_equal(A, np.diag(lin) + model.nl_sign * B)
