@@ -19,7 +19,7 @@ from .waves import (TravelingWave, small_amplitude_wave, refine_newton,
                     steady_residual_field, apply_energy_operator, resample,
                     save_wave, load_wave)
 from .bloch import (BlochOperator, BlochSpectrum, GrowthCurve, assemble_bloch,
-                    eigens, scan_bloch, fit_band, rational_k0,
+                    bloch_eigvals, eigens, scan_bloch, fit_band, rational_k0,
                     unstable_eigenfunction)
 from .semigroup import (PropagatorProbe, propagator_norm, dual_propagator_norm,
                         probe_growth, riesz_projection, trichotomy_split)

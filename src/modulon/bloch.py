@@ -9,12 +9,19 @@ Bloch parameter k is A = D_k L_k with xi = kappa (n+k),
 
 (see ``ModelSpec``).  L_k is Hermitian, so every spectrum is closed under
 lambda -> -conj(lambda); the maximal real part lambda0 is the growth rate.
+
+Values-only solves go through ``bloch_eigvals``.  D_k = i S is imaginary, and
+for an even real wave L_k is real, so A = i S L_k and the spectrum is
+i eig(S L_k): one real eigenvalues-only solve per k, closed under
+lambda -> -conj(lambda) exactly.  When A has a real part above round-off (a
+translated, non-even wave) the solve falls back to complex arithmetic.
+``eigens`` serves the callers that need eigenvectors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
@@ -28,11 +35,17 @@ from .waves import TravelingWave, _df_fourier_coeffs, spectral_decay_diagnostic
 
 UNSTABLE_THRESHOLD = 1e-8
 FIT_FILL = 12      # uniform samples added around the maximum for band fits
+PEAK_TIE_RTOL = 1e-9   # samples this close to the maximum tie for k0
+_REAL_PATH_RTOL = 1e-14   # max |Re A| / max |A| for the real-arithmetic solve
 
 
 @dataclass
 class BlochOperator:
-    """Dense truncation of (J_k, L_k) for one Bloch parameter."""
+    """Dense truncation of (J_k, L_k) for one Bloch parameter.
+
+    ``bloch_eigvals`` keeps the spectrum on the operator, so the matrices
+    are not changed once it has been computed.
+    """
 
     k: float
     N: int
@@ -43,6 +56,8 @@ class BlochOperator:
     A_mat: np.ndarray       # generator D L
     model: ModelSpec | None = None
     wave: TravelingWave | None = None
+    _eigvals: np.ndarray | None = dc_field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         return (1.0 + np.abs(self.xi) ** 2) ** (s / 2.0)
@@ -68,6 +83,27 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
     A = D[:, None] * L
     return BlochOperator(k=float(k), N=N, family=model.family, xi=xi,
                          D_diag=D, L_mat=L, A_mat=A, model=model, wave=wave)
+
+
+def bloch_eigvals(op: BlochOperator) -> np.ndarray:
+    """Eigenvalues of A, computed once per operator and kept on it.
+
+    When A is imaginary to round-off it equals i Im(A) = i S L_k, and the
+    spectrum is i eig(Im A) in real arithmetic; otherwise the complex
+    eigenvalues of A.
+    """
+    if op._eigvals is None:
+        A = op.A_mat
+        if np.max(np.abs(A.real)) <= _REAL_PATH_RTOL * np.max(np.abs(A)):
+            mu = np.linalg.eigvals(A.imag)
+            vals = np.empty(mu.shape, dtype=complex)
+            vals.real = 0.0 - mu.imag    # i mu, with no negative zeros
+            vals.imag = mu.real
+        else:
+            vals = scipy.linalg.eigvals(A)
+        vals.flags.writeable = False    # shared by every later caller
+        op._eigvals = vals
+    return op._eigvals
 
 
 def eigens(op: BlochOperator, check_residual: bool = True):
@@ -133,9 +169,7 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
 
     def r_of(k):
         if k not in samples:
-            vals, _ = eigens(assemble_bloch(model, wave, k, N),
-                             check_residual=False)
-            samples[k] = vals
+            samples[k] = bloch_eigvals(assemble_bloch(model, wave, k, N))
         return float(np.max(samples[k].real))
 
     grid = list(np.linspace(0.0, 1.0, k_count))
@@ -161,29 +195,34 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
                 a, c = m1, m2
             b = best
 
-    all_k = sorted(samples)
-    rs = np.array([float(np.max(samples[k].real)) for k in all_k])
-    i0 = int(np.argmax(rs))
-    k0 = all_k[i0]
-    lambda0 = float(rs[i0])
-
+    _, _, k0, lambda0 = _peak(samples)
     if lambda0 > UNSTABLE_THRESHOLD:
         spacing = 1.0 / (k_count - 1)
         w = 1.5 * spacing
         for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w), FIT_FILL):
             r_of(float(kk))
 
-    all_k = sorted(samples)
-    rs = np.array([float(np.max(samples[k].real)) for k in all_k])
-    i0 = int(np.argmax(rs))
-    k0 = float(all_k[i0])
-    lambda0 = float(rs[i0])
-    bands = _bands_from_samples(np.array(all_k), rs, UNSTABLE_THRESHOLD)
-    return BlochSpectrum(k_grid=np.array(all_k),
+    all_k, rs, k0, lambda0 = _peak(samples)
+    bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
+    return BlochSpectrum(k_grid=all_k,
                          eigenvalues=[samples[k] for k in all_k],
                          lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
                          threshold=UNSTABLE_THRESHOLD,
                          grid_spacing=1.0 / (k_count - 1))
+
+
+def _peak(samples: dict):
+    """Sorted sample k, their max Re lambda, and the peak (k0, lambda0).
+
+    k0 is the smallest k within ``PEAK_TIE_RTOL`` of the maximum: for a real
+    wave the spectrum at 1 - k mirrors the one at k, and round-off must not
+    choose between the two peaks.
+    """
+    ks = np.array(sorted(samples))
+    rs = np.array([float(np.max(samples[k].real)) for k in ks])
+    lambda0 = float(np.max(rs))
+    i0 = int(np.argmax(rs >= lambda0 - PEAK_TIE_RTOL * abs(lambda0)))
+    return ks, rs, float(ks[i0]), lambda0
 
 
 def _bands_from_samples(ks, rs, thr):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, eigens,
+from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     fit_band, rational_k0, scan_bloch, unstable_eigenfunction,
                     UNSTABLE_THRESHOLD)
 from .errors import (DomainError, DomainTooSmallError, ModulonError,
@@ -557,8 +557,7 @@ def _sweep_lambda0(family: str, value: float, m_exp: float, a: float,
         wave = refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
     lam0 = 0.0
     for k in _LOWK_LADDER:
-        vals, _ = eigens(assemble_bloch(model, wave, k, N),
-                         check_residual=False)
+        vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
         lam0 = max(lam0, float(np.max(vals.real)))
     if family == "bbm":
         # BBM operators are bounded, so the full scan stays far above its

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
-from .bloch import BlochOperator, eigens
+from .bloch import BlochOperator, bloch_eigvals, eigens
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
 
@@ -38,15 +38,12 @@ def _weighted_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.norm((weights[:, None] * mat) / weights[None, :], 2))
 
 
-def _spectral_abscissa(mat: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(mat).real))
-
-
 def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
     """H^s operator norm of e^{tA} on the truncation."""
     if t < 0:
         raise DomainError("propagator norms are probed for t >= 0")
-    growth = _spectral_abscissa(op.A_mat) * t
+    # spectral abscissa; bloch_eigvals solves once per operator
+    growth = float(np.max(bloch_eigvals(op).real)) * t
     if growth > _LOG_OVERFLOW:
         raise PropagatorRangeError(
             f"e^(t A) overflows at t = {t}; cap t near "
@@ -163,7 +160,7 @@ def trichotomy_split(op: BlochOperator, strict: bool = True) -> TrichotomySplit:
     if herm_defect > 1e-12 * max(1.0, np.linalg.norm(op.L_mat, np.inf)):
         raise StructureViolationError(
             f"L matrix not Hermitian (defect {herm_defect:.2e})")
-    vals = np.linalg.eigvals(op.A_mat)
+    vals = bloch_eigvals(op)
     dim_u = int(np.sum(vals.real > TRICHOTOMY_THRESHOLD))
     dim_s = int(np.sum(vals.real < -TRICHOTOMY_THRESHOLD))
     dim_c = len(vals) - dim_u - dim_s

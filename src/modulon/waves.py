@@ -420,7 +420,7 @@ def save_wave(wave: TravelingWave, basepath: str) -> dict:
 
 def load_wave(basepath: str) -> TravelingWave:
     """Read a wave written by ``save_wave``; BadDataError when either file is
-    missing or malformed."""
+    missing or malformed, or the profile is not on T_{2 pi} (q = 1)."""
     try:
         with open(str(basepath) + ".json") as fh:
             sidecar = json.load(fh)
@@ -432,4 +432,7 @@ def load_wave(basepath: str) -> TravelingWave:
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             DomainError) as exc:
         raise BadDataError(f"cannot load wave {basepath}: {exc}") from exc
+    if profile.q != 1:
+        raise BadDataError(f"cannot load wave {basepath}: the profile lives "
+                           f"on T_(2 pi q) with q = {profile.q}, not q = 1")
     return TravelingWave(model, profile, *params, converged=converged)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
-from modulon import (SymbolSpec, TravelingWave,
+from modulon import (PeriodicField, SymbolSpec, TravelingWave,
                      cosine_field, l2_norm, model_for_symbol, refine_newton,
                      small_amplitude_wave, zero_field)
-from modulon.bloch import (BlochOperator, assemble_bloch, eigens, fit_band,
-                           rational_k0, scan_bloch, unstable_eigenfunction,
+from modulon.bloch import (BlochOperator, _peak, assemble_bloch,
+                           bloch_eigvals, eigens, fit_band, rational_k0,
+                           scan_bloch, unstable_eigenfunction,
                            export_spectrum_dump)
 from modulon.errors import (BandFitError, DomainError, InsufficientDataError,
                             RationalApproximationError)
@@ -91,6 +94,55 @@ def test_eigens_phase_convention():
     assert np.all(lead.real > 0)
 
 
+def closure_defect(vals):
+    return max(float(np.min(np.abs(vals - (-np.conj(lam))))) for lam in vals)
+
+
+@pytest.mark.parametrize("family", ["bbm2", "whitham_k2"])
+@pytest.mark.parametrize("k", [0.0, 0.125, 0.37, 1.0])
+def test_real_path_matches_complex_eigvals(request, family, k):
+    model = request.getfixturevalue(family + "_model")
+    wave = request.getfixturevalue(family + "_wave")
+    op = assemble_bloch(model, wave, k, 96)
+    vals = bloch_eigvals(op)
+    ref = scipy.linalg.eigvals(op.A_mat)
+    cost = np.abs(vals[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-10 * np.max(np.abs(ref))
+    # the real solve pairs eigenvalues exactly
+    assert closure_defect(vals) == 0.0
+
+
+def test_translated_wave_takes_complex_path(bbm2_model, bbm2_wave):
+    prof = bbm2_wave.profile
+    shifted = PeriodicField(1, prof.N, prof.coef * np.exp(-0.3j * prof.modes()))
+    wave = TravelingWave(bbm2_model, shifted, c=bbm2_wave.c,
+                         a_const=bbm2_wave.a_const,
+                         amplitude=bbm2_wave.amplitude,
+                         residual=bbm2_wave.residual)
+    op = assemble_bloch(bbm2_model, wave, 0.125, 96)
+    vals = bloch_eigvals(op)
+    assert np.array_equal(vals, scipy.linalg.eigvals(op.A_mat))
+    assert closure_defect(vals) < 1e-8
+    even = bloch_eigvals(assemble_bloch(bbm2_model, bbm2_wave, 0.125, 96))
+    assert abs(np.max(vals.real) - np.max(even.real)) < 1e-10
+
+
+def test_bloch_eigvals_memoized(bbm2_model, bbm2_wave):
+    op = assemble_bloch(bbm2_model, bbm2_wave, 0.2, 32)
+    assert bloch_eigvals(op) is bloch_eigvals(op)
+
+
+def test_peak_ties_pick_smallest_k():
+    samples = {0.0: np.array([0j]), 0.2: np.array([1.0 + 0j]),
+               0.8: np.array([1.0 + 1e-13 + 0j]), 1.0: np.array([0j])}
+    ks, rs, k0, lambda0 = _peak(samples)
+    assert list(ks) == [0.0, 0.2, 0.8, 1.0]
+    assert (k0, lambda0) == (0.2, 1.0 + 1e-13)
+    samples[0.8] = np.array([1.0 + 1e-6 + 0j])
+    assert _peak(samples)[2] == 0.8
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_random_hamiltonian_symmetry(seed):
     # D skew diagonal, H Hermitian: spectrum closed under -conj within 1e-8
@@ -127,6 +179,11 @@ def test_scan_bbm_stable_below_threshold():
     sp = scan_bloch(m, w, k_count=32, N=64)
     assert sp.lambda0 <= 1e-8
     assert sp.bands == []
+
+
+def test_scan_bbm_k0_in_lower_half(bbm2_spectrum):
+    # the mirror peak at 1 - k0 ties to round-off and never wins
+    assert bbm2_spectrum.k0 <= 0.5
 
 
 def test_scan_requires_enough_points(bbm2_model, bbm2_wave):

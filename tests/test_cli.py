@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from modulon import save_field, zero_field
+from modulon import PeriodicField, load_field, save_field, zero_field
 from modulon.cli import (EXIT_BAD_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          main, parse_config, build_model)
 from modulon.errors import ConfigError, DomainError
@@ -89,6 +89,18 @@ def test_bad_wave_file_is_bad_data(tmp_path, defect):
          "residual": 0.0, "converged": True}))
     path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
     assert main(["spectrum", path, "--wave", str(base)]) == EXIT_BAD_DATA
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_wave_on_larger_torus_is_bad_data(tmp_path, command):
+    # a wave profile lives on T_{2 pi}; the same modes re-saved with q = 3
+    # describe another function and must not be read as the wave
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path) +
+                     "[evolve]\ndelta = 1e-3\n")
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    prof = load_field(str(tmp_path / "w.fld"))
+    save_field(PeriodicField(3, prof.N, prof.coef), str(tmp_path / "w.fld"))
+    assert main([command, path, "--wave", str(tmp_path / "w")]) == EXIT_BAD_DATA
 
 
 def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
