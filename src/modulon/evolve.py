@@ -15,6 +15,13 @@ differencing of Cox & Matthews (ETDRK4): the linear part J E is propagated
 exactly, as e^{tA} is in the nonlinear-instability estimates, and the
 phi-functions are evaluated by a 16-point unit-circle contour mean
 (Kassam & Trefethen).
+
+Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
+(c_{-n} = conj(c_n) holds by construction) and transforms them with
+rfft/irfft.  The full centered array is rebuilt (``fields.hermitian_full``)
+only where a ``PeriodicField`` is needed.  A complex linearized state steps
+as two real rows, its real and imaginary parts, which is exact because the
+linearized flow is real-linear.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import BlowupError, DomainError, GridMismatchError
-from .fields import PeriodicField, _lift_eigenfunction
+from .fields import PeriodicField, _lift_eigenfunction, hermitian_full
 from .symbols import ModelSpec, evaluate_symbol
 from .waves import TravelingWave, _nonlinear_pad, resample
 
@@ -34,24 +41,20 @@ _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 
 
 class _Transform:
-    """Padded transforms between centered coefficients and grid values."""
+    """Padded real transforms between the modes n = 0 .. N/2 of a real
+    field and its values on M grid points."""
 
     def __init__(self, q: int, N: int, pad: float):
         self.q = q
         self.N = N
         M = max(int(np.ceil(pad * N)), 2 * N)
         self.M = scipy.fft.next_fast_len(M)
-        self.idx = np.arange(-(N // 2), N // 2 + 1) % self.M
 
-    def values(self, coef: np.ndarray) -> np.ndarray:
-        spread = np.zeros(coef.shape[:-1] + (self.M,), dtype=np.complex128)
-        spread[..., self.idx] = coef
-        return scipy.fft.ifft(spread, axis=-1, overwrite_x=True) * self.M
+    def values(self, half: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfft(half, n=self.M, axis=-1, norm="forward")
 
     def coef(self, vals: np.ndarray) -> np.ndarray:
-        hat = scipy.fft.fft(vals, axis=-1)
-        out = hat[..., self.idx] * (1.0 / self.M)
-        out[..., 0] = 0.0
+        out = scipy.fft.rfft(vals, axis=-1, norm="forward")[..., :self.N // 2 + 1]
         out[..., -1] = 0.0
         return out
 
@@ -59,10 +62,11 @@ class _Transform:
 class Evolver:
     """ETDRK4 stepper for one (model, grid, dt) combination.
 
-    ``linearized`` freezes the nonlinearity to multiplication by f'(u_c);
-    an optional ``forcing(t, coef)`` is added to the right-hand side,
-    enabling the forced solves of the approximate-solution cascade.  States
-    may be stacked along leading axes.
+    States are the modes n = 0 .. N/2 of real fields, and may be stacked
+    along leading axes.  ``linearized`` freezes the nonlinearity to
+    multiplication by f'(u_c); an optional ``forcing(t, half)`` is added to
+    the right-hand side, enabling the forced solves of the
+    approximate-solution cascade.
     """
 
     def __init__(self, model: ModelSpec, c: float, q: int, N: int, dt: float,
@@ -75,11 +79,10 @@ class Evolver:
         self.q, self.N, self.dt = q, N, float(dt)
         self.linearized = linearized
         self.forcing = forcing
-        xi = model.kappa * (np.arange(-(N // 2), N // 2 + 1) / q)
+        xi = model.kappa * (np.arange(N // 2 + 1) / q)
         jop = model.j_symbol(xi)
         self.lin = jop * model.energy_diag(xi, c)[0]
         self.push = model.nl_sign * jop    # f(U) -> its term of dU/dt
-        self.lin[0] = 0.0
         self.lin[-1] = 0.0
         self.tr = _Transform(q, N, _nonlinear_pad(model.nonlinearity))
         self.df_vals = None
@@ -90,21 +93,19 @@ class Evolver:
             if base is None:
                 raise DomainError("wave profile must live on the target torus "
                                   "(lift it to q first)")
-            uc = self.tr.values(base.coef).real
+            uc = self.tr.values(base.coef[N // 2:])
             self.df_vals = model.nonlinearity.df(uc)
         self._etdrk4_tables()
 
-    def nonlinear(self, coef: np.ndarray, t: float) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self.linearized:
-                vals = self.tr.values(coef)
-                out = self.push * self.tr.coef(self.df_vals * vals)
-            else:
-                vals = self.tr.values(coef).real
-                fv = self.model.nonlinearity.f(vals)
-                out = self.push * self.tr.coef(fv)
+    def nonlinear(self, half: np.ndarray, t: float) -> np.ndarray:
+        vals = self.tr.values(half)
+        if self.linearized:
+            fv = self.df_vals * vals
+        else:
+            fv = self.model.nonlinearity.f(vals)
+        out = self.push * self.tr.coef(fv)
         if self.forcing is not None:
-            out = out + self.forcing(t, coef)
+            out = out + self.forcing(t, half)
         return out
 
     def _etdrk4_tables(self):
@@ -122,15 +123,19 @@ class Evolver:
         self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
 
     def step_coef(self, u: np.ndarray, t: float) -> np.ndarray:
-        h = self.dt
-        n0 = self.nonlinear(u, t)
-        a = self.E2 * u + self.Q * n0
-        na = self.nonlinear(a, t + h / 2.0)
-        b = self.E2 * u + self.Q * na
-        nb = self.nonlinear(b, t + h / 2.0)
-        cst = self.E2 * a + self.Q * (2.0 * nb - n0)
-        nc = self.nonlinear(cst, t + h)
-        return self.E * u + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+        # a blow-up overflows quietly; callers check the result is finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = self.dt
+            n0 = self.nonlinear(u, t)
+            e2u = self.E2 * u
+            a = e2u + self.Q * n0
+            na = self.nonlinear(a, t + h / 2.0)
+            b = e2u + self.Q * na
+            nb = self.nonlinear(b, t + h / 2.0)
+            cst = self.E2 * a + self.Q * (2.0 * nb - n0)
+            nc = self.nonlinear(cst, t + h)
+            return (self.E * u + self.f1 * n0 + 2.0 * self.f2 * (na + nb)
+                    + self.f3 * nc)
 
 
 def stable_dt(model: ModelSpec, c: float, q: int, N: int,
@@ -181,18 +186,44 @@ def _evolver_for(state: EvolutionState) -> Evolver:
                    state.dt, linearized=state.linearized, wave_profile=prof)
 
 
+def field_rows(f: PeriodicField, ev: Evolver) -> np.ndarray:
+    """The stepper state of ``f``: the modes n = 0 .. N/2 of its real part,
+    stacked with those of its imaginary part when ``f`` is complex.
+
+    Splitting is exact only for a real-linear flow, so a complex field
+    needs a linearized, unforced evolver (DomainError otherwise).
+    """
+    h = f.coef[f.N // 2:]
+    rev = np.conj(f.coef[f.N // 2::-1])     # conj(c_{-n}), n = 0 .. N/2
+    re = 0.5 * (h + rev)
+    if f.real:
+        return re
+    if not ev.linearized or ev.forcing is not None:
+        raise DomainError("a complex field steps only under the unforced "
+                          "linearized flow")
+    return np.stack([re, -0.5j * (h - rev)])
+
+
+def rows_field(q: int, N: int, rows: np.ndarray, real: bool) -> PeriodicField:
+    """Inverse of ``field_rows``."""
+    if real:
+        return PeriodicField(q, N, hermitian_full(rows), real=True)
+    return PeriodicField(q, N, hermitian_full(rows[0])
+                         + 1j * hermitian_full(rows[1]), real=False)
+
+
 def step(state: EvolutionState, evolver: Evolver | None = None) -> EvolutionState:
-    """Advance one time step; raises BlowupError on non-finite coefficients."""
+    """Advance one time step; raises BlowupError on non-finite coefficients
+    and DomainError for a complex field under the nonlinear flow."""
     ev = evolver or _evolver_for(state)
-    coef = ev.step_coef(state.field.coef, state.t)
-    if not np.all(np.isfinite(coef)):
+    f = state.field
+    rows = ev.step_coef(field_rows(f, ev), state.t)
+    if not np.all(np.isfinite(rows)):
         raise BlowupError(f"blow-up detected at t = {state.t:.6g}",
                           last_time=state.t)
-    if state.field.real:
-        coef = 0.5 * (coef + np.conj(coef[::-1]))
-    f = PeriodicField(state.field.q, state.field.N, coef, state.field.real)
-    return EvolutionState(state.model, state.wave, f, state.t + state.dt,
-                          state.dt, state.linearized)
+    return EvolutionState(state.model, state.wave,
+                          rows_field(f.q, f.N, rows, f.real),
+                          state.t + state.dt, state.dt, state.linearized)
 
 
 def linearized_step(state: EvolutionState,
@@ -300,9 +331,10 @@ def orbital_distance(U: PeriodicField, u_c: PeriodicField):
         return float(np.sum(g * (-1j * ms) ** order * np.exp(-1j * ms * y)).real)
 
     M = max(256, 8 * (2 * m_max + 1))
-    spread = np.zeros(M, dtype=np.complex128)
-    spread[ms % M] = g
-    corr_grid = np.fft.fft(spread).real
+    # corr(y) = Re sum_m g_m e^{-i m y} is the real transform of the modes
+    # m >= 0 of the Hermitian part of g
+    half = 0.5 * (np.conj(g[m_max:]) + g[m_max::-1])
+    corr_grid = scipy.fft.irfft(half, n=M, norm="forward")
     i_best = int(np.argmax(corr_grid))
     y = _TWO_PI * i_best / M
 
@@ -379,20 +411,20 @@ class _TaylorForcing:
 
     def __init__(self, model: ModelSpec, wave: TravelingWave, q: int, N_big: int):
         self.tr = _Transform(q, N_big, _nonlinear_pad(model.nonlinearity) + 1.0)
-        uc_vals = self.tr.values(lift_wave(wave, q, N_big).coef).real
+        uc_vals = self.tr.values(lift_wave(wave, q, N_big).coef[N_big // 2:])
         nl = model.nonlinearity
         self.d2f_uc = nl.d2f(uc_vals)
         self.d3f_uc = nl.d3f(uc_vals)
-        xi = model.kappa * np.arange(-(N_big // 2), N_big // 2 + 1) / q
+        xi = model.kappa * np.arange(N_big // 2 + 1) / q
         self.gop = model.nl_sign * model.j_symbol(xi)
 
-    def G2(self, u1_coef: np.ndarray) -> np.ndarray:
-        u1v = self.tr.values(u1_coef)
+    def G2(self, u1_half: np.ndarray) -> np.ndarray:
+        u1v = self.tr.values(u1_half)
         return self.gop * self.tr.coef(0.5 * self.d2f_uc * u1v * u1v)
 
-    def G3(self, u1_coef: np.ndarray, u2_coef: np.ndarray) -> np.ndarray:
-        u1v = self.tr.values(u1_coef)
-        u2v = self.tr.values(u2_coef)
+    def G3(self, u1_half: np.ndarray, u2_half: np.ndarray) -> np.ndarray:
+        u1v = self.tr.values(u1_half)
+        u2v = self.tr.values(u2_half)
         g = self.d2f_uc * u1v * u2v + self.d3f_uc * u1v ** 3 / 6.0
         return self.gop * self.tr.coef(g)
 
@@ -423,11 +455,13 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
 
     forcing = _TaylorForcing(model, wave, q, N_big)
     n_hi = n_order - 1
+    half = N_big // 2
 
     def cascade_forcing(t, stacked):
-        rows = [forcing.G2(sol.U1(t))]
+        u1 = sol.U1(t)[half:]
+        rows = [forcing.G2(u1)]
         if n_hi >= 2:
-            rows.append(forcing.G3(sol.U1(t), stacked[0]))
+            rows.append(forcing.G3(u1, stacked[0]))
         return np.stack(rows)
 
     # align dt so snapshots land exactly on step boundaries
@@ -436,8 +470,8 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
     uc_big = lift_wave(wave, q, N_big)
     ev = Evolver(model, wave.c, q, N_big, dt_eff, linearized=True,
                  wave_profile=uc_big, forcing=cascade_forcing)
-    state = np.zeros((n_hi, N_big + 1), dtype=np.complex128)
-    sol.corrections[0] = [state[i].copy() for i in range(n_hi)]
+    state = np.zeros((n_hi, half + 1), dtype=np.complex128)
+    sol.corrections[0] = list(hermitian_full(state))
     t = 0.0
     for snap in range(1, n_snapshots):
         for _ in range(per):
@@ -446,7 +480,7 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
         if not np.all(np.isfinite(state)):
             raise BlowupError("approximate-solution cascade blew up",
                               last_time=t)
-        sol.corrections[snap] = [state[i].copy() for i in range(n_hi)]
+        sol.corrections[snap] = list(hermitian_full(state))
         sol.times[snap] = t
     return sol
 
@@ -466,19 +500,20 @@ def approximate_solution_residual(sol: ApproxSolution) -> np.ndarray:
     ev_lin = Evolver(model, wave.c, q, N_big, dt=1.0, linearized=True,
                      wave_profile=uc_big)
     forcing = _TaylorForcing(model, wave, q, N_big)
+    half = N_big // 2
     out = []
     for i, t in enumerate(sol.times):
-        U1 = sol.U1(t)
-        dU = delta * sol.dU1(t)
-        total = uc_big.coef + delta * U1
-        corr = sol.corrections[i]
+        U1 = sol.U1(t)[half:]
+        dU = delta * sol.dU1(t)[half:]
+        total = uc_big.coef[half:] + delta * U1
+        corr = [Uj[half:] for Uj in sol.corrections[i]]
         for j, Uj in enumerate(corr, start=2):
             AUj = ev_lin.lin * Uj + ev_lin.nonlinear(Uj, t)
             Gj = forcing.G2(U1) if j == 2 else forcing.G3(U1, corr[0])
             dU = dU + delta ** j * (AUj + Gj)
             total = total + delta ** j * Uj
         rhs = ev.lin * total + ev.nonlinear(total, t)
-        res = dU - rhs
+        res = hermitian_full(dU - rhs)
         out.append(float(np.sqrt(_TWO_PI * q * np.sum(np.abs(res) ** 2))))
     res_arr = np.array(out)
     sol.residual_norms = res_arr

@@ -26,10 +26,11 @@ import numpy as np
 from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     fit_band, rational_k0, scan_bloch, unstable_eigenfunction,
                     UNSTABLE_THRESHOLD)
-from .errors import (DomainError, DomainTooSmallError, ModulonError,
-                     RationalApproximationError)
-from .evolve import (ConservedLedger, Evolver, conserved_quantities, lift_wave,
-                     orbital_distance, stable_dt)
+from .errors import (BlowupError, DomainError, DomainTooSmallError,
+                     ModulonError, RationalApproximationError)
+from .evolve import (ConservedLedger, Evolver, conserved_quantities,
+                     field_rows, lift_wave, orbital_distance, rows_field,
+                     stable_dt)
 from .fields import PeriodicField, csv_float, l2_norm, midpoint_band_nodes, \
     synthesize_packet, _lift_eigenfunction
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
@@ -113,18 +114,19 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
                  snap_dt: float, theta0: float, escape_metric: str,
                  linearized: bool = False) -> DeltaRun:
     """Evolve u0, recording perturbation norms (relative to ref) until the
-    escape threshold is crossed or t_max is reached."""
+    escape threshold is crossed or t_max is reached; raises BlowupError on
+    non-finite coefficients."""
     per = max(1, int(round(snap_dt / dt)))
     frozen = lift_wave(wave, u0.q, u0.N) if linearized else None
     ev = Evolver(model, wave.c, u0.q, u0.N, dt, linearized=linearized,
                  wave_profile=frozen)
-    coef = u0.coef.copy()
+    rows = field_rows(u0, ev)
     t = 0.0
     times, perts, orbs = [], [], []
     ledger = ConservedLedger()
 
     def observe():
-        f = PeriodicField(u0.q, u0.N, coef.copy(), real=u0.real)
+        f = rows_field(u0.q, u0.N, rows, u0.real)
         diff = f - ref
         pert = l2_norm(diff)
         if escape_metric == "orbital":
@@ -147,13 +149,11 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     steps_done = 0
     while steps_done < n_steps and escape_time is None:
         for _ in range(per):
-            coef = ev.step_coef(coef, t)
+            rows = ev.step_coef(rows, t)
             t += dt
             steps_done += 1
-        if not np.all(np.isfinite(coef)):
-            break
-        if u0.real:
-            coef = 0.5 * (coef + np.conj(coef[::-1]))
+        if not np.all(np.isfinite(rows)):
+            raise BlowupError(f"blow-up detected by t = {t:.6g}", last_time=t)
         dist = observe()
         if theta0 > 0 and dist >= theta0 and escape_time is None:
             lo_t, lo_d = times[-2], orbs[-2]

@@ -176,6 +176,12 @@ def _lift_eigenfunction(v: PeriodicField, p: int, q: int, N_big: int) -> np.ndar
     return out
 
 
+def hermitian_full(half: np.ndarray) -> np.ndarray:
+    """Centered coefficients of the real field whose modes n = 0 .. N/2 are
+    ``half`` (last axis): c_{-n} = conj(c_n)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
 # -- norms and inner products -------------------------------------------------
 
 def inner(f: PeriodicField, g: PeriodicField) -> complex:
@@ -291,19 +297,20 @@ def synthesize_packet(packet: WavePacket, Q: int) -> PeriodicField:
     Np = max(p.N for p in packet.profiles)
     N_big = Q * Np + 2 * Q
     half = N_big // 2
-    acc = np.zeros(N_big + 1, dtype=np.complex128)
+    idx, vals = [], []
     for k_j, w_j, prof in zip(packet.nodes, packet.weights, packet.profiles):
         mj = k_j * Q
         if abs(mj - round(mj)) > 1e-9:
             raise DomainError(
                 f"node k = {k_j} not commensurate with Q = {Q}; increase Q")
-        mj = int(round(mj))
         if prof.q != 1:
             raise DomainError("packet profiles must live on T_{2 pi}")
-        for n, c in zip(prof.modes(), prof.coef):
-            idx = Q * int(n) + mj
-            if abs(idx) <= half:
-                acc[idx + half] += w_j * c
+        idx.append(Q * prof.modes() + int(round(mj)))
+        vals.append(w_j * prof.coef)
+    idx, vals = np.concatenate(idx), np.concatenate(vals)
+    keep = np.abs(idx) <= half
+    acc = np.zeros(N_big + 1, dtype=np.complex128)
+    np.add.at(acc, idx[keep] + half, vals[keep])
     out = acc + np.conj(acc[::-1])
     return PeriodicField(Q, N_big, out, real=True)
 
@@ -320,21 +327,15 @@ def bloch_decompose(f: PeriodicField, q: int = 1):
     r_count = Q // q
     N_sub = 2 * (f.N // (2 * r_count) + 2)
     half_sub = N_sub // 2
-    comps = []
-    for j in range(r_count):
-        sub = zero_field(q, N_sub, real=False)
-        comps.append((j / Q, sub))
     half = f.N // 2
-    for idx in range(-half, half + 1):
-        c = f.coef[idx + half]
-        if c == 0.0:
-            continue
-        r = idx % r_count
-        n = (idx - r) // r_count
-        sub = comps[r][1]
-        if abs(n) <= half_sub:
-            sub.coef[n + half_sub] += c
-    return comps
+    idx = np.arange(-half, half + 1)
+    r = idx % r_count
+    # |n| <= ceil(half / r_count) < half_sub, so every mode has a slot
+    n = (idx - r) // r_count
+    block = np.zeros((r_count, N_sub + 1), dtype=np.complex128)
+    block[r, n + half_sub] += f.coef
+    return [(j / Q, PeriodicField(q, N_sub, block[j], real=False))
+            for j in range(r_count)]
 
 
 # -- persistence ----------------------------------------------------------------

@@ -1,5 +1,8 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from modulon import (SymbolSpec, cosine_field, l2_norm, model_for_symbol,
@@ -12,6 +15,7 @@ from modulon.evolve import (ConservedLedger, EvolutionState,
                             build_approximate_solution, conserved_quantities,
                             lift_wave, linearized_step, orbital_distance,
                             record_conserved, stable_dt, step)
+from modulon.fields import hermitian_full
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,10 +69,7 @@ def test_linearized_matches_matrix_exponential(name, request):
     c0[0] = c0[-1] = 0.0
     f0 = PeriodicField(1, N, c0.copy(), real=False)
     st = make_state(model, wave, f0, 0.002, linearized=True)
-    ev = _evolver_for(st)
-    coef = c0.copy()
-    for i in range(500):
-        coef = ev.step_coef(coef, i * 0.002)
+    coef = run_steps(st, 500).field.coef
     exact = scipy.linalg.expm(1.0 * op.A_mat) @ c0
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
@@ -83,12 +84,9 @@ def test_linearized_eigenfunction_grows_exponentially(bbm2_model, bbm2_wave,
     f0 = PeriodicField(q, N_big, w.copy(), real=False)
     dt = 0.01
     st = make_state(bbm2_model, bbm2_wave, f0, dt, linearized=True)
-    ev = _evolver_for(st)
-    coef = w.copy()
     t_end = 3.0
     n = int(round(t_end / dt))
-    for i in range(n):
-        coef = ev.step_coef(coef, i * dt)
+    coef = run_steps(st, n).field.coef
     exact = np.exp(lam * t_end) * w
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
@@ -214,6 +212,112 @@ def test_blowup_detected():
         st2 = st
         for _ in range(50):
             st2 = step(st2)
+
+
+class _C2CTransform:
+    # the former complex transform pair on the full centered spectrum
+
+    def __init__(self, N, M):
+        self.M = M
+        self.idx = np.arange(-(N // 2), N // 2 + 1) % M
+
+    def values(self, coef):
+        spread = np.zeros(coef.shape[:-1] + (self.M,), dtype=np.complex128)
+        spread[..., self.idx] = coef
+        return scipy.fft.ifft(spread, axis=-1) * self.M
+
+    def coef(self, vals):
+        out = scipy.fft.fft(vals, axis=-1)[..., self.idx] * (1.0 / self.M)
+        out[..., 0] = out[..., -1] = 0.0
+        return out
+
+
+def c2c_reference_steps(model, wave, N, dt, linearized, coef, n):
+    """The former full-spectrum ETDRK4: c2c transforms, tables on every
+    mode, and Hermitian re-symmetrization after each step."""
+    xi = model.kappa * np.arange(-(N // 2), N // 2 + 1)
+    jop = model.j_symbol(xi)
+    lin = jop * model.energy_diag(xi, wave.c)[0]
+    lin[0] = lin[-1] = 0.0
+    tab = types.SimpleNamespace(dt=dt, lin=lin)
+    Evolver._etdrk4_tables(tab)
+    tr = _C2CTransform(N, Evolver(model, wave.c, 1, N, dt).tr.M)
+    df = model.nonlinearity.df(tr.values(lift_wave(wave, 1, N).coef).real)
+
+    def nonlinear(c):
+        vals = tr.values(c)
+        fv = df * vals if linearized else model.nonlinearity.f(vals.real)
+        return model.nl_sign * jop * tr.coef(fv)
+
+    for _ in range(n):
+        n0 = nonlinear(coef)
+        a = tab.E2 * coef + tab.Q * n0
+        na = nonlinear(a)
+        b = tab.E2 * coef + tab.Q * na
+        nb = nonlinear(b)
+        cst = tab.E2 * a + tab.Q * (2.0 * nb - n0)
+        nc = nonlinear(cst)
+        coef = tab.E * coef + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) \
+            + tab.f3 * nc
+        coef = 0.5 * (coef + np.conj(coef[::-1]))
+    return coef
+
+
+def random_real_field(N, seed, scale):
+    rng = np.random.default_rng(seed)
+    half = (rng.standard_normal(N // 2 + 1) + 1j * rng.standard_normal(N // 2 + 1))
+    half *= scale * np.exp(-0.3 * np.arange(N // 2 + 1))
+    half[0] = half[0].real
+    return PeriodicField(1, N, hermitian_full(half), real=True)
+
+
+@pytest.mark.parametrize("name, linearized", [("bbm2", False),
+                                              ("whitham", False),
+                                              ("whitham", True)])
+def test_real_stepper_matches_c2c_reference(name, linearized, request):
+    model = request.getfixturevalue(name + "_model")
+    wave = request.getfixturevalue(name + "_wave")
+    N = 64
+    pert = random_real_field(N, seed=21, scale=0.005)
+    u0 = pert if linearized else lift_wave(wave, 1, N) + pert
+    dt = 0.05 if name == "bbm2" else stable_dt(model, wave.c, 1, N, u_inf=0.2)
+    st = run_steps(make_state(model, wave, u0, dt, linearized=linearized), 200)
+    ref = c2c_reference_steps(model, wave, N, dt, linearized, u0.coef, 200)
+    assert np.linalg.norm(st.field.coef - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_stepped_field_is_exactly_real(whitham_model, whitham_wave):
+    u0 = lift_wave(whitham_wave, 1, 64) + random_real_field(64, 22, 0.005)
+    st = run_steps(make_state(whitham_model, whitham_wave, u0, 0.01), 20)
+    assert st.field.real
+    assert st.field.hermitian_defect() == 0.0
+
+
+def test_complex_linearized_step_splits_real_and_imaginary(whitham_model,
+                                                          whitham_wave):
+    N = 64
+    rng = np.random.default_rng(23)
+    n = np.arange(-(N // 2), N // 2 + 1)
+    c = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)) \
+        * np.exp(-0.4 * np.abs(n))
+    f = PeriodicField(1, N, c, real=False)
+    mirror = np.conj(f.coef[::-1])
+    re = PeriodicField(1, N, 0.5 * (f.coef + mirror), real=True)
+    im = PeriodicField(1, N, -0.5j * (f.coef - mirror), real=True)
+    ev = _evolver_for(make_state(whitham_model, whitham_wave, f, 0.01,
+                                 linearized=True))
+    out = linearized_step(make_state(whitham_model, whitham_wave, f, 0.01), ev)
+    parts = [linearized_step(make_state(whitham_model, whitham_wave, g, 0.01),
+                             ev).field.coef for g in (re, im)]
+    assert not out.field.real
+    assert np.array_equal(out.field.coef, parts[0] + 1j * parts[1])
+
+
+def test_nonlinear_step_rejects_complex_field(whitham_model, whitham_wave):
+    f = lift_wave(whitham_wave, 1, 64)
+    f.real = False
+    with pytest.raises(DomainError):
+        step(make_state(whitham_model, whitham_wave, f, 0.01))
 
 
 # -- orbital distance ---------------------------------------------------------------

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from modulon.errors import DomainError, DomainTooSmallError
-from modulon.experiments import (build_band_packet, packet_domain_check,
-                                 run_localized, run_multiperiodic,
-                                 save_report, export_run_csv, threshold_sweep)
+from modulon import (SymbolSpec, TravelingWave, cosine_field,
+                     model_for_symbol, zero_field)
+from modulon.errors import BlowupError, DomainError, DomainTooSmallError
+from modulon.experiments import (_monitor_run, build_band_packet,
+                                 packet_domain_check, run_localized,
+                                 run_multiperiodic, save_report,
+                                 export_run_csv, threshold_sweep)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +156,8 @@ def test_single_node_packet_reduces_to_multiperiodic_growth(
         whitham_k2_curve):
     # eta -> 0 limit: one Fourier line, pure e^{lambda t}, no algebraic factor
     from modulon.evolve import lift_wave, Evolver
-    from modulon.fields import synthesize_packet, l2_norm, PeriodicField
+    from modulon.fields import (synthesize_packet, l2_norm, PeriodicField,
+                                hermitian_full)
     packet, rates, freqs = build_band_packet(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
         whitham_k2_curve, Q=64, n_nodes=1, N_op=96)
@@ -162,14 +166,14 @@ def test_single_node_packet_reduces_to_multiperiodic_growth(
     uc = lift_wave(whitham_k2_wave, 64, u1.N)
     ev = Evolver(whitham_k2_model, whitham_k2_wave.c, 64, u1.N, 0.05,
                  linearized=True, wave_profile=uc)
-    coef = u1.coef.copy()
+    half = u1.coef[u1.N // 2:]
     ts, ys = [0.0], [0.0]
     t = 0.0
     for _ in range(40):
         for _ in range(20):
-            coef = ev.step_coef(coef, t)
+            half = ev.step_coef(half, t)
             t += 0.05
-        f = PeriodicField(64, u1.N, coef.copy(), real=True)
+        f = PeriodicField(64, u1.N, hermitian_full(half), real=True)
         ts.append(t)
         ys.append(np.log(l2_norm(f)))
     ts, ys = np.array(ts), np.array(ys)
@@ -178,6 +182,19 @@ def test_single_node_packet_reduces_to_multiperiodic_growth(
     node_rate = float(rates[0].real)
     assert lam_fit == pytest.approx(node_rate, rel=0.02)
     assert abs(beta) < 0.05 * abs(np.log(2.0))    # no algebraic correction
+
+
+@pytest.mark.parametrize("theta0", [1e3, 0.0])
+def test_monitor_run_raises_on_blowup(theta0):
+    # a wildly unstable step size; theta0 = 0 is the packet's linear phase
+    m = model_for_symbol(SymbolSpec("kdv"))
+    w = TravelingWave(m, zero_field(1, 64), c=0.0, a_const=0.0,
+                      amplitude=0.0, residual=0.0)
+    big = cosine_field(1, 64, [0.0, 40.0])
+    with pytest.raises(BlowupError) as err:
+        _monitor_run(m, w, big, zero_field(1, 64), dt=1.0, t_max=50.0,
+                     snap_dt=50.0, theta0=theta0, escape_metric="plain")
+    assert err.value.last_time == 50.0
 
 
 # -- threshold sweep --------------------------------------------------------------------

@@ -8,7 +8,7 @@ from modulon import (PeriodicField, SymbolSpec, apply_multiplier,
                      sobolev_norm, synthesize_packet, zero_field,
                      export_spectrum_csv)
 from modulon.errors import BadDataError, DomainError, GridMismatchError
-from modulon.fields import _lift_eigenfunction
+from modulon.fields import WavePacket, _lift_eigenfunction, hermitian_full
 
 TWO_PI = 2.0 * np.pi
 
@@ -285,6 +285,82 @@ def test_synthesize_then_decompose_identity():
         for n in prof.modes():
             if abs(n) < sub.N // 2:
                 assert abs(sub.mode(int(n)) - w_j * prof.mode(int(n))) < 1e-14
+
+
+def test_hermitian_full_rebuilds_real_field():
+    f = random_field(2, 32, seed=42)
+    assert np.array_equal(hermitian_full(f.coef[f.N // 2:]), f.coef)
+    rows = np.stack([f.coef[f.N // 2:], 2.0 * f.coef[f.N // 2:]])
+    assert np.array_equal(hermitian_full(rows)[1], 2.0 * f.coef)
+
+
+def _synthesize_packet_loop(packet, Q):
+    # the former mode-by-mode accumulation, kept as the reference
+    Np = max(p.N for p in packet.profiles)
+    N_big = Q * Np + 2 * Q
+    half = N_big // 2
+    acc = np.zeros(N_big + 1, dtype=np.complex128)
+    for k_j, w_j, prof in zip(packet.nodes, packet.weights, packet.profiles):
+        mj = int(round(k_j * Q))
+        for n, c in zip(prof.modes(), prof.coef):
+            idx = Q * int(n) + mj
+            if abs(idx) <= half:
+                acc[idx + half] += w_j * c
+    return acc + np.conj(acc[::-1])
+
+
+def _bloch_decompose_loop(f, q):
+    # the former mode-by-mode re-indexing, kept as the reference
+    r_count = f.q // q
+    N_sub = 2 * (f.N // (2 * r_count) + 2)
+    half_sub, half = N_sub // 2, f.N // 2
+    comps = [zero_field(q, N_sub, real=False) for _ in range(r_count)]
+    for idx in range(-half, half + 1):
+        c = f.coef[idx + half]
+        if c == 0.0:
+            continue
+        r = idx % r_count
+        n = (idx - r) // r_count
+        if abs(n) <= half_sub:
+            comps[r].coef[n + half_sub] += c
+    return comps
+
+
+@pytest.mark.parametrize("k_right, n_nodes, Q", [(0.37, 5, 32), (0.5, 6, 12),
+                                                 (3.0 / 8.0, 2, 8)])
+def test_synthesize_packet_matches_mode_loop(k_right, n_nodes, Q):
+    pk = midpoint_band_nodes(k_right, n_nodes, Q)
+    pk.profiles = [random_field(1, 16 + 8 * (j % 3), seed=30 + j, real=False,
+                                decay=0.3) for j in range(n_nodes)]
+    pk.profiles[0].coef[3] = complex(-0.0, -0.0)
+    u = synthesize_packet(pk, Q)
+    assert u.coef.tobytes() == _synthesize_packet_loop(pk, Q).tobytes()
+
+
+def test_synthesize_packet_accumulates_colliding_nodes():
+    # nodes one lattice period apart share big-torus modes
+    Q = 4
+    pk = WavePacket(k_lo=0.0, k_hi=1.5, nodes=np.array([0.25, 1.25]),
+                    weights=np.array([0.75, 0.75]),
+                    profiles=[random_field(1, 16, seed=40 + j, real=False)
+                              for j in range(2)])
+    u = synthesize_packet(pk, Q)
+    assert u.coef.tobytes() == _synthesize_packet_loop(pk, Q).tobytes()
+
+
+@pytest.mark.parametrize("Q, q, N", [(8, 1, 128), (6, 2, 64), (3, 3, 48),
+                                     (5, 1, 10)])
+def test_bloch_decompose_matches_mode_loop(Q, q, N):
+    f = random_field(Q, N, seed=41, real=False, decay=0.1)
+    f.coef[5] = 0.0
+    f.coef[7] = complex(-0.0, 1.0)
+    f.coef[9] = complex(-0.0, -0.0)
+    comps = bloch_decompose(f, q)
+    ref = _bloch_decompose_loop(f, q)
+    assert [k for k, _ in comps] == [j / Q for j in range(Q // q)]
+    for (_, sub), want in zip(comps, ref):
+        assert (sub.q, sub.N, sub.real) == (want.q, want.N, want.real)
+        assert sub.coef.tobytes() == want.coef.tobytes()
 
 
 # -- persistence ------------------------------------------------------------------
