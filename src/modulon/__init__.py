@@ -8,11 +8,10 @@ from .symbols import (SymbolSpec, NonlinearitySpec, ModelSpec, Classification,
                       evaluate_symbol, classify_symbol, positive_shift,
                       parse_symbol, catalog_symbols, model_for_symbol)
 from .fields import (PeriodicField, WavePacket, zero_field, field_from_values,
-                     field_from_function, cosine_field, cosine_coefficients,
-                     inner, sobolev_norm, l2_norm, apply_multiplier, derivative,
-                     dealiased_product, pointwise_image, synthesize_packet,
-                     bloch_decompose, midpoint_band_nodes, save_field,
-                     load_field, export_spectrum_csv)
+                     cosine_field, cosine_coefficients, inner, sobolev_norm,
+                     l2_norm, apply_multiplier, derivative, dealiased_product,
+                     pointwise_image, synthesize_packet, bloch_decompose,
+                     midpoint_band_nodes, save_field, load_field)
 from .waves import (TravelingWave, small_amplitude_wave, refine_newton,
                     continue_in_amplitude, whitham_condition_margin,
                     spectral_decay_diagnostic, kernel_defect, residual_norm,
@@ -23,10 +22,9 @@ from .bloch import (BlochOperator, BlochSpectrum, GrowthCurve, assemble_bloch,
                     unstable_eigenfunction)
 from .semigroup import (PropagatorProbe, propagator_norm, dual_propagator_norm,
                         probe_growth, riesz_projection, trichotomy_split)
-from .evolve import (EvolutionState, Evolver, ConservedLedger, step,
-                     linearized_step, conserved_quantities, orbital_distance,
-                     lift_wave, stable_dt, build_approximate_solution,
-                     approximate_solution_residual)
+from .evolve import (Evolver, ConservedLedger, advance, conserved_quantities,
+                     orbital_distance, lift_wave, stable_dt,
+                     build_approximate_solution, approximate_solution_residual)
 from .experiments import (DeltaRun, ExperimentReport, SweepResult,
                           run_multiperiodic, run_localized, threshold_sweep,
                           save_report)

@@ -35,17 +35,21 @@ from .waves import load_wave, refine_newton, save_wave, small_amplitude_wave
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
-from .evolve import (EvolutionState, lift_wave, orbital_distance,
-                     record_conserved, step, stable_dt, ConservedLedger,
-                     _evolver_for)
-from .fields import csv_float, l2_norm
+from .evolve import lift_wave, stable_dt
+from .fields import csv_float
 from .experiments import (eigenfunction_seed, export_run_csv, run_localized,
-                          run_multiperiodic, threshold_sweep, _pick_rational_k0)
+                          run_multiperiodic, threshold_sweep, _monitor_run,
+                          _pick_rational_k0)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 EXIT_BAD_DATA = 65
+
+
+def float_list(raw: str) -> list:
+    """Comma-separated floats, e.g. ``1e-3,1e-4``."""
+    return [float(x) for x in raw.split(",")]
 
 
 _SCHEMA = {
@@ -54,9 +58,9 @@ _SCHEMA = {
     "numerics": {"N": int, "k_count": int, "Q": int, "q_max": int},
     "evolve": {"dt": float, "t_end": float, "snap_every": int,
                "delta": float},
-    "experiment": {"kind": str, "deltas": str, "theta0": float,
+    "experiment": {"kind": str, "deltas": float_list, "theta0": float,
                    "t_max": float, "Q": int, "n_nodes": int},
-    "sweep": {"family": str, "grid": str, "a": float, "m_exp": float,
+    "sweep": {"family": str, "grid": float_list, "a": float, "m_exp": float,
               "N": int, "k_count": int},
     "output": {"dir": str},
 }
@@ -72,6 +76,8 @@ _RANGES = {
     ("numerics", "q_max"): (1, 64),
     ("evolve", "dt"): (1e-9, 10.0),
     ("evolve", "t_end"): (0.0, 1e9),
+    ("evolve", "snap_every"): (1, 10 ** 9),
+    ("experiment", "deltas"): (1e-300, 1e6),     # every delta > 0
     ("experiment", "theta0"): (0.0, 1e6),
 }
 
@@ -119,7 +125,8 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(
                     f"key [{section}] {key} = {raw!r} is not a {typ.__name__}") from exc
             rng = _RANGES.get((section, key))
-            if rng is not None and not (rng[0] <= val <= rng[1]):
+            items = val if isinstance(val, list) else [val]
+            if rng is not None and not all(rng[0] <= v <= rng[1] for v in items):
                 raise ConfigError(
                     f"key [{section}] {key} = {val} outside [{rng[0]}, {rng[1]}]")
             values[section][key] = val
@@ -263,32 +270,20 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     dt = cfg.get("evolve", "dt") or stable_dt(model, wave.c, u0.q, u0.N)
     t_end = cfg.get("evolve", "t_end", 10.0)
     snap_every = cfg.get("evolve", "snap_every", 10)
-    state = EvolutionState(model, wave, u0, 0.0, dt)
-    ev = _evolver_for(state)
     uc_big = lift_wave(wave, u0.q, u0.N)
-    ledger = ConservedLedger()
-    record_conserved(ledger, state)
-    rows = [(0.0, l2_norm(u0 - uc_big),
-             orbital_distance(u0, wave.profile)[0])]
-    n_steps = int(np.ceil(t_end / dt))
-    for i in range(n_steps):
-        state = step(state, ev)
-        if (i + 1) % snap_every == 0 or i == n_steps - 1:
-            record_conserved(ledger, state)
-            rows.append((state.t, l2_norm(state.field - uc_big),
-                         orbital_distance(state.field, wave.profile)[0]))
+    run = _monitor_run(model, wave, u0, uc_big, dt, t_end, snap_every * dt,
+                       0.0, "orbital")
     d = out_dir(cfg)
     csv_path = os.path.join(d, args.name + ".csv")
-    md, pd_, ed = (ledger.mass_drift(), ledger.momentum_drift(),
-                   ledger.energy_drift())
+    ed = run.ledger.energy_drift()
     with open(csv_path, "w") as fh:
         fh.write(_csv_header(cfg))
         fh.write("t,l2_perturbation,orbital_distance,mass_drift,"
                  "momentum_drift,energy_drift\n")
-        for (t, pert, orb), m_, p_, e_ in zip(rows, md, pd_, ed):
-            fh.write(f"{csv_float(t)},{csv_float(pert)},{csv_float(orb)},"
-                     f"{csv_float(m_)},{csv_float(p_)},{csv_float(e_)}\n")
-    print(f"evolved to t = {state.t:.4g}; max |energy drift| = "
+        for row in zip(run.times, run.pert_norm, run.orbital,
+                       run.ledger.mass_drift(), run.ledger.momentum_drift(), ed):
+            fh.write(",".join(csv_float(v) for v in row) + "\n")
+    print(f"evolved to t = {run.times[-1]:.4g}; max |energy drift| = "
           f"{float(np.max(np.abs(ed))):.2e} -> {csv_path}")
     return EXIT_OK
 
@@ -299,8 +294,7 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     N = cfg.get("numerics", "N", 128)
     k_count = cfg.get("numerics", "k_count", 64)
     kind = cfg.get("experiment", "kind", "multiperiodic")
-    deltas = [float(x) for x in
-              cfg.get("experiment", "deltas", "1e-3,1e-4,1e-5").split(",")]
+    deltas = cfg.get("experiment", "deltas", [1e-3, 1e-4, 1e-5])
     theta0 = cfg.get("experiment", "theta0")
     sp = scan_bloch(model, wave, k_count=k_count, N=N)
     d = out_dir(cfg)
@@ -327,7 +321,7 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     family = cfg.require("sweep", "family")
-    grid = [float(x) for x in cfg.require("sweep", "grid").split(",")]
+    grid = cfg.require("sweep", "grid")
     res = threshold_sweep(
         family, grid,
         a=cfg.get("sweep", "a", 0.02),

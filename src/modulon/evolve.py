@@ -22,6 +22,10 @@ rfft/irfft.  The full centered array is rebuilt (``fields.hermitian_full``)
 only where a ``PeriodicField`` is needed.  A complex linearized state steps
 as two real rows, its real and imaginary parts, which is exact because the
 linearized flow is real-linear.
+
+``advance`` is the one time loop: the escape runs, the approximate-solution
+cascade and ``modulon evolve`` step through it, observing every ``per``
+steps and after the last step.
 """
 
 from __future__ import annotations
@@ -158,32 +162,32 @@ def stable_dt(model: ModelSpec, c: float, q: int, N: int,
     return 0.2 * dx * kap ** -1 / max(dfmax, 1e-12)
 
 
+def advance(ev: Evolver, rows: np.ndarray, n_steps: int, per: int,
+            observe) -> None:
+    """The one time loop: step ``rows`` from t = 0 with ``ev`` n_steps times.
+
+    ``observe(t, rows)`` is called after every ``per`` steps and after the
+    last step; a True return stops the run.  Non-finite rows at an
+    observation raise BlowupError carrying that time.
+    """
+    t = 0.0
+    for i in range(1, n_steps + 1):
+        rows = ev.step_coef(rows, t)
+        t += ev.dt
+        if i % per == 0 or i == n_steps:
+            if not np.all(np.isfinite(rows)):
+                raise BlowupError(f"blow-up detected by t = {t:.6g}",
+                                  last_time=t)
+            if observe(t, rows):
+                return
+
+
 # -- states and conserved quantities ------------------------------------------------
-
-
-@dataclass
-class EvolutionState:
-    """A field mid-evolution in the traveling frame of ``wave``."""
-
-    model: ModelSpec
-    wave: TravelingWave
-    field: PeriodicField
-    t: float
-    dt: float
-    linearized: bool = False
 
 
 def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
     """Extend the 2 pi periodic profile to T_{2 pi q} (modes at multiples of q)."""
     return PeriodicField(q, N, _lift_eigenfunction(wave.profile, 0, q, N), real=True)
-
-
-def _evolver_for(state: EvolutionState) -> Evolver:
-    prof = None
-    if state.linearized:
-        prof = lift_wave(state.wave, state.field.q, state.field.N)
-    return Evolver(state.model, state.wave.c, state.field.q, state.field.N,
-                   state.dt, linearized=state.linearized, wave_profile=prof)
 
 
 def field_rows(f: PeriodicField, ev: Evolver) -> np.ndarray:
@@ -210,28 +214,6 @@ def rows_field(q: int, N: int, rows: np.ndarray, real: bool) -> PeriodicField:
         return PeriodicField(q, N, hermitian_full(rows), real=True)
     return PeriodicField(q, N, hermitian_full(rows[0])
                          + 1j * hermitian_full(rows[1]), real=False)
-
-
-def step(state: EvolutionState, evolver: Evolver | None = None) -> EvolutionState:
-    """Advance one time step; raises BlowupError on non-finite coefficients
-    and DomainError for a complex field under the nonlinear flow."""
-    ev = evolver or _evolver_for(state)
-    f = state.field
-    rows = ev.step_coef(field_rows(f, ev), state.t)
-    if not np.all(np.isfinite(rows)):
-        raise BlowupError(f"blow-up detected at t = {state.t:.6g}",
-                          last_time=state.t)
-    return EvolutionState(state.model, state.wave,
-                          rows_field(f.q, f.N, rows, f.real),
-                          state.t + state.dt, state.dt, state.linearized)
-
-
-def linearized_step(state: EvolutionState,
-                    evolver: Evolver | None = None) -> EvolutionState:
-    if not state.linearized:
-        state = EvolutionState(state.model, state.wave, state.field, state.t,
-                               state.dt, linearized=True)
-    return step(state, evolver)
 
 
 def conserved_quantities(model: ModelSpec, f: PeriodicField, c: float):
@@ -299,12 +281,6 @@ class ConservedLedger:
 
     def energy_drift(self):
         return self._drift(self.energy)
-
-
-def record_conserved(ledger: ConservedLedger, state: EvolutionState):
-    m, p, e = conserved_quantities(state.model, state.field, state.wave.c)
-    ledger.append(state.t, m, p, e)
-    return ledger
 
 
 # -- orbital distance -----------------------------------------------------------------
@@ -471,17 +447,15 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
     ev = Evolver(model, wave.c, q, N_big, dt_eff, linearized=True,
                  wave_profile=uc_big, forcing=cascade_forcing)
     state = np.zeros((n_hi, half + 1), dtype=np.complex128)
-    sol.corrections[0] = list(hermitian_full(state))
-    t = 0.0
-    for snap in range(1, n_snapshots):
-        for _ in range(per):
-            state = ev.step_coef(state, t)
-            t += dt_eff
-        if not np.all(np.isfinite(state)):
-            raise BlowupError("approximate-solution cascade blew up",
-                              last_time=t)
-        sol.corrections[snap] = list(hermitian_full(state))
-        sol.times[snap] = t
+    sol.corrections = [list(hermitian_full(state))]
+    snap_t = [0.0]
+
+    def store(t, rows):
+        sol.corrections.append(list(hermitian_full(rows)))
+        snap_t.append(t)
+
+    advance(ev, state, (n_snapshots - 1) * per, per, store)
+    sol.times = np.array(snap_t)
     return sol
 
 

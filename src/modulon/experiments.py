@@ -26,9 +26,9 @@ import numpy as np
 from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     fit_band, rational_k0, scan_bloch, unstable_eigenfunction,
                     UNSTABLE_THRESHOLD)
-from .errors import (BlowupError, DomainError, DomainTooSmallError,
-                     ModulonError, RationalApproximationError)
-from .evolve import (ConservedLedger, Evolver, conserved_quantities,
+from .errors import (DomainError, DomainTooSmallError, ModulonError,
+                     RationalApproximationError)
+from .evolve import (ConservedLedger, Evolver, advance, conserved_quantities,
                      field_rows, lift_wave, orbital_distance, rows_field,
                      stable_dt)
 from .fields import PeriodicField, csv_float, l2_norm, midpoint_band_nodes, \
@@ -59,6 +59,7 @@ class DeltaRun:
     momentum_drift: float
     energy_drift: float
     escaped: bool
+    ledger: ConservedLedger
     flags: dict = dc_field(default_factory=dict)
 
 
@@ -120,12 +121,12 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     frozen = lift_wave(wave, u0.q, u0.N) if linearized else None
     ev = Evolver(model, wave.c, u0.q, u0.N, dt, linearized=linearized,
                  wave_profile=frozen)
-    rows = field_rows(u0, ev)
-    t = 0.0
     times, perts, orbs = [], [], []
     ledger = ConservedLedger()
+    escape_time = None
 
-    def observe():
+    def observe(t, rows):
+        nonlocal escape_time
         f = rows_field(u0.q, u0.N, rows, u0.real)
         diff = f - ref
         pert = l2_norm(diff)
@@ -133,36 +134,22 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
             dist, _ = orbital_distance(f, wave.profile)
         else:
             dist = pert
+        if theta0 > 0 and dist >= theta0:
+            escape_time = t
+            if times and orbs[-1] < dist:     # interpolate in the last interval
+                lo_t, lo_d = times[-1], orbs[-1]
+                escape_time = lo_t + (theta0 - lo_d) / (dist - lo_d) * (t - lo_t)
         times.append(t)
         perts.append(pert)
         orbs.append(dist)
         if not linearized:
             m, p, e = conserved_quantities(model, f, wave.c)
             ledger.append(t, m, p, e)
-        return dist
+        return escape_time is not None
 
-    dist = observe()
-    escape_time = None
-    if theta0 > 0 and dist >= theta0:
-        escape_time = 0.0
-    n_steps = int(np.ceil(t_max / dt))
-    steps_done = 0
-    while steps_done < n_steps and escape_time is None:
-        for _ in range(per):
-            rows = ev.step_coef(rows, t)
-            t += dt
-            steps_done += 1
-        if not np.all(np.isfinite(rows)):
-            raise BlowupError(f"blow-up detected by t = {t:.6g}", last_time=t)
-        dist = observe()
-        if theta0 > 0 and dist >= theta0 and escape_time is None:
-            lo_t, lo_d = times[-2], orbs[-2]
-            hi_t, hi_d = times[-1], orbs[-1]
-            if hi_d > lo_d:
-                escape_time = lo_t + (theta0 - lo_d) / (hi_d - lo_d) * (hi_t - lo_t)
-            else:
-                escape_time = hi_t
-            break
+    rows = field_rows(u0, ev)
+    if not observe(0.0, rows):
+        advance(ev, rows, int(np.ceil(t_max / dt)), per, observe)
     if theta0 == 0.0:
         escape_time = 0.0
 
@@ -178,7 +165,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         mass_drift=float(np.max(np.abs(md))) if len(md) else 0.0,
         momentum_drift=float(np.max(np.abs(pd))) if len(pd) else 0.0,
         energy_drift=float(np.max(np.abs(ed))) if len(ed) else 0.0,
-        escaped=escape_time is not None)
+        escaped=escape_time is not None, ledger=ledger)
 
 
 def _fit_growth(run: DeltaRun, lo: float, hi: float):

@@ -138,13 +138,6 @@ def field_from_values(vals: np.ndarray, q: int, N: int) -> PeriodicField:
     return PeriodicField(q, N, coef, real=bool(np.isrealobj(vals)))
 
 
-def field_from_function(func, q: int, N: int, M: int | None = None) -> PeriodicField:
-    if M is None:
-        M = 2 * N
-    x = _TWO_PI * q * np.arange(M) / M
-    return field_from_values(func(x), q, N)
-
-
 def cosine_field(q: int, N: int, cos_coeffs: np.ndarray) -> PeriodicField:
     """Even real field from cosine coefficients d_j of cos(j x / q), j >= 0."""
     f = zero_field(q, N)
@@ -381,11 +374,3 @@ def load_field(path) -> PeriodicField:
         coef = raw[:, 0] + 1j * raw[:, 1]
         return PeriodicField(int(q), int(N), coef.copy(), real=bool(realness))
 
-
-def export_spectrum_csv(f: PeriodicField, path):
-    """CSV of the coefficient spectrum: columns n, xi, re, im, abs."""
-    with open(path, "w") as fh:
-        fh.write("n,xi,re,im,abs\n")
-        for n, xi, c in zip(f.modes(), f.xi(), f.coef):
-            fh.write(f"{n},{csv_float(xi)},{csv_float(c.real)},"
-                     f"{csv_float(c.imag)},{csv_float(abs(c))}\n")

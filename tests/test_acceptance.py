@@ -15,9 +15,9 @@ from modulon import (ModelSpec, SymbolSpec, TravelingWave,
                      zero_field)
 from modulon.bloch import (assemble_bloch, eigens, scan_bloch,
                            unstable_eigenfunction)
-from modulon.evolve import (build_approximate_solution,
-                            approximate_solution_residual, lift_wave,
-                            stable_dt, EvolutionState, _evolver_for, step)
+from modulon.evolve import (Evolver, advance, build_approximate_solution,
+                            approximate_solution_residual, field_rows,
+                            lift_wave, rows_field, stable_dt)
 from modulon.experiments import (run_localized, run_multiperiodic,
                                  threshold_sweep)
 from modulon.semigroup import (dual_propagator_norm, probe_growth,
@@ -292,11 +292,11 @@ def test_acceptance_14_conservation(bbm_acceptance, whitham_k2_model,
     base_dt = 0.04
 
     def final(dt):
-        st = EvolutionState(model, wave, u0.copy(), 0.0, dt)
-        ev = _evolver_for(st)
-        for _ in range(int(round(4.0 / dt))):
-            st = step(st, ev)
-        return st.field
+        ev = Evolver(model, wave.c, 1, N, dt)
+        n = int(round(4.0 / dt))
+        last = []
+        advance(ev, field_rows(u0, ev), n, n, lambda t, rows: last.append(rows))
+        return rows_field(1, N, last[-1], True)
 
     ref = final(base_dt / 8)
     ratio = l2_norm(final(base_dt) - ref) / l2_norm(final(base_dt / 2) - ref)

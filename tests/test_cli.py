@@ -58,6 +58,22 @@ def test_parse_config_out_of_range(tmp_path):
         parse_config(write_cfg(tmp_path, "[wave]\na = 0.5\n"))
 
 
+@pytest.mark.parametrize("command, text", [
+    ("evolve", "[evolve]\nsnap_every = 0\n"),
+    ("evolve", "[evolve]\nsnap_every = -3\n"),
+    ("experiment", "[experiment]\ndeltas = 1e-3,abc\n"),
+    ("experiment", "[experiment]\ndeltas = 1e-3,-1e-2\n"),
+    ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.0,,2.0\n"),
+], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
+        "delta_negative", "grid_empty_entry"])
+def test_malformed_config_value_is_usage_error(tmp_path, command, text):
+    path = write_cfg(tmp_path, text)
+    args = [command, path]
+    if command != "sweep":
+        args += ["--wave", str(tmp_path / "w")]
+    assert main(args) == EXIT_USAGE
+
+
 def test_usage_exit_code(tmp_path):
     path = write_cfg(tmp_path, "[wave]\nbogus = 1\n")
     assert main(["wave", path]) == EXIT_USAGE
@@ -134,6 +150,41 @@ def test_pipeline_wave_spectrum_verify_evolve(tmp_path, capsys):
                        "momentum_drift,energy_drift")
     last = rows[-1].split(",")
     assert abs(float(last[5])) < 1e-9     # equilibrium: tiny energy drift
+
+
+def test_evolve_rows_every_snap_every_steps_plus_last(tmp_path):
+    # 11 steps of 0.1 reach t_end = 1.05; rows after steps 0, 4, 8 and 11
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path) +
+                     "[evolve]\ndt = 0.1\nt_end = 1.05\nsnap_every = 4\n")
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    assert main(["evolve", path, "--wave", str(tmp_path / "w")]) == EXIT_OK
+    rows = (tmp_path / "evolve.csv").read_text().splitlines()[2:]
+    times = [float(r.split(",")[0]) for r in rows]
+    assert times == pytest.approx([0.0, 0.4, 0.8, 1.1], abs=1e-12)
+
+
+def test_evolve_blowup_is_numeric_failure(tmp_path):
+    # Whitham at kappa = 64: the nonlinear term dominates the dispersion, so
+    # dt = 1 (far above the CFL step) blows up between two observations
+    cfg = """\
+[model]
+symbol = whitham
+[wave]
+a = 0.1
+kappa = 64
+[numerics]
+N = 32
+[evolve]
+dt = 1.0
+t_end = 100
+snap_every = 10
+[output]
+dir = {out}
+""".format(out=tmp_path)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    code = main(["evolve", path, "--wave", str(tmp_path / "w")])
+    assert code == EXIT_NUMERIC
 
 
 def test_evolve_scans_with_configured_k_count(tmp_path, monkeypatch):

@@ -9,50 +9,53 @@ from modulon import (SymbolSpec, cosine_field, l2_norm, model_for_symbol,
                      zero_field, PeriodicField)
 from modulon.bloch import assemble_bloch, unstable_eigenfunction
 from modulon.errors import BlowupError, DomainError
-from modulon.evolve import (ConservedLedger, EvolutionState,
-                            Evolver, _evolver_for, _lift_eigenfunction,
-                            approximate_solution_residual,
+from modulon.evolve import (ConservedLedger, Evolver, _lift_eigenfunction,
+                            advance, approximate_solution_residual,
                             build_approximate_solution, conserved_quantities,
-                            lift_wave, linearized_step, orbital_distance,
-                            record_conserved, stable_dt, step)
+                            field_rows, lift_wave, orbital_distance,
+                            rows_field, stable_dt)
 from modulon.fields import hermitian_full
 
 TWO_PI = 2.0 * np.pi
 
 
-def make_state(model, wave, field, dt, linearized=False):
-    return EvolutionState(model, wave, field, 0.0, dt, linearized=linearized)
+def make_evolver(model, wave, field, dt, linearized=False):
+    prof = lift_wave(wave, field.q, field.N) if linearized else None
+    return Evolver(model, wave.c, field.q, field.N, dt, linearized=linearized,
+                   wave_profile=prof)
 
 
-def run_steps(state, n):
-    ev = _evolver_for(state)
-    for _ in range(n):
-        state = step(state, ev)
-    return state
+def run_steps(ev, field, n):
+    """Step ``field`` n times through ``advance``; returns (field, t)."""
+    last = []
+    advance(ev, field_rows(field, ev), n, n,
+            lambda t, rows: last.append((t, rows)))
+    t, rows = last[-1]
+    return rows_field(field.q, field.N, rows, field.real), t
 
 
 def test_zero_is_fixed_point(whitham_model, whitham_wave):
     z = zero_field(1, 64)
-    st = run_steps(make_state(whitham_model, whitham_wave, z, 0.01), 50)
-    assert l2_norm(st.field) == 0.0
+    f, _ = run_steps(make_evolver(whitham_model, whitham_wave, z, 0.01), z, 50)
+    assert l2_norm(f) == 0.0
 
 
 def test_wave_is_equilibrium(whitham_model, whitham_wave):
     uc = lift_wave(whitham_wave, 1, 64)
     dt = stable_dt(whitham_model, whitham_wave.c, 1, 64, u_inf=0.2)
-    st = make_state(whitham_model, whitham_wave, uc.copy(), dt)
+    ev = make_evolver(whitham_model, whitham_wave, uc, dt)
     n = int(np.ceil(10.0 / dt))
-    st = run_steps(st, n)
-    assert st.t >= 10.0
-    assert l2_norm(st.field - uc) < 1e-8
+    f, t = run_steps(ev, uc.copy(), n)
+    assert t >= 10.0
+    assert l2_norm(f - uc) < 1e-8
 
 
 def test_bbm_wave_is_equilibrium(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, 1, 64)
     dt = stable_dt(bbm2_model, bbm2_wave.c, 1, 64)
-    st = make_state(bbm2_model, bbm2_wave, uc.copy(), dt)
-    st = run_steps(st, int(np.ceil(10.0 / dt)))
-    assert l2_norm(st.field - uc) < 1e-8
+    ev = make_evolver(bbm2_model, bbm2_wave, uc, dt)
+    f, _ = run_steps(ev, uc.copy(), int(np.ceil(10.0 / dt)))
+    assert l2_norm(f - uc) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["whitham", "bbm2"])
@@ -68,8 +71,8 @@ def test_linearized_matches_matrix_exponential(name, request):
     c0 *= np.exp(-0.6 * np.abs(n))
     c0[0] = c0[-1] = 0.0
     f0 = PeriodicField(1, N, c0.copy(), real=False)
-    st = make_state(model, wave, f0, 0.002, linearized=True)
-    coef = run_steps(st, 500).field.coef
+    ev = make_evolver(model, wave, f0, 0.002, linearized=True)
+    coef = run_steps(ev, f0, 500)[0].coef
     exact = scipy.linalg.expm(1.0 * op.A_mat) @ c0
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
@@ -83,19 +86,19 @@ def test_linearized_eigenfunction_grows_exponentially(bbm2_model, bbm2_wave,
     w = _lift_eigenfunction(v, p, q, N_big)
     f0 = PeriodicField(q, N_big, w.copy(), real=False)
     dt = 0.01
-    st = make_state(bbm2_model, bbm2_wave, f0, dt, linearized=True)
+    ev = make_evolver(bbm2_model, bbm2_wave, f0, dt, linearized=True)
     t_end = 3.0
     n = int(round(t_end / dt))
-    coef = run_steps(st, n).field.coef
+    coef = run_steps(ev, f0, n)[0].coef
     exact = np.exp(lam * t_end) * w
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
 
 def test_linearized_zero(whitham_model, whitham_wave):
     z = zero_field(1, 64, real=False)
-    st = make_state(whitham_model, whitham_wave, z, 0.01, linearized=True)
-    st = linearized_step(st)
-    assert l2_norm(st.field) == 0.0
+    ev = make_evolver(whitham_model, whitham_wave, z, 0.01, linearized=True)
+    f, _ = run_steps(ev, z, 1)
+    assert l2_norm(f) == 0.0
 
 
 def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
@@ -109,15 +112,13 @@ def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, q, N_big)
     delta = 1e-6
     dt = 0.02
-    st = make_state(bbm2_model, bbm2_wave, uc + delta * u1, dt)
-    ev = _evolver_for(st)
+    u0 = uc + delta * u1
+    ev = make_evolver(bbm2_model, bbm2_wave, u0, dt)
     t_end = 5.0 / max(lam.real, 1e-3)
     t_end = min(t_end, 5.0 / lam.real)
     n = int(round(t_end / dt))
-    st2 = st
-    for _ in range(n):
-        st2 = step(st2, ev)
-    growth = np.log(l2_norm(st2.field - uc) / delta) / st2.t
+    f, t = run_steps(ev, u0, n)
+    growth = np.log(l2_norm(f - uc) / delta) / t
     assert growth == pytest.approx(lam.real, rel=0.01)
 
 
@@ -134,6 +135,21 @@ def test_conserved_examples_kdv():
     assert conserved_quantities(m, z, c=1.0) == (0.0, 0.0, 0.0)
 
 
+def record_run(model, wave, u0, dt, n_obs, per):
+    """Ledger of u0 and of n_obs observations every per steps."""
+    led = ConservedLedger()
+
+    def record(t, rows):
+        f = rows_field(u0.q, u0.N, rows, u0.real)
+        led.append(t, *conserved_quantities(model, f, wave.c))
+
+    ev = make_evolver(model, wave, u0, dt)
+    rows = field_rows(u0, ev)
+    record(0.0, rows)
+    advance(ev, rows, n_obs * per, per, record)
+    return led
+
+
 def test_conservation_over_perturbed_run(whitham_model, whitham_wave):
     N = 64
     uc = lift_wave(whitham_wave, 1, N)
@@ -141,14 +157,7 @@ def test_conservation_over_perturbed_run(whitham_model, whitham_wave):
     pert.set_mode(2, 0.005)
     pert.set_mode(-2, 0.005)
     dt = stable_dt(whitham_model, whitham_wave.c, 1, N, u_inf=0.2)
-    st = make_state(whitham_model, whitham_wave, uc + pert, dt)
-    ev = _evolver_for(st)
-    led = ConservedLedger()
-    record_conserved(led, st)
-    for _ in range(20):
-        for _ in range(25):
-            st = step(st, ev)
-        record_conserved(led, st)
+    led = record_run(whitham_model, whitham_wave, uc + pert, dt, 20, 25)
     assert np.max(np.abs(led.mass_drift())) < 1e-13
     assert np.max(np.abs(led.momentum_drift())) < 1e-8
     assert np.max(np.abs(led.energy_drift())) < 1e-8
@@ -160,14 +169,7 @@ def test_conservation_bbm_analogues(bbm2_model, bbm2_wave):
     pert = zero_field(1, N)
     pert.set_mode(1, 0.004)
     pert.set_mode(-1, 0.004)
-    st = make_state(bbm2_model, bbm2_wave, uc + pert, 0.05)
-    ev = _evolver_for(st)
-    led = ConservedLedger()
-    record_conserved(led, st)
-    for _ in range(20):
-        for _ in range(20):
-            st = step(st, ev)
-        record_conserved(led, st)
+    led = record_run(bbm2_model, bbm2_wave, uc + pert, 0.05, 20, 20)
     assert np.max(np.abs(led.mass_drift())) < 1e-13
     assert np.max(np.abs(led.momentum_drift())) < 1e-8
     assert np.max(np.abs(led.energy_drift())) < 1e-8
@@ -188,11 +190,8 @@ def test_dt_halving_fourth_order(family, whitham_model,
     base_dt = 0.1 if family == "bbm" else 0.05
 
     def final(dt):
-        st = make_state(model, wave, u0.copy(), dt)
-        ev = _evolver_for(st)
-        for _ in range(int(round(t_end / dt))):
-            st = step(st, ev)
-        return st.field
+        ev = make_evolver(model, wave, u0, dt)
+        return run_steps(ev, u0.copy(), int(round(t_end / dt)))[0]
 
     ref = final(base_dt / 8)
     e1 = l2_norm(final(base_dt) - ref)
@@ -207,11 +206,41 @@ def test_blowup_detected():
     w = TravelingWave(m, zero_field(1, 64), c=0.0, a_const=0.0,
                       amplitude=0.0, residual=0.0)
     big = cosine_field(1, 64, [0.0, 40.0])
-    st = make_state(m, w, big, 1.0)       # wildly unstable step size
+    ev = make_evolver(m, w, big, 1.0)     # wildly unstable step size
     with pytest.raises(BlowupError):
-        st2 = st
-        for _ in range(50):
-            st2 = step(st2)
+        advance(ev, field_rows(big, ev), 50, 1, lambda t, rows: None)
+
+
+def test_advance_observes_every_per_steps_and_at_the_end():
+    # a stand-in stepper that counts its steps in the state
+    ev = types.SimpleNamespace(dt=0.5, step_coef=lambda rows, t: rows + 1.0)
+    seen = []
+    advance(ev, np.zeros(1), 10, 4, lambda t, rows: seen.append((t, rows[0])))
+    assert seen == [(2.0, 4.0), (4.0, 8.0), (5.0, 10.0)]
+
+
+def test_advance_stops_when_observe_returns_true(whitham_model, whitham_wave):
+    uc = lift_wave(whitham_wave, 1, 64)
+    ev = make_evolver(whitham_model, whitham_wave, uc, 0.01)
+    calls = []
+    step_coef = ev.step_coef
+    ev.step_coef = lambda rows, t: calls.append(t) or step_coef(rows, t)
+    seen = []
+    advance(ev, field_rows(uc, ev), 20, 4,
+            lambda t, rows: seen.append(t) or len(seen) == 2)
+    assert len(seen) == 2
+    assert len(calls) == 8
+
+
+def test_advance_blowup_carries_observation_time():
+    # finite through step 5, non-finite from step 6 (t = 2.5) on
+    ev = types.SimpleNamespace(
+        dt=0.5, step_coef=lambda rows, t: rows + (np.inf if t >= 2.5 else 1.0))
+    seen = []
+    with pytest.raises(BlowupError) as err:
+        advance(ev, np.zeros(1), 10, 4, lambda t, rows: seen.append(t))
+    assert seen == [2.0]
+    assert err.value.last_time == 4.0
 
 
 class _C2CTransform:
@@ -281,16 +310,18 @@ def test_real_stepper_matches_c2c_reference(name, linearized, request):
     pert = random_real_field(N, seed=21, scale=0.005)
     u0 = pert if linearized else lift_wave(wave, 1, N) + pert
     dt = 0.05 if name == "bbm2" else stable_dt(model, wave.c, 1, N, u_inf=0.2)
-    st = run_steps(make_state(model, wave, u0, dt, linearized=linearized), 200)
+    ev = make_evolver(model, wave, u0, dt, linearized=linearized)
+    f, _ = run_steps(ev, u0, 200)
     ref = c2c_reference_steps(model, wave, N, dt, linearized, u0.coef, 200)
-    assert np.linalg.norm(st.field.coef - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(f.coef - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_stepped_field_is_exactly_real(whitham_model, whitham_wave):
     u0 = lift_wave(whitham_wave, 1, 64) + random_real_field(64, 22, 0.005)
-    st = run_steps(make_state(whitham_model, whitham_wave, u0, 0.01), 20)
-    assert st.field.real
-    assert st.field.hermitian_defect() == 0.0
+    ev = make_evolver(whitham_model, whitham_wave, u0, 0.01)
+    f, _ = run_steps(ev, u0, 20)
+    assert f.real
+    assert f.hermitian_defect() == 0.0
 
 
 def test_complex_linearized_step_splits_real_and_imaginary(whitham_model,
@@ -304,20 +335,19 @@ def test_complex_linearized_step_splits_real_and_imaginary(whitham_model,
     mirror = np.conj(f.coef[::-1])
     re = PeriodicField(1, N, 0.5 * (f.coef + mirror), real=True)
     im = PeriodicField(1, N, -0.5j * (f.coef - mirror), real=True)
-    ev = _evolver_for(make_state(whitham_model, whitham_wave, f, 0.01,
-                                 linearized=True))
-    out = linearized_step(make_state(whitham_model, whitham_wave, f, 0.01), ev)
-    parts = [linearized_step(make_state(whitham_model, whitham_wave, g, 0.01),
-                             ev).field.coef for g in (re, im)]
-    assert not out.field.real
-    assert np.array_equal(out.field.coef, parts[0] + 1j * parts[1])
+    ev = make_evolver(whitham_model, whitham_wave, f, 0.01, linearized=True)
+    out, _ = run_steps(ev, f, 1)
+    parts = [run_steps(ev, g, 1)[0].coef for g in (re, im)]
+    assert not out.real
+    assert np.array_equal(out.coef, parts[0] + 1j * parts[1])
 
 
 def test_nonlinear_step_rejects_complex_field(whitham_model, whitham_wave):
     f = lift_wave(whitham_wave, 1, 64)
     f.real = False
+    ev = make_evolver(whitham_model, whitham_wave, f, 0.01)
     with pytest.raises(DomainError):
-        step(make_state(whitham_model, whitham_wave, f, 0.01))
+        field_rows(f, ev)
 
 
 # -- orbital distance ---------------------------------------------------------------
@@ -394,6 +424,17 @@ def test_approx_residual_orders(bbm2_model, bbm2_wave, bbm_eigenpair):
             res[delta] = approximate_solution_residual(sol)[-1]
         ratios[order] = res[2e-3] / res[1e-3]
         assert lo <= ratios[order] <= hi, (order, ratios[order])
+
+
+def test_cascade_times_match_snapshot_grid(bbm2_model, bbm2_wave,
+                                          bbm_eigenpair):
+    lam, v = bbm_eigenpair
+    sol = build_approximate_solution(bbm2_model, bbm2_wave, lam, v, (1, 8),
+                                     delta=1e-3, n_order=2, t_end=1.0,
+                                     dt=0.03, n_snapshots=5)
+    assert len(sol.corrections) == 5
+    assert np.allclose(sol.times, np.linspace(0.0, 1.0, 5), rtol=0.0,
+                       atol=1e-14)
 
 
 def test_approx_rejects_bad_order(bbm2_model, bbm2_wave, bbm_eigenpair):

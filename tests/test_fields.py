@@ -3,10 +3,9 @@ import pytest
 
 from modulon import (PeriodicField, SymbolSpec, apply_multiplier,
                      bloch_decompose, cosine_field, dealiased_product,
-                     derivative, field_from_function, field_from_values, inner,
-                     l2_norm, load_field, midpoint_band_nodes, save_field,
-                     sobolev_norm, synthesize_packet, zero_field,
-                     export_spectrum_csv)
+                     derivative, field_from_values, inner, l2_norm, load_field,
+                     midpoint_band_nodes, save_field, sobolev_norm,
+                     synthesize_packet, zero_field)
 from modulon.errors import BadDataError, DomainError, GridMismatchError
 from modulon.fields import WavePacket, _lift_eigenfunction, hermitian_full
 
@@ -401,11 +400,3 @@ def test_lift_matches_mode_loop(p, q, N_big):
     ref[0] = ref[-1] = 0.0
     assert np.array_equal(_lift_eigenfunction(v, p, q, N_big), ref)
 
-
-def test_spectrum_csv(tmp_path):
-    f = random_field(1, 16, seed=16)
-    path = tmp_path / "spec.csv"
-    export_spectrum_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,xi,re,im,abs"
-    assert len(lines) == f.N + 2
