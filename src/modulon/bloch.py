@@ -29,7 +29,7 @@ import scipy.linalg
 from .errors import (BandFitError, DomainError, InsufficientDataError,
                      ModulonError, RationalApproximationError,
                      StructureViolationError)
-from .fields import PeriodicField, csv_float, l2_norm
+from .fields import PeriodicField, l2_norm, write_csv
 from .symbols import ModelSpec
 from .waves import TravelingWave, _df_fourier_coeffs, spectral_decay_diagnostic
 
@@ -49,13 +49,10 @@ class BlochOperator:
 
     k: float
     N: int
-    family: str
     xi: np.ndarray          # physical frequencies kappa*(n+k)
     D_diag: np.ndarray      # diagonal of the symplectic factor
     L_mat: np.ndarray       # Hermitian energy matrix
     A_mat: np.ndarray       # generator D L
-    model: ModelSpec | None = None
-    wave: TravelingWave | None = None
     _eigvals: np.ndarray | None = dc_field(default=None, init=False,
                                            repr=False, compare=False)
 
@@ -81,8 +78,7 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
     L = np.diag(model.energy_diag(xi, wave.c)[0]) + model.nl_sign * T
     D = model.j_symbol(xi)
     A = D[:, None] * L
-    return BlochOperator(k=float(k), N=N, family=model.family, xi=xi,
-                         D_diag=D, L_mat=L, A_mat=A, model=model, wave=wave)
+    return BlochOperator(k=float(k), N=N, xi=xi, D_diag=D, L_mat=L, A_mat=A)
 
 
 def bloch_eigvals(op: BlochOperator) -> np.ndarray:
@@ -402,14 +398,10 @@ def export_spectrum_dump(spectrum: BlochSpectrum, path, top: int = 20,
                          header: str = ""):
     """CSV rows k, re_lambda, im_lambda for the top eigenvalues by Re at each k,
     after an optional ``header`` line block."""
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write("k,re_lambda,im_lambda\n")
-        for k, ev in zip(spectrum.k_grid, spectrum.eigenvalues):
-            order = np.lexsort((-ev.imag, -ev.real))
-            for lam in ev[order][:top]:
-                fh.write(f"{csv_float(k)},{csv_float(lam.real)},"
-                         f"{csv_float(lam.imag)}\n")
+    rows = ((k, lam.real, lam.imag)
+            for k, ev in zip(spectrum.k_grid, spectrum.eigenvalues)
+            for lam in ev[np.lexsort((-ev.imag, -ev.real))][:top])
+    write_csv(path, header, ("k", "re_lambda", "im_lambda"), rows)
 
 
 def spectrum_summary(spectrum: BlochSpectrum, curve: GrowthCurve | None = None,

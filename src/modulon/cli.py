@@ -29,17 +29,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BadDataError, ConfigError, ModulonError
+from .errors import BadDataError, ConfigError, DomainError, ModulonError
 from .symbols import ModelSpec, NonlinearitySpec, model_for_symbol, parse_symbol
 from .waves import load_wave, refine_newton, save_wave, small_amplitude_wave
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
 from .evolve import lift_wave, stable_dt
-from .fields import csv_float
+from .fields import write_csv
 from .experiments import (eigenfunction_seed, export_run_csv, run_localized,
                           run_multiperiodic, threshold_sweep, _monitor_run,
-                          _pick_rational_k0)
+                          _pick_rational_k0, SWEEP_FAMILIES)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -134,13 +134,15 @@ def parse_config(path: str) -> RunConfig:
 
 
 def build_model(cfg: RunConfig) -> ModelSpec:
-    sym = parse_symbol(cfg.require("model", "symbol"))
-    nl = NonlinearitySpec(cfg.get("model", "nonlinearity", "quadratic"),
-                          p=cfg.get("model", "p", 2.0))
-    kappa = cfg.get("wave", "kappa")
-    if kappa is None:
-        kappa = cfg.get("wave", "m", 1.0)
-    return model_for_symbol(sym, nl, kappa=float(kappa))
+    """The ``[model]`` model; a value it cannot name is a ConfigError."""
+    kappa = cfg.get("wave", "kappa", cfg.get("wave", "m", 1.0))
+    try:
+        sym = parse_symbol(cfg.require("model", "symbol"))
+        nl = NonlinearitySpec(cfg.get("model", "nonlinearity", "quadratic"),
+                              p=cfg.get("model", "p", 2.0))
+        return model_for_symbol(sym, nl, kappa=float(kappa))
+    except DomainError as exc:
+        raise ConfigError(f"[model]: {exc}") from exc
 
 
 def out_dir(cfg: RunConfig) -> str:
@@ -226,26 +228,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     for s in (-1.0, 0.0, m_exp / 2.0):
         probe = probe_growth(op, s)
         slope = probe.log_slope()
-        for t, nrm in zip(probe.t_grid, probe.norms):
-            rows.append((k_probe, s, t, nrm))
+        rows.extend((k_probe, s, t, nrm)
+                    for t, nrm in zip(probe.t_grid, probe.norms))
         passed = sp.lambda0 - 0.05 <= slope <= sp.lambda0 + 0.05
         ok = ok and passed
         verdicts[f"slope_s{s:g}"] = slope
         verdicts[f"pass_s{s:g}"] = passed
-    dual = dual_propagator_norm(op, 1.0)
-    verdicts["dual_norm_t1"] = dual
+    verdicts["dual_norm_t1"] = dual_propagator_norm(op, 1.0)
     split = trichotomy_split(op)
     verdicts["trichotomy"] = {"dim_Eu": split.dim_Eu, "dim_Es": split.dim_Es,
                               "dim_Ec": split.dim_Ec,
                               "n_minus_L": split.n_minus_L}
     verdicts["pass"] = bool(ok)
     csv_path = os.path.join(d, args.name + ".csv")
-    with open(csv_path, "w") as fh:
-        fh.write(_csv_header(cfg))
-        fh.write("k,s,t,norm\n")
-        for k, s, t, nrm in rows:
-            fh.write(f"{csv_float(k)},{csv_float(s)},{csv_float(t)},"
-                     f"{csv_float(nrm)}\n")
+    write_csv(csv_path, _csv_header(cfg), ("k", "s", "t", "norm"), rows)
     _write_json(verdicts, os.path.join(d, args.name + ".json"), cfg)
     print(f"semigroup verdicts: pass = {ok} (lambda0 = {sp.lambda0:.3e})")
     return EXIT_OK if ok else EXIT_NUMERIC
@@ -267,7 +263,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
                                              cfg.get("numerics", "q_max", 8),
                                              N, N)
             u0 = lift_wave(wave, q, u1.N) + delta * u1
-    dt = cfg.get("evolve", "dt") or stable_dt(model, wave.c, u0.q, u0.N)
+    dt = cfg.get("evolve", "dt") or stable_dt(model, u0.q, u0.N)
     t_end = cfg.get("evolve", "t_end", 10.0)
     snap_every = cfg.get("evolve", "snap_every", 10)
     uc_big = lift_wave(wave, u0.q, u0.N)
@@ -276,13 +272,11 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     d = out_dir(cfg)
     csv_path = os.path.join(d, args.name + ".csv")
     ed = run.ledger.energy_drift()
-    with open(csv_path, "w") as fh:
-        fh.write(_csv_header(cfg))
-        fh.write("t,l2_perturbation,orbital_distance,mass_drift,"
-                 "momentum_drift,energy_drift\n")
-        for row in zip(run.times, run.pert_norm, run.orbital,
-                       run.ledger.mass_drift(), run.ledger.momentum_drift(), ed):
-            fh.write(",".join(csv_float(v) for v in row) + "\n")
+    write_csv(csv_path, _csv_header(cfg),
+              ("t", "l2_perturbation", "orbital_distance", "mass_drift",
+               "momentum_drift", "energy_drift"),
+              zip(run.times, run.pert_norm, run.orbital,
+                  run.ledger.mass_drift(), run.ledger.momentum_drift(), ed))
     print(f"evolved to t = {run.times[-1]:.4g}; max |energy drift| = "
           f"{float(np.max(np.abs(ed))):.2e} -> {csv_path}")
     return EXIT_OK
@@ -321,6 +315,9 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     family = cfg.require("sweep", "family")
+    if family not in SWEEP_FAMILIES:
+        raise ConfigError(f"[sweep] family = {family!r} is not one of "
+                          f"{', '.join(SWEEP_FAMILIES)}")
     grid = cfg.require("sweep", "grid")
     res = threshold_sweep(
         family, grid,

@@ -19,7 +19,8 @@ e^{2 Re lambda(k) t}), and the nonlinear phase measures escape in the plain
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .errors import (DomainError, DomainTooSmallError, ModulonError,
 from .evolve import (ConservedLedger, Evolver, advance, conserved_quantities,
                      field_rows, lift_wave, orbital_distance, rows_field,
                      stable_dt)
-from .fields import PeriodicField, csv_float, l2_norm, midpoint_band_nodes, \
-    synthesize_packet, _lift_eigenfunction
+from .fields import PeriodicField, l2_norm, midpoint_band_nodes, \
+    synthesize_packet, write_csv, _lift_eigenfunction
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
 from .waves import TravelingWave, refine_newton, resample, small_amplitude_wave, \
     model_to_dict
@@ -81,32 +82,19 @@ class ExperimentReport:
     passes: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "model": self.model,
-            "wave": self.wave,
-            "theta0": self.theta0,
-            "reference_rate": self.reference_rate,
-            "lambda0": self.lambda0,
-            "k0": self.k0,
-            "p": self.p,
-            "q": self.q,
-            "deltas": list(self.deltas),
-            "regression": self.regression,
-            "packet": self.packet,
-            "passes": self.passes,
-            "runs": [{
-                "delta": r.delta,
-                "escape_time": r.escape_time,
-                "escaped": r.escaped,
-                "growth_rate": r.growth_rate,
-                "growth_window": list(r.growth_window) if r.growth_window else None,
-                "mass_drift": r.mass_drift,
-                "momentum_drift": r.momentum_drift,
-                "energy_drift": r.energy_drift,
-                "flags": r.flags,
-            } for r in self.runs],
-        }
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        out["deltas"] = list(self.deltas)
+        out["runs"] = [{
+            "delta": r.delta,
+            "escape_time": r.escape_time,
+            "escaped": r.escaped,
+            "growth_rate": r.growth_rate,
+            "growth_window": list(r.growth_window) if r.growth_window else None,
+            "mass_drift": r.mass_drift,
+            "momentum_drift": r.momentum_drift,
+            "energy_drift": r.energy_drift,
+            "flags": r.flags,
+        } for r in self.runs]
         return out
 
 
@@ -153,18 +141,15 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     if theta0 == 0.0:
         escape_time = 0.0
 
-    times = np.array(times)
-    perts = np.array(perts)
-    orbs = np.array(orbs)
-    md = ledger.mass_drift()
-    pd = ledger.momentum_drift()
-    ed = ledger.energy_drift()
+    def peak(drift):
+        return float(np.max(np.abs(drift))) if len(drift) else 0.0
+
     return DeltaRun(
-        delta=np.nan, times=times, pert_norm=perts, orbital=orbs,
-        escape_time=escape_time, growth_rate=None, growth_window=None,
-        mass_drift=float(np.max(np.abs(md))) if len(md) else 0.0,
-        momentum_drift=float(np.max(np.abs(pd))) if len(pd) else 0.0,
-        energy_drift=float(np.max(np.abs(ed))) if len(ed) else 0.0,
+        delta=np.nan, times=np.array(times), pert_norm=np.array(perts),
+        orbital=np.array(orbs), escape_time=escape_time, growth_rate=None,
+        growth_window=None, mass_drift=peak(ledger.mass_drift()),
+        momentum_drift=peak(ledger.momentum_drift()),
+        energy_drift=peak(ledger.energy_drift()),
         escaped=escape_time is not None, ledger=ledger)
 
 
@@ -279,7 +264,7 @@ def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
         theta0 = DEFAULT_THETA_FRACTION * l2_norm(uc_big)
 
     if dt is None:
-        dt = stable_dt(model, wave.c, q, u1.N,
+        dt = stable_dt(model, q, u1.N,
                        u_inf=2.0 * max(abs(wave.amplitude), 0.05))
     if snap_dt is None:
         snap_dt = max(0.05 / rate, 20 * dt)
@@ -424,7 +409,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
         packet_width = 2.0 * np.pi / max(packet.width(), 1e-9)
 
     if dt is None:
-        dt = stable_dt(model, wave.c, Q, N_big,
+        dt = stable_dt(model, Q, N_big,
                        u_inf=2.0 * max(abs(wave.amplitude), 0.05))
     # frozen-coefficient dynamics has no transport CFL; only the bounded
     # coupling |i xi f'(u_c)| at the active (low) modes limits accuracy
@@ -510,14 +495,32 @@ class SweepResult:
         }
 
 
-def _sweep_model(family: str, value: float, m_exp: float) -> ModelSpec:
-    if family == "bbm":
-        return ModelSpec("bbm", SymbolSpec("bbm_linear"),
-                         NonlinearitySpec("quadratic"), kappa=value)
-    if family == "fractional":
-        return ModelSpec("kdv_type", SymbolSpec("fractional", m=m_exp),
-                         NonlinearitySpec("minus_power", p=value))
-    raise DomainError(f"unknown sweep family {family!r}")
+@dataclass(frozen=True)
+class SweepFamily:
+    """How one model family is swept: ``build(value, m_exp)`` is the model
+    at a swept value, the default mean level is b = ``b_per_a`` * a, and
+    ``full_scan`` adds a full Bloch scan to the low-k ladder.
+
+    Fractional sweeps use b = 5a, where the long-wave index is
+    non-degenerate (b = 0 degenerates f''(mean) for non-integer p).  Only
+    the bounded BBM operators keep a full scan above its round-off floor;
+    the kdv-family sideband index lives at k -> 0 anyway.
+    """
+
+    parameter: str
+    build: Callable[[float, float], ModelSpec]
+    b_per_a: float
+    full_scan: bool
+
+
+SWEEP_FAMILIES = {
+    "bbm": SweepFamily("m", lambda v, m_exp: ModelSpec(
+        "bbm", SymbolSpec("bbm_linear"), NonlinearitySpec("quadratic"),
+        kappa=v), 0.0, True),
+    "fractional": SweepFamily("p", lambda v, m_exp: ModelSpec(
+        "kdv_type", SymbolSpec("fractional", m=m_exp),
+        NonlinearitySpec("minus_power", p=v)), 5.0, False),
+}
 
 
 # long-wave onset bands shrink toward k = 0 faster than any affordable
@@ -526,16 +529,10 @@ _LOWK_LADDER = (5e-4, 1e-3, 2e-3, 3.5e-3, 5e-3, 7e-3, 1e-2, 1.5e-2,
                 2e-2, 3e-2, 4.5e-2)
 
 
-def _sweep_lambda0(family: str, value: float, m_exp: float, a: float,
-                   N: int, k_count: int, b: float = 0.0):
-    """Growth rate of the small-amplitude wave at one sweep point.
-
-    The fractional family uses the two-parameter (a, b) waves with a mean
-    level b, where the long-wave index from the three-wave interaction is
-    non-degenerate; b = 0 degenerates the quadratic coefficient f''(mean)
-    for non-integer powers.
-    """
-    model = _sweep_model(family, value, m_exp)
+def _sweep_lambda0(fam: SweepFamily, value: float, m_exp: float, a: float,
+                   N: int, k_count: int, b: float):
+    """Growth rate of the small-amplitude wave at one sweep point."""
+    model = fam.build(value, m_exp)
     seed = small_amplitude_wave(model, a=a, b=b, N=N)
     if b == 0.0:
         wave = refine_newton(model, seed, fix_amplitude=a,
@@ -546,11 +543,7 @@ def _sweep_lambda0(family: str, value: float, m_exp: float, a: float,
     for k in _LOWK_LADDER:
         vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
         lam0 = max(lam0, float(np.max(vals.real)))
-    if family == "bbm":
-        # BBM operators are bounded, so the full scan stays far above its
-        # round-off floor; the unbounded kdv-family scans accumulate
-        # near-defective collision noise at high k that would swamp the
-        # threshold, and the sideband index lives at k -> 0 anyway
+    if fam.full_scan:
         sp = scan_bloch(model, wave, k_count=k_count, N=N)
         lam0 = max(lam0, sp.lambda0)
     return lam0
@@ -562,24 +555,25 @@ def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
                     bisect_tol: float = 5e-3, max_bisect: int = 12,
                     b: float | None = None) -> SweepResult:
     """Mark grid points stable/unstable at small amplitude and bisect the
-    boundary in the swept parameter (m for bbm, p for fractional).
-
-    Fractional sweeps run on the two-parameter waves with mean b (default
-    b = 5a), where the long-wave interaction index is non-degenerate for
-    non-integer powers.
+    boundary in the swept parameter of ``SWEEP_FAMILIES[family]`` (m for
+    bbm, p for fractional).  The mean level b defaults to the family's
+    ``b_per_a`` times a.  An unknown family raises DomainError before any
+    point is solved.
     """
-    parameter = "m" if family == "bbm" else "p"
+    fam = SWEEP_FAMILIES.get(family)
+    if fam is None:
+        raise DomainError(f"unknown sweep family {family!r}")
     if b is None:
-        b = 5.0 * a if family == "fractional" else 0.0
-    points = []
-    for v in grid:
-        try:
-            lam0 = _sweep_lambda0(family, float(v), m_exp, a, N, k_count, b=b)
-            verdict = "unstable" if lam0 > threshold else "stable"
-        except ModulonError:
-            lam0, verdict = float("nan"), "indeterminate"
-        points.append((float(v), lam0, verdict))
+        b = fam.b_per_a * a
 
+    def classify(v):
+        try:
+            lam0 = _sweep_lambda0(fam, v, m_exp, a, N, k_count, b)
+        except ModulonError:
+            return float("nan"), "indeterminate"
+        return lam0, "unstable" if lam0 > threshold else "stable"
+
+    points = [(float(v), *classify(float(v))) for v in grid]
     bracket = None
     for (v1, _, s1), (v2, _, s2) in zip(points, points[1:]):
         if {s1, s2} == {"stable", "unstable"}:
@@ -593,20 +587,18 @@ def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
             if abs(hi - lo) <= bisect_tol:
                 break
             mid = 0.5 * (lo + hi)
-            try:
-                lam0 = _sweep_lambda0(family, mid, m_exp, a, N, k_count, b=b)
-                unstable = lam0 > threshold
-            except ModulonError:
-                history.append([mid, None, "indeterminate"])
+            lam0, verdict = classify(mid)
+            if verdict == "indeterminate":
+                history.append([mid, None, verdict])
                 break
-            history.append([mid, lam0, "unstable" if unstable else "stable"])
-            if unstable:
+            history.append([mid, lam0, verdict])
+            if verdict == "unstable":
                 hi = mid
             else:
                 lo = mid
         boundary = 0.5 * (lo + hi)
         bracket = (lo, hi)
-    return SweepResult(family=family, parameter=parameter, amplitude=a,
+    return SweepResult(family=family, parameter=fam.parameter, amplitude=a,
                        points=points, boundary=boundary, bracket=bracket,
                        history=history)
 
@@ -623,8 +615,5 @@ def export_run_csv(report: ExperimentReport, run: DeltaRun, path,
                    header: str = ""):
     """Per-run time series: t, l2_perturbation, orbital_distance, after an
     optional ``header`` line block."""
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write("t,l2_perturbation,orbital_distance\n")
-        for t, p, o in zip(run.times, run.pert_norm, run.orbital):
-            fh.write(f"{csv_float(t)},{csv_float(p)},{csv_float(o)}\n")
+    write_csv(path, header, ("t", "l2_perturbation", "orbital_distance"),
+              zip(run.times, run.pert_norm, run.orbital))

@@ -341,6 +341,16 @@ def csv_float(x) -> str:
     return repr(float(x))
 
 
+def write_csv(path, header: str, columns, rows):
+    """A CSV file: the ``header`` line block, the column-name line, then one
+    ``csv_float`` line per row."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(csv_float(v) for v in row) + "\n")
+
+
 def save_field(f: PeriodicField, path):
     """Binary snapshot: magic + (q, N, realness) as 8-byte LE ints + re/im f64."""
     with open(path, "wb") as fh:

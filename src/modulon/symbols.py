@@ -16,7 +16,8 @@ grid.  Removable singularities at xi = 0 are handled by series branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partialmethod
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class SymbolSpec:
             return f"frac:m={self.m:g}"
         if self.kind == "ilw":
             return f"ilw:H={self.H:g}"
-        return {"kdv": "kdv", "benjamin_ono": "bo",
-                "whitham": "whitham", "bbm_linear": "bbm"}[self.kind]
+        return next(k for k, v in _PLAIN_NAMES.items() if v == self.kind)
 
 
 @dataclass(frozen=True)
@@ -141,16 +141,25 @@ def positive_shift(spec: SymbolSpec, grid_max_xi: float, samples: int = 4097):
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Nonlinearity f(u) with derivatives and antiderivative F, F(0) = 0.
+    """Nonlinearity f(u) = sign u^p with derivatives and antiderivative F.
 
-    ``"quadratic"`` is an alias of ``"power"`` with p = 2 and is normalized
-    on construction.  Power forms with non-integer exponent use the even
-    extension u^p := |u|^p, matching the p = even/odd rational convention;
-    its antiderivative is the odd extension sign(u)|u|^(p+1)/(p+1).
+    ``"quadratic"`` is an alias of ``"power"`` with p = 2.  Construction
+    settles ``sign`` (-1 for ``"minus_power"``), ``degree`` (int(p) for a
+    polynomial f, None for non-integer p) and ``pad``, the transform padding
+    for products with f: a degree-p polynomial is alias-free on
+    max(2, ceil((p + 1)/2)) N points, and a non-integer power, which is not
+    band-limited, gets 4N.  The methods are one falling-factorial rule,
+    d^k/du^k u^p = p (p - 1) ... (p - k + 1) u^(p - k), with F (F(0) = 0)
+    the k = -1 case.  Non-integer powers use the even extension |u|^p
+    (the p = even/odd rational convention), so odd orders and F carry
+    sign(u).
     """
 
     form: str    # "power" | "minus_power"
     p: float = 2.0
+    sign: float = dc_field(init=False, repr=False, compare=False)
+    degree: int | None = dc_field(init=False, repr=False, compare=False)
+    pad: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.form == "quadratic":
@@ -160,55 +169,37 @@ class NonlinearitySpec:
             raise DomainError(f"unknown nonlinearity form {self.form!r}")
         if not self.p > 1:
             raise DomainError(f"power exponent must exceed 1, got {self.p}")
+        degree = int(self.p) if float(self.p).is_integer() else None
+        object.__setattr__(self, "sign", -1.0 if self.form == "minus_power" else 1.0)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "pad", 4.0 if degree is None
+                           else max(2.0, np.ceil((self.p + 1.0) / 2.0)))
 
-    @property
-    def _sign(self) -> float:
-        return -1.0 if self.form == "minus_power" else 1.0
-
-    @property
-    def _integer_p(self) -> bool:
-        return float(self.p).is_integer()
-
-    def _pow(self, u, q):
-        # even-extension power |u|^q; q may be negative at isolated zeros
-        with np.errstate(divide="ignore"):
-            return np.abs(u) ** q
-
-    def f(self, u):
+    def _power_rule(self, u, k: int):
+        """sign d^k/du^k u^p for k = 0 .. 3; k = -1 gives F."""
         u = np.asarray(u, dtype=float)
-        if self._integer_p:
-            return self._sign * u ** int(self.p)
-        return self._sign * self._pow(u, self.p)
-
-    def df(self, u):
-        u = np.asarray(u, dtype=float)
-        p = self.p
-        if self._integer_p:
-            return self._sign * p * u ** (int(p) - 1)
-        return self._sign * p * self._pow(u, p - 1.0) * np.sign(u)
-
-    def d2f(self, u):
-        u = np.asarray(u, dtype=float)
-        p = self.p
-        if self._integer_p:
-            return self._sign * p * (p - 1.0) * u ** (int(p) - 2)
-        return self._sign * p * (p - 1.0) * self._pow(u, p - 2.0)
-
-    def d3f(self, u):
-        u = np.asarray(u, dtype=float)
-        p = self.p
-        if int(self.p) < 3 and self._integer_p:
+        coef = self.sign
+        for j in range(k):
+            coef = coef * (self.p - j)
+        if self.degree is None:
+            # |u|^(p-k) is infinite at isolated zeros when k > p
+            with np.errstate(divide="ignore"):
+                out = np.abs(u) ** (self.p - k)
+        elif self.degree < k:
             return np.zeros_like(u)
-        if self._integer_p:
-            return self._sign * p * (p - 1.0) * (p - 2.0) * u ** (int(p) - 3)
-        return self._sign * p * (p - 1.0) * (p - 2.0) * self._pow(u, p - 3.0) * np.sign(u)
+        else:
+            out = u ** (self.degree - k)
+        if coef != 1.0:           # f runs 4 times per ETDRK4 step: no x1 pass
+            out = coef * out
+        if self.degree is None and k % 2:
+            out = out * np.sign(u)
+        return out / (self.p + 1.0) if k < 0 else out
 
-    def F(self, u):
-        u = np.asarray(u, dtype=float)
-        p = self.p
-        if self._integer_p:
-            return self._sign * u ** (int(p) + 1) / (p + 1.0)
-        return self._sign * np.sign(u) * self._pow(u, p + 1.0) / (p + 1.0)
+    f = partialmethod(_power_rule, k=0)
+    df = partialmethod(_power_rule, k=1)
+    d2f = partialmethod(_power_rule, k=2)
+    d3f = partialmethod(_power_rule, k=3)
+    F = partialmethod(_power_rule, k=-1)
 
 
 @dataclass(frozen=True)
@@ -258,32 +249,28 @@ class ModelSpec:
         return -1.0 if self.family == "bbm" else 1.0
 
 
+# config names of the symbol kinds; frac and ilw carry one parameter
+_PLAIN_NAMES = {"kdv": "kdv", "bo": "benjamin_ono", "whitham": "whitham",
+                "bbm": "bbm_linear"}
+_PARAM_NAMES = {"frac": ("fractional", "m"), "ilw": ("ilw", "H")}
+
+
 def parse_symbol(name: str) -> SymbolSpec:
     """Parse a config symbol name: kdv, bo, frac:m=1.5, whitham, ilw:H=1.0, bbm."""
     base, _, arg = name.strip().partition(":")
     base = base.lower()
+    if base in _PLAIN_NAMES:
+        return SymbolSpec(_PLAIN_NAMES[base])
+    if base not in _PARAM_NAMES:
+        raise DomainError(f"unknown symbol name {name!r}")
+    kind, param = _PARAM_NAMES[base]
+    key, _, val = arg.partition("=")
+    if key != param:
+        raise DomainError(f"{kind} symbol takes {param}=<value>, got {name!r}")
     try:
-        if base == "kdv":
-            return SymbolSpec("kdv")
-        if base == "bo":
-            return SymbolSpec("benjamin_ono")
-        if base == "whitham":
-            return SymbolSpec("whitham")
-        if base == "bbm":
-            return SymbolSpec("bbm_linear")
-        if base == "frac":
-            key, _, val = arg.partition("=")
-            if key != "m":
-                raise DomainError(f"fractional symbol takes m=<exponent>, got {name!r}")
-            return SymbolSpec("fractional", m=float(val))
-        if base == "ilw":
-            key, _, val = arg.partition("=")
-            if key != "H":
-                raise DomainError(f"ilw symbol takes H=<depth>, got {name!r}")
-            return SymbolSpec("ilw", H=float(val))
+        return SymbolSpec(kind, **{param: float(val)})
     except ValueError as exc:
         raise DomainError(f"bad numeric parameter in symbol name {name!r}") from exc
-    raise DomainError(f"unknown symbol name {name!r}")
 
 
 def catalog_symbols() -> list[SymbolSpec]:

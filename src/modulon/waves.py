@@ -47,18 +47,11 @@ class TravelingWave:
     newton_iterations: int = 0
 
 
-def _nonlinear_pad(nl: NonlinearitySpec) -> float:
-    p = nl.p
-    if float(p).is_integer():
-        return max(2.0, np.ceil((p + 1.0) / 2.0))
-    return 4.0   # non-polynomial: generous padding, aliasing not removable
-
-
 def steady_residual_field(model: ModelSpec, u: PeriodicField, c: float,
                           a_const: float) -> PeriodicField:
     """The steady equation evaluated at (u, c, a): zero for a traveling wave."""
     nl = model.nonlinearity
-    fu = pointwise_image(u, nl.f, pad=_nonlinear_pad(nl))
+    fu = pointwise_image(u, nl.f, pad=nl.pad)
     lin, _ = model.energy_diag(model.kappa * u.xi(), c)
     coef = lin * u.coef + model.nl_sign * fu.coef
     out = PeriodicField(u.q, u.N, coef, real=True)
@@ -77,7 +70,7 @@ def apply_energy_operator(model: ModelSpec, wave: TravelingWave,
                           v: PeriodicField, k: float = 0.0) -> PeriodicField:
     """Apply L_k = diag(energy_diag) + nl_sign f'(u_c) (see ``ModelSpec``) to v."""
     dfu = pointwise_image(wave.profile, model.nonlinearity.df,
-                          pad=_nonlinear_pad(model.nonlinearity))
+                          pad=model.nonlinearity.pad)
     dfu = resample(dfu, v.N)
     prod = dealiased_product(dfu, v)
     lin, _ = model.energy_diag(model.kappa * (v.xi() + k), wave.c)
@@ -183,7 +176,7 @@ def _df_fourier_coeffs(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray
     """Complex Fourier coefficients of f'(u) for modes -N..N."""
     big = resample(u, 2 * N + 4)
     w = pointwise_image(big, model.nonlinearity.df,
-                        pad=_nonlinear_pad(model.nonlinearity))
+                        pad=model.nonlinearity.pad)
     half = w.N // 2
     return w.coef[half - N:half + N + 1]
 

@@ -44,7 +44,8 @@ def _constant_wave(model, c=0.9, N=128):
 @pytest.fixture(scope="module")
 def bbm_acceptance(bbm2_model, bbm2_wave):
     """BBM m=2 a=0.05 spectrum at N=256 plus the escape-time experiment
-    (deltas over four decades), timed for criterion 11."""
+    (deltas over four decades), timed for criterion 11.  It takes over a
+    minute, so every test that uses it is marked slow."""
     t0 = time.time()
     sp = scan_bloch(bbm2_model, bbm2_wave, k_count=64, N=256)
     rep = run_multiperiodic(bbm2_model, bbm2_wave, sp,
@@ -113,6 +114,7 @@ def test_acceptance_04_fractional_threshold():
            f"{elapsed:.0f}s at N=256")
 
 
+@pytest.mark.slow
 def test_acceptance_05_bbm_threshold():
     res = threshold_sweep("bbm", [1.6, 1.9], a=0.02, N=128, k_count=64,
                           bisect_tol=5e-3)
@@ -214,6 +216,7 @@ def test_acceptance_09_riesz_projectors():
            "rank = enclosed count")
 
 
+@pytest.mark.slow
 def test_acceptance_10_nonlinear_growth_rates(bbm_acceptance):
     sp, rep, _ = bbm_acceptance
     rate = rep.reference_rate
@@ -228,6 +231,7 @@ def test_acceptance_10_nonlinear_growth_rates(bbm_acceptance):
             f"{rate:.4e} for deltas 1e-4, 1e-5, 1e-6")
 
 
+@pytest.mark.slow
 def test_acceptance_11_escape_time_scaling(bbm_acceptance):
     sp, rep, elapsed = bbm_acceptance
     reg = rep.regression
@@ -242,6 +246,7 @@ def test_acceptance_11_escape_time_scaling(bbm_acceptance):
             f"runtime {elapsed:.0f}s < 30 min")
 
 
+@pytest.mark.slow
 def test_acceptance_12_packet_law(whitham_k2_model, whitham_k2_wave,
                                   whitham_k2_spectrum, whitham_k2_curve):
     rep = run_localized(whitham_k2_model, whitham_k2_wave,
@@ -274,6 +279,7 @@ def test_acceptance_13_approximate_solution_orders(bbm2_model, bbm2_wave):
             f"(4 +- 10%), order 2 -> {ratios[2]:.2f} (8 +- 15%)")
 
 
+@pytest.mark.slow
 def test_acceptance_14_conservation(bbm_acceptance, whitham_k2_model,
                                     whitham_k2_wave):
     sp, rep, _ = bbm_acceptance

@@ -16,8 +16,7 @@ from modulon.errors import (BandFitError, DomainError, InsufficientDataError,
 
 def synthetic_op(A, L=None, D=None, k=0.0):
     n = A.shape[0]
-    return BlochOperator(k=k, N=n - 1, family="kdv_type",
-                         xi=np.arange(n, dtype=float),
+    return BlochOperator(k=k, N=n - 1, xi=np.arange(n, dtype=float),
                          D_diag=D if D is not None else np.ones(n),
                          L_mat=L if L is not None else np.eye(n),
                          A_mat=A)

@@ -64,14 +64,23 @@ def test_parse_config_out_of_range(tmp_path):
     ("experiment", "[experiment]\ndeltas = 1e-3,abc\n"),
     ("experiment", "[experiment]\ndeltas = 1e-3,-1e-2\n"),
     ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.0,,2.0\n"),
+    ("wave", "[model]\nsymbol = nonsense\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = kdv\nnonlinearity = cubicish\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = frac:m=0.5\n[wave]\na = 0.05\n"),
+    ("sweep", "[sweep]\nfamily = bogus\ngrid = 1.0,2.0\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
-        "delta_negative", "grid_empty_entry"])
-def test_malformed_config_value_is_usage_error(tmp_path, command, text):
+        "delta_negative", "grid_empty_entry", "unknown_symbol",
+        "unknown_nonlinearity", "symbol_parameter_out_of_domain",
+        "unknown_sweep_family"])
+def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
+                                               text):
+    monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))
     path = write_cfg(tmp_path, text)
     args = [command, path]
-    if command != "sweep":
+    if command not in ("sweep", "wave"):
         args += ["--wave", str(tmp_path / "w")]
     assert main(args) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()     # refused before any work
 
 
 def test_usage_exit_code(tmp_path):
@@ -268,6 +277,7 @@ dir = {out}
     assert sidecar["amplitude"] == 0.0
 
 
+@pytest.mark.slow
 def test_experiment_multiperiodic_through_cli(tmp_path):
     cfg_text = """\
 [model]
@@ -297,6 +307,7 @@ dir = {out}
     assert (tmp_path / "exp_delta0.csv").exists()
 
 
+@pytest.mark.slow
 def test_experiment_localized_kind(tmp_path):
     cfg_text = """\
 [model]

@@ -5,8 +5,8 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
-from modulon import (SymbolSpec, cosine_field, l2_norm, model_for_symbol,
-                     zero_field, PeriodicField)
+from modulon import (NonlinearitySpec, SymbolSpec, cosine_field, l2_norm,
+                     model_for_symbol, zero_field, PeriodicField)
 from modulon.bloch import assemble_bloch, unstable_eigenfunction
 from modulon.errors import BlowupError, DomainError
 from modulon.evolve import (ConservedLedger, Evolver, _lift_eigenfunction,
@@ -42,7 +42,7 @@ def test_zero_is_fixed_point(whitham_model, whitham_wave):
 
 def test_wave_is_equilibrium(whitham_model, whitham_wave):
     uc = lift_wave(whitham_wave, 1, 64)
-    dt = stable_dt(whitham_model, whitham_wave.c, 1, 64, u_inf=0.2)
+    dt = stable_dt(whitham_model, 1, 64, u_inf=0.2)
     ev = make_evolver(whitham_model, whitham_wave, uc, dt)
     n = int(np.ceil(10.0 / dt))
     f, t = run_steps(ev, uc.copy(), n)
@@ -52,10 +52,67 @@ def test_wave_is_equilibrium(whitham_model, whitham_wave):
 
 def test_bbm_wave_is_equilibrium(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, 1, 64)
-    dt = stable_dt(bbm2_model, bbm2_wave.c, 1, 64)
+    dt = stable_dt(bbm2_model, 1, 64)
     ev = make_evolver(bbm2_model, bbm2_wave, uc, dt)
     f, _ = run_steps(ev, uc.copy(), int(np.ceil(10.0 / dt)))
     assert l2_norm(f - uc) < 1e-8
+
+
+def _two_branch_stable_dt(model, c, q, N, u_inf=1.0):
+    """The family-branched step rule that the J-derived one replaced: a
+    linear-symbol bound for BBM, the nonlinear CFL (uncapped) for kdv."""
+    kap = model.kappa
+    xi = kap * np.arange(N // 2 + 1) / q
+    if model.family == "bbm":
+        mult = np.max(np.abs(xi * (c - 1.0 / (1.0 + xi ** 2))))
+        return min(8.0 * (0.5 / max(mult, 1e-12)), 0.1)
+    dx = TWO_PI * q / (2 * N)
+    dfmax = float(np.max(np.abs(model.nonlinearity.df(
+        np.array([-u_inf, u_inf, 1e-9])))))
+    return 0.2 * dx * kap ** -1 / max(dfmax, 1e-12)
+
+
+def test_stable_dt_is_the_kdv_cfl_capped_at_one_tenth():
+    models = [model_for_symbol(SymbolSpec(kind), nl, kappa=kap)
+              for kind in ("kdv", "whitham")
+              for nl in (None, NonlinearitySpec("minus_power", p=3.0),
+                         NonlinearitySpec("minus_power", p=2.5))
+              for kap in (0.5, 1.0, 2.0)]
+    same = capped = 0
+    for model in models:
+        for q in (1, 3, 8):
+            for n_per in (16, 48, 96, 256, 1024):
+                for u_inf in (0.1, 0.2, 1.0):
+                    old = _two_branch_stable_dt(model, 0.9, q, q * n_per, u_inf)
+                    new = stable_dt(model, q, q * n_per, u_inf)
+                    assert type(new) is float
+                    if old <= 0.1:
+                        assert new == old          # bitwise
+                        same += 1
+                    else:
+                        assert new == 0.1
+                        capped += 1
+    assert same and capped
+
+
+@pytest.mark.parametrize("q, n_per", [(1, 64), (1, 96), (3, 96), (5, 96),
+                                      (8, 96)])
+def test_stable_dt_bbm_traffic_sizes_keep_one_tenth(bbm2_model, bbm2_wave,
+                                                   q, n_per):
+    old = _two_branch_stable_dt(bbm2_model, bbm2_wave.c, q, q * n_per)
+    assert old == 0.1
+    assert stable_dt(bbm2_model, q, q * n_per) == 0.1
+    assert stable_dt(bbm2_model, q, q * n_per, u_inf=0.1) == 0.1
+
+
+def test_stable_dt_bbm_no_longer_shrinks_with_resolution():
+    # the old linear-symbol bound 4 / max|xi (c - 1/(1 + xi^2))| fell below
+    # 0.1 at high kappa N; ETDRK4 treats that part exactly
+    model = model_for_symbol(SymbolSpec("bbm_linear"), kappa=0.5)
+    c = 1.0 / (1.0 + 0.5 ** 2)
+    old = _two_branch_stable_dt(model, c, 1, 256)
+    assert 0.07 < old < 0.08
+    assert stable_dt(model, 1, 256) == 0.1
 
 
 @pytest.mark.parametrize("name", ["whitham", "bbm2"])
@@ -101,6 +158,7 @@ def test_linearized_zero(whitham_model, whitham_wave):
     assert l2_norm(f) == 0.0
 
 
+@pytest.mark.slow
 def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
     # delta = 1e-6 perturbation grows at Re lambda within 1% over t in [0, 5]
     p, q = 1, 8
@@ -156,7 +214,7 @@ def test_conservation_over_perturbed_run(whitham_model, whitham_wave):
     pert = zero_field(1, N)
     pert.set_mode(2, 0.005)
     pert.set_mode(-2, 0.005)
-    dt = stable_dt(whitham_model, whitham_wave.c, 1, N, u_inf=0.2)
+    dt = stable_dt(whitham_model, 1, N, u_inf=0.2)
     led = record_run(whitham_model, whitham_wave, uc + pert, dt, 20, 25)
     assert np.max(np.abs(led.mass_drift())) < 1e-13
     assert np.max(np.abs(led.momentum_drift())) < 1e-8
@@ -309,7 +367,7 @@ def test_real_stepper_matches_c2c_reference(name, linearized, request):
     N = 64
     pert = random_real_field(N, seed=21, scale=0.005)
     u0 = pert if linearized else lift_wave(wave, 1, N) + pert
-    dt = 0.05 if name == "bbm2" else stable_dt(model, wave.c, 1, N, u_inf=0.2)
+    dt = 0.05 if name == "bbm2" else stable_dt(model, 1, N, u_inf=0.2)
     ev = make_evolver(model, wave, u0, dt, linearized=linearized)
     f, _ = run_steps(ev, u0, 200)
     ref = c2c_reference_steps(model, wave, N, dt, linearized, u0.coef, 200)

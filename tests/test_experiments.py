@@ -15,11 +15,13 @@ from modulon.experiments import (_monitor_run, build_band_packet,
 @pytest.fixture(scope="module")
 def quick_multiperiodic(whitham_k2_model, whitham_k2_wave,
                         whitham_k2_spectrum):
+    """About 6 s of escape runs, so every test that uses it is marked slow."""
     return run_multiperiodic(whitham_k2_model, whitham_k2_wave,
                              whitham_k2_spectrum, deltas=[1e-3, 1e-4],
                              N_op=96, N_ev=48)
 
 
+@pytest.mark.slow
 def test_multiperiodic_rates_match_eigenvalue(quick_multiperiodic):
     rep = quick_multiperiodic
     for run in rep.runs:
@@ -27,6 +29,7 @@ def test_multiperiodic_rates_match_eigenvalue(quick_multiperiodic):
         assert run.growth_rate == pytest.approx(rep.reference_rate, rel=0.05)
 
 
+@pytest.mark.slow
 def test_multiperiodic_escape_monotone(quick_multiperiodic):
     ts = [r.escape_time for r in quick_multiperiodic.runs]
     assert all(t is not None for t in ts)
@@ -34,12 +37,14 @@ def test_multiperiodic_escape_monotone(quick_multiperiodic):
     assert quick_multiperiodic.passes["escape_monotone"]
 
 
+@pytest.mark.slow
 def test_multiperiodic_regression(quick_multiperiodic):
     reg = quick_multiperiodic.regression
     assert reg is not None
     assert abs(reg["slope_times_rate"] - 1.0) <= 0.1
 
 
+@pytest.mark.slow
 def test_multiperiodic_conservation(quick_multiperiodic):
     for run in quick_multiperiodic.runs:
         assert run.mass_drift < 1e-12
@@ -47,6 +52,7 @@ def test_multiperiodic_conservation(quick_multiperiodic):
         assert run.energy_drift < 1e-8
 
 
+@pytest.mark.slow
 def test_multiperiodic_rational_within_qmax(quick_multiperiodic):
     assert 1 <= quick_multiperiodic.q <= 8
     assert 0 < quick_multiperiodic.p / quick_multiperiodic.q < 1
@@ -75,6 +81,7 @@ def test_multiperiodic_requires_instability(whitham_model, whitham_wave):
         run_multiperiodic(whitham_model, whitham_wave, sp, deltas=[1e-3])
 
 
+@pytest.mark.slow
 def test_report_serialization(tmp_path, quick_multiperiodic):
     path = tmp_path / "rep.json"
     save_report(quick_multiperiodic, path)
@@ -137,6 +144,7 @@ def test_packet_domain_check_passes_short_horizon():
         packet_domain_check(pk, rates, 64, t_end=1e5)
 
 
+@pytest.mark.slow
 def test_theta0_doubling_shifts_escape_by_ln2_over_rate(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum):
     # doubling theta0 adds ~ln2 / Re lambda to every escape time
@@ -234,3 +242,14 @@ def test_sweep_serialization(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(obj))
     assert json.loads(path.read_text())["boundary"] == res.boundary
+
+
+def test_sweep_unknown_family_is_refused_before_any_point(monkeypatch):
+    import modulon.experiments as experiments
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a sweep point was solved")
+
+    monkeypatch.setattr(experiments, "_sweep_lambda0", solve)
+    with pytest.raises(DomainError, match="bogus"):
+        threshold_sweep("bogus", [1.0, 2.0])

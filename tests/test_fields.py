@@ -7,7 +7,8 @@ from modulon import (PeriodicField, SymbolSpec, apply_multiplier,
                      midpoint_band_nodes, save_field, sobolev_norm,
                      synthesize_packet, zero_field)
 from modulon.errors import BadDataError, DomainError, GridMismatchError
-from modulon.fields import WavePacket, _lift_eigenfunction, hermitian_full
+from modulon.fields import (WavePacket, _lift_eigenfunction, hermitian_full,
+                            write_csv)
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,3 +401,10 @@ def test_lift_matches_mode_loop(p, q, N_big):
     ref[0] = ref[-1] = 0.0
     assert np.array_equal(_lift_eigenfunction(v, p, q, N_big), ref)
 
+
+
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, "# header\n", ("a", "b"),
+              [(0.1, np.float64(2.0)), (1e-300, -3)])
+    assert path.read_text() == "# header\na,b\n0.1,2.0\n1e-300,-3.0\n"

@@ -20,9 +20,8 @@ def random_structured_op(n=16, seed=0, unstable=False):
         H = H @ H.T + 0.1 * np.eye(n)    # definite energy: purely imaginary spectrum
     D = 1j * np.diag(rng.standard_normal(n))
     A = D @ H
-    return BlochOperator(k=0.25, N=n - 1, family="kdv_type",
-                         xi=np.linspace(-2, 2, n), D_diag=np.diag(D),
-                         L_mat=H.astype(complex), A_mat=A)
+    return BlochOperator(k=0.25, N=n - 1, xi=np.linspace(-2, 2, n),
+                         D_diag=np.diag(D), L_mat=H.astype(complex), A_mat=A)
 
 
 def test_propagator_identity_at_t0(bbm2_model, bbm2_wave):

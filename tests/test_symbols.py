@@ -146,6 +146,75 @@ def test_even_extension_power():
     assert nl3.f(-2.0) == -nl3.f(2.0)       # integer powers stay literal
 
 
+class _BranchyNonlinearity:
+    """The per-method, per-case forms that the power rule replaced, kept as
+    a bitwise reference."""
+
+    def __init__(self, form, p):
+        self.p = p
+        self.sign = -1.0 if form == "minus_power" else 1.0
+        self.integer = float(p).is_integer()
+
+    def _pow(self, u, q):
+        with np.errstate(divide="ignore"):
+            return np.abs(u) ** q
+
+    def f(self, u):
+        if self.integer:
+            return self.sign * u ** int(self.p)
+        return self.sign * self._pow(u, self.p)
+
+    def df(self, u):
+        p = self.p
+        if self.integer:
+            return self.sign * p * u ** (int(p) - 1)
+        return self.sign * p * self._pow(u, p - 1.0) * np.sign(u)
+
+    def d2f(self, u):
+        p = self.p
+        if self.integer:
+            return self.sign * p * (p - 1.0) * u ** (int(p) - 2)
+        return self.sign * p * (p - 1.0) * self._pow(u, p - 2.0)
+
+    def d3f(self, u):
+        p = self.p
+        if int(p) < 3 and self.integer:
+            return np.zeros_like(u)
+        if self.integer:
+            return self.sign * p * (p - 1.0) * (p - 2.0) * u ** (int(p) - 3)
+        return (self.sign * p * (p - 1.0) * (p - 2.0) * self._pow(u, p - 3.0)
+                * np.sign(u))
+
+    def F(self, u):
+        p = self.p
+        if self.integer:
+            return self.sign * u ** (int(p) + 1) / (p + 1.0)
+        return self.sign * np.sign(u) * self._pow(u, p + 1.0) / (p + 1.0)
+
+
+@pytest.mark.parametrize("form", ["power", "minus_power"])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5, 7.0 / 3.0])
+def test_power_rule_matches_branchy_forms_bitwise(form, p):
+    u = np.array([0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 1.7, -2.9, 1e-9, -1e-9])
+    nl, ref = NonlinearitySpec(form, p=p), _BranchyNonlinearity(form, p)
+    for name in ("f", "df", "d2f", "d3f", "F"):
+        with np.errstate(invalid="ignore"):
+            got, want = getattr(nl, name)(u), getattr(ref, name)(u)
+        # non-integer d3f is 0 * inf = nan at u = 0 in both forms
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("p, degree, pad", [
+    (2.0, 2, 2.0), (3.0, 3, 2.0), (4.0, 4, 3.0), (5.0, 5, 3.0),
+    (2.5, None, 4.0), (7.0 / 3.0, None, 4.0)])
+def test_nonlinearity_degree_and_pad(p, degree, pad):
+    nl = NonlinearitySpec("minus_power", p=p)
+    assert (nl.sign, nl.degree, nl.pad) == (-1.0, degree, pad)
+    assert NonlinearitySpec("power", p=p).sign == 1.0
+    assert NonlinearitySpec("quadratic") == NonlinearitySpec("power", p=2.0)
+
+
 def test_model_family_pairing():
     with pytest.raises(DomainError):
         ModelSpec("bbm", SymbolSpec("kdv"), NonlinearitySpec("quadratic"))
