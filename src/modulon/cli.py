@@ -79,6 +79,9 @@ _RANGES = {
     ("evolve", "snap_every"): (1, 10 ** 9),
     ("experiment", "deltas"): (1e-300, 1e6),     # every delta > 0
     ("experiment", "theta0"): (0.0, 1e6),
+    ("sweep", "a"): (-0.1, 0.1),
+    ("sweep", "N"): (16, 1024),
+    ("sweep", "k_count"): (16, 4096),
 }
 
 
@@ -129,6 +132,8 @@ def parse_config(path: str) -> RunConfig:
             if rng is not None and not all(rng[0] <= v <= rng[1] for v in items):
                 raise ConfigError(
                     f"key [{section}] {key} = {val} outside [{rng[0]}, {rng[1]}]")
+            if key == "N" and val % 2:          # every truncation is even
+                raise ConfigError(f"key [{section}] {key} = {val} is not even")
             values[section][key] = val
     return RunConfig(values, text)
 

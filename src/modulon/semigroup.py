@@ -1,6 +1,7 @@
 """Semigroup growth verification on truncations: weighted propagator norms,
-the H^{-1}/H^{1} duality identity, Riesz spectral projections, and
-exponential-trichotomy dimension counts.
+the H^{-1}/H^{1} duality identity, Riesz spectral projections,
+exponential-trichotomy dimension counts, and the exact fiber-by-fiber flow
+of e^{tA} on a multi-period torus.
 
 Propagator norms are Sobolev-weighted spectral norms of the matrix
 exponential of a Bloch generator,
@@ -21,9 +22,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
-from .bloch import BlochOperator, bloch_eigvals, eigens
+from .bloch import BlochOperator, assemble_bloch, bloch_eigvals, eigens
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
+from .fields import PeriodicField, bloch_decompose
+from .symbols import ModelSpec
+from .waves import TravelingWave
 
 _LOG_OVERFLOW = 600.0   # cap on lambda0 * t before expm overflows
 DUALITY_TOL = 1e-8      # relative H^1/H^-1 duality defect allowed
@@ -31,7 +35,7 @@ RIESZ_QUAD_POINTS = 64  # starting trapezoidal nodes on the Riesz contour
 RIESZ_MAX_POINTS = 2048
 RIESZ_IDEM_TOL = 1e-8   # idempotence defect that ends the node doubling
 TRICHOTOMY_THRESHOLD = 1e-8   # |Re lambda| below this counts as center
-EIGBASIS_COND_CAP = 1e6       # skip the expm cross-check past this cond
+EIGBASIS_COND_CAP = 1e6       # eigenbasis cond past which e^{tA} avoids it
 
 
 def _weighted_norm(mat: np.ndarray, weights: np.ndarray) -> float:
@@ -193,3 +197,54 @@ def expm_cross_check(op: BlochOperator, t: float):
     rel = float(np.linalg.norm(E_pade - E_eig, 2) /
                 max(np.linalg.norm(E_pade, 2), 1e-300))
     return rel, cond
+
+
+def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
+                times) -> np.ndarray:
+    """L2 norms of e^{tA} u on T_{2 pi Q} at ``times``, fiber by fiber.
+
+    The generator linearized at u_c is block-diagonal over the Bloch fibers
+    k = r/Q of the torus: fiber r holds the modes n = Q m + r with
+    |n| < N/2 (the N/2 mode stays zero) and evolves under A(r/Q) truncated
+    to those m.  For a real u, fiber Q - r mirrors fiber r and has its norm,
+    so each occupied conjugate pair is solved once and counted twice, and a
+    self-conjugate fiber (k = 0 or 1/2) once.  A fiber is propagated as
+    V e^{t Lambda} V^{-1} u_r in its eigenbasis, or, when cond(V) exceeds
+    ``EIGBASIS_COND_CAP``, by chained expm over the spacings of ``times``
+    (one expm per distinct spacing).
+    """
+    if not u.real:
+        raise DomainError("fiber norms pair conjugate fibers; u must be real")
+    times = np.asarray(times, dtype=float)
+    spacings = np.diff(times, prepend=0.0)
+    if np.any(spacings < 0.0):
+        raise DomainError("times must be nondecreasing from t = 0")
+    Q, half = u.q, u.N // 2
+    N_f = 2 * -(-half // Q)          # the fiber grid |m| <= ceil(half / Q)
+    m = np.arange(-(N_f // 2), N_f // 2 + 1)
+    fibers = bloch_decompose(u, q=1)
+    sq = np.zeros(len(times))
+    for r in sorted({min(j, Q - j) for j, (_, f) in enumerate(fibers)
+                     if np.any(f.coef)}):
+        keep = np.abs(Q * m + r) < half
+        A = assemble_bloch(model, wave, r / Q, N_f).A_mat[np.ix_(keep, keep)]
+        f = fibers[r][1]
+        sq += (1 if 2 * r % Q == 0 else 2) * _fiber_sq_norms(
+            A, f.coef[m[keep] + f.N // 2], times, spacings)
+    return np.sqrt(2.0 * np.pi * Q * sq)
+
+
+def _fiber_sq_norms(A: np.ndarray, x: np.ndarray, times: np.ndarray,
+                    spacings: np.ndarray) -> np.ndarray:
+    """Squared coefficient norms of e^{tA} x at ``times``."""
+    vals, vecs = np.linalg.eig(A)
+    if np.linalg.cond(vecs) <= EIGBASIS_COND_CAP:
+        c = np.linalg.solve(vecs, x)
+        X = vecs @ (c[:, None] * np.exp(vals[:, None] * times[None, :]))
+        return np.sum(np.abs(X) ** 2, axis=0)
+    steps = {h: scipy.linalg.expm(h * A) for h in np.unique(spacings)}
+    out = np.empty(len(times))
+    for i, h in enumerate(spacings):
+        x = steps[h] @ x
+        out[i] = np.vdot(x, x).real
+    return out

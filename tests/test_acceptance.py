@@ -246,7 +246,6 @@ def test_acceptance_11_escape_time_scaling(bbm_acceptance):
             f"runtime {elapsed:.0f}s < 30 min")
 
 
-@pytest.mark.slow
 def test_acceptance_12_packet_law(whitham_k2_model, whitham_k2_wave,
                                   whitham_k2_spectrum, whitham_k2_curve):
     rep = run_localized(whitham_k2_model, whitham_k2_wave,

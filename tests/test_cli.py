@@ -68,10 +68,18 @@ def test_parse_config_out_of_range(tmp_path):
     ("wave", "[model]\nsymbol = kdv\nnonlinearity = cubicish\n[wave]\na = 0.05\n"),
     ("wave", "[model]\nsymbol = frac:m=0.5\n[wave]\na = 0.05\n"),
     ("sweep", "[sweep]\nfamily = bogus\ngrid = 1.0,2.0\n"),
+    ("wave", "[model]\nsymbol = bbm\n[wave]\nm = 2\na = 0.05\n"
+             "[numerics]\nN = 17\n"),
+    ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\nN = 65\n"),
+    ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\nN = 7\n"),
+    ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\na = 0.5\n"),
+    ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\nk_count = 8\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
         "delta_negative", "grid_empty_entry", "unknown_symbol",
         "unknown_nonlinearity", "symbol_parameter_out_of_domain",
-        "unknown_sweep_family"])
+        "unknown_sweep_family", "numerics_N_odd", "sweep_N_odd",
+        "sweep_N_out_of_range", "sweep_a_out_of_range",
+        "sweep_k_count_out_of_range"])
 def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
                                                text):
     monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))

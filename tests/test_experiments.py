@@ -194,7 +194,7 @@ def test_single_node_packet_reduces_to_multiperiodic_growth(
 
 @pytest.mark.parametrize("theta0", [1e3, 0.0])
 def test_monitor_run_raises_on_blowup(theta0):
-    # a wildly unstable step size; theta0 = 0 is the packet's linear phase
+    # a wildly unstable step size; theta0 = 0 is `modulon evolve`'s run
     m = model_for_symbol(SymbolSpec("kdv"))
     w = TravelingWave(m, zero_field(1, 64), c=0.0, a_const=0.0,
                       amplitude=0.0, residual=0.0)

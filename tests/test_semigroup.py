@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from modulon import SymbolSpec, model_for_symbol
+from modulon import SymbolSpec, model_for_symbol, semigroup
 from modulon.bloch import BlochOperator, assemble_bloch
 from modulon.errors import (ContourError, DomainError, PropagatorRangeError,
                             StructureViolationError)
+from modulon.evolve import Evolver, advance, field_rows, lift_wave, rows_field
+from modulon.experiments import build_band_packet
+from modulon.fields import (PeriodicField, l2_norm, midpoint_band_nodes,
+                            synthesize_packet)
 from modulon.semigroup import (dual_propagator_norm, expm_cross_check,
-                               probe_growth, propagator_norm,
+                               fiber_norms, probe_growth, propagator_norm,
                                riesz_projection, trichotomy_split)
 
 
@@ -210,3 +214,81 @@ def test_expm_cross_check(bbm2_model, bbm2_wave):
     rel, cond = expm_cross_check(op, 2.0)
     if rel is not None:
         assert rel < 1e-8
+
+
+# -- fiber propagation on a multi-period torus ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def whitham_packet(whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
+                   whitham_k2_curve):
+    """Unit-L2 Whitham kappa=2 band packet on T_{2 pi 16} (nodes 1/16, 2/16)."""
+    packet, _, _ = build_band_packet(whitham_k2_model, whitham_k2_wave,
+                                     whitham_k2_spectrum, whitham_k2_curve,
+                                     Q=16, N_op=48)
+    u = synthesize_packet(packet, 16)
+    return u * (1.0 / l2_norm(u))
+
+
+def k_half_field(Q=16):
+    """Unit-L2 real field on T_{2 pi Q} occupying the fibers k = 1/2 - 1/Q
+    and the self-conjugate k = 1/2 (and the mirror of the first)."""
+    packet = midpoint_band_nodes(0.5, 2, Q)
+    m = np.arange(-24, 25)
+    for j in (1, 2):
+        packet.profiles.append(PeriodicField(
+            1, 48, np.exp(-0.3 * np.abs(m) + 1j * j * m), real=False))
+    u = synthesize_packet(packet, Q)
+    return u * (1.0 / l2_norm(u))
+
+
+def stepped_norms(model, wave, u, dt, t_end, per):
+    """L2 norms of u under linearized ETDRK4, observed every ``per`` steps."""
+    ev = Evolver(model, wave.c, u.q, u.N, dt, linearized=True,
+                 wave_profile=lift_wave(wave, u.q, u.N))
+    times, norms = [], []
+
+    def observe(t, rows):
+        times.append(t)
+        norms.append(l2_norm(rows_field(u.q, u.N, rows, True)))
+
+    advance(ev, field_rows(u, ev), int(round(t_end / dt)), per, observe)
+    return np.array(times), np.array(norms)
+
+
+def test_fiber_norms_are_the_stepper_limit(whitham_k2_model, whitham_k2_wave,
+                                           whitham_packet):
+    # linearized ETDRK4 on the whole torus converges to the fiber
+    # propagator at fourth order (observed 3.9-4.0 at these steps)
+    u = whitham_packet
+    errs = []
+    for dt, per in ((0.25, 20), (0.125, 40)):
+        t, stepped = stepped_norms(whitham_k2_model, whitham_k2_wave, u, dt,
+                                   20.0, per)
+        exact = fiber_norms(whitham_k2_model, whitham_k2_wave, u, t)
+        errs.append(float(np.max(np.abs(stepped / exact - 1.0))))
+    assert np.log2(errs[0] / errs[1]) >= 3.5
+    at0 = fiber_norms(whitham_k2_model, whitham_k2_wave, u, [0.0])[0]
+    assert at0 == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["band_packet", "node_at_k_half"])
+def test_fiber_norms_expm_fallback_matches_eigenbasis(
+        case, monkeypatch, request, whitham_k2_model, whitham_k2_wave):
+    u = request.getfixturevalue("whitham_packet") if case == "band_packet" \
+        else k_half_field()
+    times = np.append(np.linspace(0.0, 20.0, 9), 21.0)
+    eig = fiber_norms(whitham_k2_model, whitham_k2_wave, u, times)
+    # counting each conjugate pair twice and k = 1/2 once keeps ||u||
+    assert eig[0] == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
+    monkeypatch.setattr(semigroup, "EIGBASIS_COND_CAP", 0.0)
+    chained = fiber_norms(whitham_k2_model, whitham_k2_wave, u, times)
+    np.testing.assert_allclose(chained, eig, rtol=1e-10, atol=0.0)
+
+
+def test_fiber_norms_rejects_bad_input(whitham_k2_model, whitham_k2_wave):
+    u = k_half_field()
+    with pytest.raises(DomainError):
+        fiber_norms(whitham_k2_model, whitham_k2_wave, u * 1j, [0.0, 1.0])
+    with pytest.raises(DomainError):
+        fiber_norms(whitham_k2_model, whitham_k2_wave, u, [1.0, 0.5])
