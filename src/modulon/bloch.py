@@ -43,8 +43,9 @@ _REAL_PATH_RTOL = 1e-14   # max |Re A| / max |A| for the real-arithmetic solve
 class BlochOperator:
     """Dense truncation of (J_k, L_k) for one Bloch parameter.
 
-    ``bloch_eigvals`` keeps the spectrum on the operator, so the matrices
-    are not changed once it has been computed.
+    ``bloch_eigvals`` keeps the spectrum on the operator, and the semigroup
+    probes keep their expm(h A) factors on it (keyed by h), so the matrices
+    are not changed once either has been computed.
     """
 
     k: float
@@ -55,6 +56,8 @@ class BlochOperator:
     A_mat: np.ndarray       # generator D L
     _eigvals: np.ndarray | None = dc_field(default=None, init=False,
                                            repr=False, compare=False)
+    _expm_steps: dict = dc_field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         return (1.0 + np.abs(self.xi) ** 2) ** (s / 2.0)

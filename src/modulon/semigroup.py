@@ -9,10 +9,14 @@ exponential of a Bloch generator,
     ||e^{tA}||_{H^s}  =  || W_s e^{tA} W_s^{-1} ||_2,
     W_s = diag((1 + |xi_n + k|^2)^{s/2}),
 
-computed by scaling-and-squaring (Pade order 13).  The adjoint identity
-(A = DL, L Hermitian, D skew) makes ||e^{tA}||_{H^{-1}} equal to the H^1
-norm of exp(t L D) exactly, up to round-off, for the real-symmetric L that
-even real waves produce.
+computed by scaling-and-squaring (Pade order 13).  ``propagator_norm`` and
+the dual propagator take one direct expm per time.  A growth probe takes its
+norms from one chain of propagators, e^{(t+h)A} = e^{hA} e^{tA}, with one
+expm per distinct spacing of its time grid; the factors are kept on the
+operator, so the probes of every s on one operator share them.  The adjoint
+identity (A = DL, L Hermitian, D skew) makes ||e^{tA}||_{H^{-1}} equal to the
+H^1 norm of exp(t L D) exactly, up to round-off, for the real-symmetric L
+that even real waves produce.
 """
 
 from __future__ import annotations
@@ -42,17 +46,40 @@ def _weighted_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.norm((weights[:, None] * mat) / weights[None, :], 2))
 
 
-def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
-    """H^s operator norm of e^{tA} on the truncation."""
-    if t < 0:
+def _check_range(op: BlochOperator, t_min: float, t_max: float) -> None:
+    """Refuse t < 0, and times past which e^{tA} overflows."""
+    if t_min < 0:
         raise DomainError("propagator norms are probed for t >= 0")
     # spectral abscissa; bloch_eigvals solves once per operator
-    growth = float(np.max(bloch_eigvals(op).real)) * t
+    growth = float(np.max(bloch_eigvals(op).real)) * t_max
     if growth > _LOG_OVERFLOW:
         raise PropagatorRangeError(
-            f"e^(t A) overflows at t = {t}; cap t near "
-            f"{_LOG_OVERFLOW / max(growth / t, 1e-30):.3g}",
-            t_cap=_LOG_OVERFLOW / max(growth / t, 1e-30))
+            f"e^(t A) overflows at t = {t_max}; cap t near "
+            f"{_LOG_OVERFLOW / max(growth / t_max, 1e-30):.3g}",
+            t_cap=_LOG_OVERFLOW / max(growth / t_max, 1e-30))
+
+
+def _expm_chain(A: np.ndarray, x: np.ndarray, times: np.ndarray,
+                steps: dict | None = None):
+    """Yield e^{t A} x for each of the nondecreasing ``times`` >= 0.
+
+    One expm per distinct spacing h of the times (from t = 0), kept in
+    ``steps`` (keyed by h), then x <- expm(h A) x along the grid.
+    """
+    spacings = np.diff(times, prepend=0.0)
+    if np.any(spacings < 0.0):
+        raise DomainError("times must be nondecreasing from t = 0")
+    steps = {} if steps is None else steps
+    for h in spacings:
+        if h not in steps:
+            steps[h] = scipy.linalg.expm(h * A)
+        x = steps[h] @ x
+        yield x
+
+
+def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
+    """H^s operator norm of e^{tA} on the truncation."""
+    _check_range(op, t, t)
     E = scipy.linalg.expm(t * op.A_mat)
     return _weighted_norm(E, op.sobolev_weights(s))
 
@@ -79,7 +106,7 @@ def dual_propagator_norm(op: BlochOperator, t: float,
 
 @dataclass
 class PropagatorProbe:
-    """Measured weighted norms of e^{tA} on a time grid."""
+    """Measured weighted norms of e^{tA} on a nondecreasing time grid."""
 
     op: BlochOperator
     t_grid: np.ndarray
@@ -87,12 +114,22 @@ class PropagatorProbe:
     norms: np.ndarray = dc_field(default=None)
 
     def run(self):
-        self.norms = np.array([propagator_norm(self.op, t, self.s)
-                               for t in self.t_grid])
+        """H^s norms along one propagator chain; the expm factors are kept
+        on the operator for the probes of other s."""
+        op, t = self.op, np.asarray(self.t_grid, dtype=float)
+        _check_range(op, np.min(t), np.max(t))
+        W = op.sobolev_weights(self.s)
+        I = np.eye(op.A_mat.shape[0], dtype=op.A_mat.dtype)
+        self.norms = np.array([_weighted_norm(E, W) for E in
+                               _expm_chain(op.A_mat, I, t, op._expm_steps)])
         return self
 
-    def log_slope(self, t_min: float = 5.0, t_max: float = 20.0) -> float:
-        """Least-squares slope of log norm over [t_min, t_max]."""
+    def log_slope(self, t_min: float | None = None,
+                  t_max: float | None = None) -> float:
+        """Least-squares slope of log norm over [t_min, t_max], by default
+        the whole time grid."""
+        t_min = self.t_grid[0] if t_min is None else t_min
+        t_max = self.t_grid[-1] if t_max is None else t_max
         mask = (self.t_grid >= t_min) & (self.t_grid <= t_max)
         if np.sum(mask) < 2:
             raise DomainError("need at least two samples in the slope window")
@@ -216,8 +253,7 @@ def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
     if not u.real:
         raise DomainError("fiber norms pair conjugate fibers; u must be real")
     times = np.asarray(times, dtype=float)
-    spacings = np.diff(times, prepend=0.0)
-    if np.any(spacings < 0.0):
+    if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise DomainError("times must be nondecreasing from t = 0")
     Q, half = u.q, u.N // 2
     N_f = 2 * -(-half // Q)          # the fiber grid |m| <= ceil(half / Q)
@@ -230,21 +266,16 @@ def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
         A = assemble_bloch(model, wave, r / Q, N_f).A_mat[np.ix_(keep, keep)]
         f = fibers[r][1]
         sq += (1 if 2 * r % Q == 0 else 2) * _fiber_sq_norms(
-            A, f.coef[m[keep] + f.N // 2], times, spacings)
+            A, f.coef[m[keep] + f.N // 2], times)
     return np.sqrt(2.0 * np.pi * Q * sq)
 
 
-def _fiber_sq_norms(A: np.ndarray, x: np.ndarray, times: np.ndarray,
-                    spacings: np.ndarray) -> np.ndarray:
+def _fiber_sq_norms(A: np.ndarray, x: np.ndarray,
+                    times: np.ndarray) -> np.ndarray:
     """Squared coefficient norms of e^{tA} x at ``times``."""
     vals, vecs = np.linalg.eig(A)
     if np.linalg.cond(vecs) <= EIGBASIS_COND_CAP:
         c = np.linalg.solve(vecs, x)
         X = vecs @ (c[:, None] * np.exp(vals[:, None] * times[None, :]))
         return np.sum(np.abs(X) ** 2, axis=0)
-    steps = {h: scipy.linalg.expm(h * A) for h in np.unique(spacings)}
-    out = np.empty(len(times))
-    for i, h in enumerate(spacings):
-        x = steps[h] @ x
-        out[i] = np.vdot(x, x).real
-    return out
+    return np.array([np.vdot(y, y).real for y in _expm_chain(A, x, times)])

@@ -228,6 +228,17 @@ def test_spectrum_determinism(tmp_path):
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
+def test_verify_determinism(tmp_path):
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    wave_base = str(tmp_path / "w")
+    assert main(["verify", path, "--wave", wave_base, "--name", "v1"]) == EXIT_OK
+    assert main(["verify", path, "--wave", wave_base, "--name", "v2"]) == EXIT_OK
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / ("v1" + ext)).read_bytes() ==
+                (tmp_path / ("v2" + ext)).read_bytes())
+
+
 def test_experiment_on_stable_wave_is_numeric_failure(tmp_path):
     cfg_text = """\
 [model]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modulon import SymbolSpec, model_for_symbol, semigroup
 from modulon.bloch import BlochOperator, assemble_bloch
@@ -9,9 +10,10 @@ from modulon.evolve import Evolver, advance, field_rows, lift_wave, rows_field
 from modulon.experiments import build_band_packet
 from modulon.fields import (PeriodicField, l2_norm, midpoint_band_nodes,
                             synthesize_packet)
-from modulon.semigroup import (dual_propagator_norm, expm_cross_check,
-                               fiber_norms, probe_growth, propagator_norm,
-                               riesz_projection, trichotomy_split)
+from modulon.semigroup import (PropagatorProbe, dual_propagator_norm,
+                               expm_cross_check, fiber_norms, probe_growth,
+                               propagator_norm, riesz_projection,
+                               trichotomy_split)
 
 
 def random_structured_op(n=16, seed=0, unstable=False):
@@ -75,6 +77,10 @@ def test_propagator_negative_time_rejected(bbm2_model, bbm2_wave):
     op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 32)
     with pytest.raises(DomainError):
         propagator_norm(op, -1.0)
+    # the probe's chain needs nondecreasing times from t = 0
+    for t_grid in ([-1.0, 0.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(DomainError):
+            PropagatorProbe(op, np.array(t_grid), 0.0).run()
 
 
 def test_propagator_overflow_guard():
@@ -83,6 +89,66 @@ def test_propagator_overflow_guard():
     with pytest.raises(PropagatorRangeError) as err:
         propagator_norm(op, 1e4)
     assert err.value.t_cap is not None
+    with pytest.raises(PropagatorRangeError) as err:
+        probe_growth(op, 0.0, t_max=1e4)
+    assert err.value.t_cap is not None
+
+
+def _relerr(a, b):
+    return np.max(np.abs(np.asarray(a) - b) / np.abs(b))
+
+
+@pytest.mark.parametrize("wave", ["bbm2", "whitham_k2"])
+def test_probe_chain_matches_direct_propagator_norm(request, wave):
+    # the per-t direct expm is the reference for the chained probe norms
+    model = request.getfixturevalue(wave + "_model")
+    k0 = request.getfixturevalue(wave + "_spectrum").k0
+    op = assemble_bloch(model, request.getfixturevalue(wave + "_wave"), k0,
+                        64 if wave == "bbm2" else 96)
+    for s in (-1.0, 0.0, 1.0):
+        probe = probe_growth(op, s)
+        direct = [propagator_norm(op, t, s) for t in probe.t_grid]
+        assert _relerr(probe.norms, direct) <= 1e-12
+    I = np.eye(op.A_mat.shape[0], dtype=complex)
+    *_, E = semigroup._expm_chain(op.A_mat, I, probe.t_grid, op._expm_steps)
+    E_direct = scipy.linalg.expm(probe.t_grid[-1] * op.A_mat)
+    assert (np.linalg.norm(E - E_direct, 2) <=
+            1e-12 * np.linalg.norm(E_direct, 2))
+
+
+def test_probes_share_two_exponentials_per_operator(bbm2_model, bbm2_wave,
+                                                   monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting_expm(M):
+        calls.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 32)
+    for s in (-1.0, 0.0, 1.0):
+        probe_growth(op, s)          # spacings {5, 1} on linspace(5, 20, 16)
+    assert len(calls) == 2
+
+
+def test_probe_nonuniform_grid_matches_direct(bbm2_model, bbm2_wave):
+    # five distinct spacings (0, 0.3, 0.7, 0.1, 2.9), one expm each
+    op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 32)
+    t_grid = np.array([0.0, 0.3, 1.0, 1.1, 4.0])
+    for s in (-1.0, 0.0, 1.0):
+        probe = PropagatorProbe(op, t_grid, s).run()
+        assert _relerr(probe.norms,
+                       [propagator_norm(op, t, s) for t in t_grid]) <= 1e-12
+
+
+def test_probe_log_slope_defaults_to_its_grid(bbm2_model, bbm2_wave):
+    op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 32)
+    probe = probe_growth(op, 0.0, t_min=0.0, t_max=2.0, samples=21)
+    fit = np.polyfit(probe.t_grid, np.log(probe.norms), 1)[0]
+    assert probe.log_slope() == fit
+    default = probe_growth(op, 0.0)
+    assert default.log_slope() == default.log_slope(5.0, 20.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
