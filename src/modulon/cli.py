@@ -55,7 +55,7 @@ def float_list(raw: str) -> list:
 _SCHEMA = {
     "model": {"symbol": str, "nonlinearity": str, "p": float},
     "wave": {"a": float, "b": float, "kappa": float, "m": float},
-    "numerics": {"N": int, "k_count": int, "Q": int, "q_max": int},
+    "numerics": {"N": int, "k_count": int, "q_max": int},
     "evolve": {"dt": float, "t_end": float, "snap_every": int,
                "delta": float},
     "experiment": {"kind": str, "deltas": float_list, "theta0": float,
@@ -72,13 +72,15 @@ _RANGES = {
     ("wave", "m"): (1e-6, 64.0),
     ("numerics", "N"): (16, 1024),
     ("numerics", "k_count"): (16, 4096),
-    ("numerics", "Q"): (2, 4096),
     ("numerics", "q_max"): (1, 64),
     ("evolve", "dt"): (1e-9, 10.0),
     ("evolve", "t_end"): (0.0, 1e9),
     ("evolve", "snap_every"): (1, 10 ** 9),
     ("experiment", "deltas"): (1e-300, 1e6),     # every delta > 0
     ("experiment", "theta0"): (0.0, 1e6),
+    ("experiment", "t_max"): (1e-300, 1e9),      # t_max > 0
+    ("experiment", "Q"): (2, 4096),
+    ("experiment", "n_nodes"): (1, 10 ** 9),
     ("sweep", "a"): (-0.1, 0.1),
     ("sweep", "N"): (16, 1024),
     ("sweep", "k_count"): (16, 4096),
@@ -295,18 +297,19 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     kind = cfg.get("experiment", "kind", "multiperiodic")
     deltas = cfg.get("experiment", "deltas", [1e-3, 1e-4, 1e-5])
     theta0 = cfg.get("experiment", "theta0")
+    t_max = cfg.get("experiment", "t_max")
     sp = scan_bloch(model, wave, k_count=k_count, N=N)
     d = out_dir(cfg)
     if kind == "multiperiodic":
         rep = run_multiperiodic(model, wave, sp, deltas, theta0=theta0,
                                 q_max=cfg.get("numerics", "q_max", 8),
-                                N_op=N)
+                                N_op=N, t_max=t_max)
     elif kind == "localized":
         curve = fit_band(sp)
         Q = cfg.get("experiment", "Q", 64)
         rep = run_localized(model, wave, sp, curve, Q, deltas, theta0=theta0,
                             n_nodes=cfg.get("experiment", "n_nodes"),
-                            N_op=N, enforce_envelope=False)
+                            N_op=N, t_max=t_max, enforce_envelope=False)
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     path = os.path.join(d, args.name + ".json")

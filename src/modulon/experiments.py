@@ -370,6 +370,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
                   spectrum: BlochSpectrum, curve: GrowthCurve, Q: int, deltas,
                   theta0: float | None = None, n_nodes: int | None = None,
                   N_op: int | None = None, dt: float | None = None,
+                  t_max: float | None = None,
                   enforce_envelope: bool = True) -> ExperimentReport:
     """Wave-packet instability: linear packet-law fit plus nonlinear escape.
 
@@ -378,7 +379,8 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     pair of fibers (chained expm where the eigenbasis is ill-conditioned).
     So the envelope-separation guard applies only to the nonlinear escape runs;
     ``enforce_envelope=False`` runs them anyway (accepting periodization
-    error) instead of raising with a suggested Q.
+    error) instead of raising with a suggested Q.  ``t_max`` caps each
+    escape run, as in ``run_multiperiodic``.
     """
     deltas = list(deltas)
     packet, rates, freqs = build_band_packet(model, wave, spectrum, curve, Q,
@@ -459,7 +461,7 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
 
     runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
                                     lambda0, dt, max(0.05 / lambda0, 20 * dt),
-                                    None, "plain")
+                                    t_max, "plain")
 
     report = ExperimentReport(
         kind="localized", model=model_to_dict(model),

@@ -74,12 +74,22 @@ def test_parse_config_out_of_range(tmp_path):
     ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\nN = 7\n"),
     ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\na = 0.5\n"),
     ("sweep", "[sweep]\nfamily = bbm\ngrid = 1.5,1.9\nk_count = 8\n"),
+    ("experiment", "[experiment]\nkind = localized\nQ = 0\n"),
+    ("experiment", "[experiment]\nkind = localized\nQ = 1\n"),
+    ("experiment", "[experiment]\nkind = localized\nQ = -4\n"),
+    ("experiment", "[experiment]\nkind = localized\nn_nodes = 0\n"),
+    ("experiment", "[experiment]\nkind = localized\nn_nodes = -3\n"),
+    ("experiment", "[experiment]\nt_max = 0\n"),
+    ("experiment", "[experiment]\nt_max = -5\n"),
+    ("experiment", "[numerics]\nQ = 64\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
         "delta_negative", "grid_empty_entry", "unknown_symbol",
         "unknown_nonlinearity", "symbol_parameter_out_of_domain",
         "unknown_sweep_family", "numerics_N_odd", "sweep_N_odd",
         "sweep_N_out_of_range", "sweep_a_out_of_range",
-        "sweep_k_count_out_of_range"])
+        "sweep_k_count_out_of_range", "experiment_Q_zero", "experiment_Q_one",
+        "experiment_Q_negative", "n_nodes_zero", "n_nodes_negative",
+        "t_max_zero", "t_max_negative", "numerics_Q_unknown"])
 def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
                                                text):
     monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))
@@ -258,6 +268,34 @@ dir = {out}
     assert main(["wave", path, "--name", "w15"]) == EXIT_OK
     code = main(["experiment", path, "--wave", str(tmp_path / "w15")])
     assert code == EXIT_NUMERIC
+
+
+def test_experiment_t_max_caps_the_run(tmp_path):
+    # without the cap this run escapes near t = 388
+    cfg_text = """\
+[model]
+symbol = bbm
+[wave]
+m = 2
+a = 0.05
+[numerics]
+N = 32
+k_count = 32
+[experiment]
+deltas = 1e-2
+t_max = 5
+[output]
+dir = {out}
+""".format(out=tmp_path)
+    path = write_cfg(tmp_path, cfg_text)
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    assert main(["experiment", path, "--wave", str(tmp_path / "w"),
+                 "--name", "exp"]) == EXIT_OK
+    run = json.loads((tmp_path / "exp.json").read_text())["runs"][0]
+    assert run["escaped"] is False
+    rows = (tmp_path / "exp_delta0.csv").read_text().splitlines()[2:]
+    # the BBM stable_dt is its cap, 0.1
+    assert float(rows[-1].split(",")[0]) <= 5.0 + 0.1 + 1e-12
 
 
 def test_env_override_output(tmp_path, monkeypatch):

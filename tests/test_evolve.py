@@ -9,8 +9,9 @@ from modulon import (NonlinearitySpec, SymbolSpec, cosine_field, l2_norm,
                      model_for_symbol, zero_field, PeriodicField)
 from modulon.bloch import assemble_bloch, unstable_eigenfunction
 from modulon.errors import BlowupError, DomainError
-from modulon.evolve import (ConservedLedger, Evolver, _lift_eigenfunction,
-                            advance, approximate_solution_residual,
+from modulon.evolve import (ConservedLedger, Evolver, _Transform,
+                            _lift_eigenfunction, advance,
+                            approximate_solution_residual,
                             build_approximate_solution, conserved_quantities,
                             field_rows, lift_wave, orbital_distance,
                             rows_field, stable_dt)
@@ -356,6 +357,68 @@ def random_real_field(N, seed, scale):
     half *= scale * np.exp(-0.3 * np.arange(N // 2 + 1))
     half[0] = half[0].real
     return PeriodicField(1, N, hermitian_full(half), real=True)
+
+
+# the escape runs' transform (q = 8, N = 768: M = 1536), and two odd lengths:
+# a quadratic f at N = 38 (M = 77) and a non-integer power at N = 26 (M = 105)
+TRANSFORM_CASES = [
+    ("bbm_linear", NonlinearitySpec("quadratic"), 2.0, 8, 768, 1536),
+    ("kdv", NonlinearitySpec("quadratic"), 1.0, 1, 38, 77),
+    ("kdv", NonlinearitySpec("power", p=2.5), 1.0, 1, 26, 105),
+]
+
+
+def scipy_values(half, M):
+    return scipy.fft.irfft(half, n=M, axis=-1, norm="forward")
+
+
+def scipy_coef(vals, N):
+    out = scipy.fft.rfft(vals, axis=-1, norm="forward")[..., :N // 2 + 1]
+    out[..., -1] = 0.0
+    return out
+
+
+def random_half(shape, N, seed):
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(shape + (N // 2 + 1,)) \
+        + 1j * rng.standard_normal(shape + (N // 2 + 1,))
+    return 0.01 * half * np.exp(-0.05 * np.arange(N // 2 + 1))
+
+
+@pytest.mark.parametrize("sym, nl, kappa, q, N, M", TRANSFORM_CASES)
+def test_direct_transforms_equal_scipy_fft(sym, nl, kappa, q, N, M):
+    # the stepper calls SciPy's pocketfft kernels directly; a SciPy release
+    # that moves them or changes what they compute fails here
+    tr = _Transform(q, N, nl.pad)
+    assert tr.M == M
+    for seed, shape in enumerate([(), (3,), (2, 2), ()]):
+        half = random_half(shape, N, seed)
+        vals = tr.values(half)
+        assert np.array_equal(vals, scipy_values(half, M))
+        assert np.array_equal(tr.coef(vals * vals), scipy_coef(vals * vals, N))
+
+
+@pytest.mark.parametrize("sym, nl, kappa, q, N, M", TRANSFORM_CASES)
+def test_step_equals_scipy_fft_reference_step(sym, nl, kappa, q, N, M):
+    model = model_for_symbol(SymbolSpec(sym), nl, kappa=kappa)
+    ev = Evolver(model, 0.3, q, N, 0.05)
+    assert ev.tr.M == M
+
+    def nonlinear(half):
+        vals = scipy_values(half, M)
+        return ev.push * scipy_coef(model.nonlinearity.f(vals), N)
+
+    for shape in [(), (2,)]:
+        u = random_half(shape, N, 7)
+        n0 = nonlinear(u)
+        a = ev.E2 * u + ev.Q * n0
+        na = nonlinear(a)
+        b = ev.E2 * u + ev.Q * na
+        nb = nonlinear(b)
+        cst = ev.E2 * a + ev.Q * (2.0 * nb - n0)
+        nc = nonlinear(cst)
+        ref = ev.E * u + ev.f1 * n0 + 2.0 * ev.f2 * (na + nb) + ev.f3 * nc
+        assert np.array_equal(ev.step_coef(u, 0.0), ref)
 
 
 @pytest.mark.parametrize("name, linearized", [("bbm2", False),
