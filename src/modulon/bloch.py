@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
+from ._blas import serial
 from .errors import (BandFitError, DomainError, InsufficientDataError,
                      ModulonError, RationalApproximationError,
                      StructureViolationError)
@@ -164,50 +165,52 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
     then a small uniform fill around the global maximum for band fitting."""
     if k_count < 16:
         raise DomainError("k_count must be at least 16")
-    samples = {}
+    with serial(N + 1):
+        samples = {}
 
-    def r_of(k):
-        if k not in samples:
-            samples[k] = bloch_eigvals(assemble_bloch(model, wave, k, N))
-        return float(np.max(samples[k].real))
+        def r_of(k):
+            if k not in samples:
+                samples[k] = bloch_eigvals(assemble_bloch(model, wave, k, N))
+            return float(np.max(samples[k].real))
 
-    grid = list(np.linspace(0.0, 1.0, k_count))
-    rvals = [r_of(k) for k in grid]
-    # local maxima on the uniform grid (interior only); refine anything that
-    # could plausibly clear the instability threshold at its true peak
-    refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
-    maxima = [i for i in range(1, len(grid) - 1)
-              if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
-              and rvals[i] > refine_floor]
-    for i in maxima:
-        a, b, c = grid[i - 1], grid[i], grid[i + 1]
-        for _ in range(3):   # trisection rounds
-            m1 = 0.5 * (a + b)
-            m2 = 0.5 * (b + c)
-            trio = [(r_of(x), x) for x in (m1, b, m2)]
-            _, best = max(trio)
-            if best == m1:
-                c = b
-            elif best == m2:
-                a = b
-            else:
-                a, c = m1, m2
-            b = best
+        grid = list(np.linspace(0.0, 1.0, k_count))
+        rvals = [r_of(k) for k in grid]
+        # local maxima on the uniform grid (interior only); refine anything
+        # that could plausibly clear the instability threshold at its peak
+        refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
+        maxima = [i for i in range(1, len(grid) - 1)
+                  if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
+                  and rvals[i] > refine_floor]
+        for i in maxima:
+            a, b, c = grid[i - 1], grid[i], grid[i + 1]
+            for _ in range(3):   # trisection rounds
+                m1 = 0.5 * (a + b)
+                m2 = 0.5 * (b + c)
+                trio = [(r_of(x), x) for x in (m1, b, m2)]
+                _, best = max(trio)
+                if best == m1:
+                    c = b
+                elif best == m2:
+                    a = b
+                else:
+                    a, c = m1, m2
+                b = best
 
-    _, _, k0, lambda0 = _peak(samples)
-    if lambda0 > UNSTABLE_THRESHOLD:
-        spacing = 1.0 / (k_count - 1)
-        w = 1.5 * spacing
-        for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w), FIT_FILL):
-            r_of(float(kk))
+        _, _, k0, lambda0 = _peak(samples)
+        if lambda0 > UNSTABLE_THRESHOLD:
+            spacing = 1.0 / (k_count - 1)
+            w = 1.5 * spacing
+            for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w),
+                                  FIT_FILL):
+                r_of(float(kk))
 
-    all_k, rs, k0, lambda0 = _peak(samples)
-    bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
-    return BlochSpectrum(k_grid=all_k,
-                         eigenvalues=[samples[k] for k in all_k],
-                         lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
-                         threshold=UNSTABLE_THRESHOLD,
-                         grid_spacing=1.0 / (k_count - 1))
+        all_k, rs, k0, lambda0 = _peak(samples)
+        bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
+        return BlochSpectrum(k_grid=all_k,
+                             eigenvalues=[samples[k] for k in all_k],
+                             lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
+                             threshold=UNSTABLE_THRESHOLD,
+                             grid_spacing=1.0 / (k_count - 1))
 
 
 def _peak(samples: dict):
@@ -369,29 +372,30 @@ def unstable_eigenfunction(model: ModelSpec, wave: TravelingWave, k: float,
     """
     if N is None:
         N = wave.profile.N
-    op = assemble_bloch(model, wave, k, N)
-    vals, vecs = eigens(op)
-    lam = vals[0]
-    if lam.real <= UNSTABLE_THRESHOLD:
-        raise DomainError(f"k = {k} is not inside an unstable band "
-                          f"(top Re lambda = {lam.real:.3e})")
-    v = vecs[:, 0]
-    f = PeriodicField(1, N, v.copy(), real=False)
-    nrm = l2_norm(f)
-    f = f * (1.0 / nrm)
-    v = v / np.linalg.norm(v)
-    pairing = complex(np.vdot(v, op.L_mat @ v))   # <L v, v> per unit L2 mass
-    l_norm = float(np.max(np.abs(np.linalg.eigvalsh(op.L_mat))))
-    if abs(pairing) > 1e-6 * l_norm:
-        raise StructureViolationError(
-            f"<L_k v, v> = {abs(pairing):.3e} exceeds 1e-6 * ||L|| = "
-            f"{1e-6 * l_norm:.3e} at k = {k}")
-    slope = spectral_decay_diagnostic(f)
-    if slope > -0.05:
-        raise StructureViolationError(
-            f"unstable eigenfunction coefficients decay too slowly "
-            f"(slope {slope:.3f}) at k = {k}")
-    return complex(lam), f
+    with serial(N + 1):
+        op = assemble_bloch(model, wave, k, N)
+        vals, vecs = eigens(op)
+        lam = vals[0]
+        if lam.real <= UNSTABLE_THRESHOLD:
+            raise DomainError(f"k = {k} is not inside an unstable band "
+                              f"(top Re lambda = {lam.real:.3e})")
+        v = vecs[:, 0]
+        f = PeriodicField(1, N, v.copy(), real=False)
+        nrm = l2_norm(f)
+        f = f * (1.0 / nrm)
+        v = v / np.linalg.norm(v)
+        pairing = complex(np.vdot(v, op.L_mat @ v))  # <L v, v> per unit mass
+        l_norm = float(np.max(np.abs(np.linalg.eigvalsh(op.L_mat))))
+        if abs(pairing) > 1e-6 * l_norm:
+            raise StructureViolationError(
+                f"<L_k v, v> = {abs(pairing):.3e} exceeds 1e-6 * ||L|| = "
+                f"{1e-6 * l_norm:.3e} at k = {k}")
+        slope = spectral_decay_diagnostic(f)
+        if slope > -0.05:
+            raise StructureViolationError(
+                f"unstable eigenfunction coefficients decay too slowly "
+                f"(slope {slope:.3f}) at k = {k}")
+        return complex(lam), f
 
 
 # -- persistence ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
+from ._blas import serial
 from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     fit_band, rational_k0, scan_bloch, unstable_eigenfunction,
                     UNSTABLE_THRESHOLD)
@@ -539,18 +540,19 @@ def _sweep_lambda0(fam: SweepFamily, value: float, m_exp: float, a: float,
     """Growth rate of the small-amplitude wave at one sweep point."""
     model = fam.build(value, m_exp)
     seed = small_amplitude_wave(model, a=a, b=b, N=N)
-    if b == 0.0:
-        wave = refine_newton(model, seed, fix_amplitude=a,
-                             fix_a_const=seed.a_const)
-    else:
-        wave = refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
-    lam0 = 0.0
-    for k in _LOWK_LADDER:
-        vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
-        lam0 = max(lam0, float(np.max(vals.real)))
-    if fam.full_scan:
-        sp = scan_bloch(model, wave, k_count=k_count, N=N)
-        lam0 = max(lam0, sp.lambda0)
+    with serial(N + 1):
+        if b == 0.0:
+            wave = refine_newton(model, seed, fix_amplitude=a,
+                                 fix_a_const=seed.a_const)
+        else:
+            wave = refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
+        lam0 = 0.0
+        for k in _LOWK_LADDER:
+            vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
+            lam0 = max(lam0, float(np.max(vals.real)))
+        if fam.full_scan:
+            sp = scan_bloch(model, wave, k_count=k_count, N=N)
+            lam0 = max(lam0, sp.lambda0)
     return lam0
 
 

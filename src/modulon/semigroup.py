@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
+from ._blas import serial
 from .bloch import BlochOperator, assemble_bloch, bloch_eigvals, eigens
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
@@ -79,9 +80,10 @@ def _expm_chain(A: np.ndarray, x: np.ndarray, times: np.ndarray,
 
 def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
     """H^s operator norm of e^{tA} on the truncation."""
-    _check_range(op, t, t)
-    E = scipy.linalg.expm(t * op.A_mat)
-    return _weighted_norm(E, op.sobolev_weights(s))
+    with serial(op.A_mat.shape[0]):
+        _check_range(op, t, t)
+        E = scipy.linalg.expm(t * op.A_mat)
+        return _weighted_norm(E, op.sobolev_weights(s))
 
 
 def dual_propagator_norm(op: BlochOperator, t: float,
@@ -93,14 +95,16 @@ def dual_propagator_norm(op: BlochOperator, t: float,
     """
     if t < 0:
         raise DomainError("propagator norms are probed for t >= 0")
-    LD = op.L_mat @ np.diag(op.D_diag)
-    E = scipy.linalg.expm(t * LD)
-    nrm = _weighted_norm(E, op.sobolev_weights(1.0))
-    if check:
-        direct = propagator_norm(op, t, s=-1.0)
-        if abs(nrm - direct) > DUALITY_TOL * max(1.0, abs(direct)):
-            raise StructureViolationError(
-                f"H^1/H^-1 duality defect {abs(nrm - direct):.3e} at t = {t}")
+    with serial(op.A_mat.shape[0]):
+        LD = op.L_mat @ np.diag(op.D_diag)
+        E = scipy.linalg.expm(t * LD)
+        nrm = _weighted_norm(E, op.sobolev_weights(1.0))
+        if check:
+            direct = propagator_norm(op, t, s=-1.0)
+            if abs(nrm - direct) > DUALITY_TOL * max(1.0, abs(direct)):
+                raise StructureViolationError(
+                    f"H^1/H^-1 duality defect {abs(nrm - direct):.3e} "
+                    f"at t = {t}")
     return nrm
 
 
@@ -117,11 +121,14 @@ class PropagatorProbe:
         """H^s norms along one propagator chain; the expm factors are kept
         on the operator for the probes of other s."""
         op, t = self.op, np.asarray(self.t_grid, dtype=float)
-        _check_range(op, np.min(t), np.max(t))
-        W = op.sobolev_weights(self.s)
-        I = np.eye(op.A_mat.shape[0], dtype=op.A_mat.dtype)
-        self.norms = np.array([_weighted_norm(E, W) for E in
-                               _expm_chain(op.A_mat, I, t, op._expm_steps)])
+        n = op.A_mat.shape[0]
+        with serial(n):
+            _check_range(op, np.min(t), np.max(t))
+            W = op.sobolev_weights(self.s)
+            I = np.eye(n, dtype=op.A_mat.dtype)
+            self.norms = np.array([_weighted_norm(E, W) for E in
+                                   _expm_chain(op.A_mat, I, t,
+                                               op._expm_steps)])
         return self
 
     def log_slope(self, t_min: float | None = None,
@@ -151,36 +158,38 @@ def riesz_projection(M: np.ndarray, center: complex,
     the idempotence defect drops below ``RIESZ_IDEM_TOL``.  The contour must
     keep clear of the spectrum (distance > radius/100).
     """
-    vals = np.linalg.eigvals(M)
-    dist = np.abs(np.abs(vals - center) - radius)
-    if np.min(dist) <= radius / 100.0:
-        raise ContourError(
-            f"eigenvalue within {np.min(dist):.3e} of the contour "
-            f"(center {center}, radius {radius}); move the circle")
-    n_enclosed = int(np.sum(np.abs(vals - center) < radius))
-    I = np.eye(M.shape[0], dtype=complex)
-    n = RIESZ_QUAD_POINTS
-    while True:
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        z = center + radius * np.exp(1j * theta)
-        P = np.zeros_like(I)
-        for zj in z:
-            P += np.linalg.solve(zj * I - M, I) * np.exp(1j * np.angle(zj - center))
-        P *= radius / n
-        defect = np.linalg.norm(P @ P - P, 2)
-        if defect < RIESZ_IDEM_TOL:
-            break
-        n *= 2
-        if n > RIESZ_MAX_POINTS:
+    with serial(M.shape[0]):
+        vals = np.linalg.eigvals(M)
+        dist = np.abs(np.abs(vals - center) - radius)
+        if np.min(dist) <= radius / 100.0:
             raise ContourError(
-                f"projector defect {defect:.2e} did not reach {RIESZ_IDEM_TOL:g} "
-                f"with {RIESZ_MAX_POINTS} quadrature points")
-    rank = int(round(np.trace(P).real))
-    if rank != n_enclosed:
-        raise ContourError(
-            f"projector rank {rank} disagrees with enclosed eigenvalue "
-            f"count {n_enclosed}")
-    return P
+                f"eigenvalue within {np.min(dist):.3e} of the contour "
+                f"(center {center}, radius {radius}); move the circle")
+        n_enclosed = int(np.sum(np.abs(vals - center) < radius))
+        I = np.eye(M.shape[0], dtype=complex)
+        n = RIESZ_QUAD_POINTS
+        while True:
+            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+            z = center + radius * np.exp(1j * theta)
+            P = np.zeros_like(I)
+            for zj in z:
+                P += np.linalg.solve(zj * I - M, I) \
+                    * np.exp(1j * np.angle(zj - center))
+            P *= radius / n
+            defect = np.linalg.norm(P @ P - P, 2)
+            if defect < RIESZ_IDEM_TOL:
+                break
+            n *= 2
+            if n > RIESZ_MAX_POINTS:
+                raise ContourError(
+                    f"projector defect {defect:.2e} did not reach "
+                    f"{RIESZ_IDEM_TOL:g} with {RIESZ_MAX_POINTS} quadrature points")
+        rank = int(round(np.trace(P).real))
+        if rank != n_enclosed:
+            raise ContourError(
+                f"projector rank {rank} disagrees with enclosed eigenvalue "
+                f"count {n_enclosed}")
+        return P
 
 
 @dataclass
@@ -197,15 +206,16 @@ def trichotomy_split(op: BlochOperator, strict: bool = True) -> TrichotomySplit:
     Asserts dim E^u = dim E^s <= n^-(L); a violation signals a truncation
     too coarse to respect the Hamiltonian structure.
     """
-    herm_defect = np.linalg.norm(op.L_mat - op.L_mat.conj().T, np.inf)
-    if herm_defect > 1e-12 * max(1.0, np.linalg.norm(op.L_mat, np.inf)):
-        raise StructureViolationError(
-            f"L matrix not Hermitian (defect {herm_defect:.2e})")
-    vals = bloch_eigvals(op)
+    with serial(op.A_mat.shape[0]):
+        herm_defect = np.linalg.norm(op.L_mat - op.L_mat.conj().T, np.inf)
+        if herm_defect > 1e-12 * max(1.0, np.linalg.norm(op.L_mat, np.inf)):
+            raise StructureViolationError(
+                f"L matrix not Hermitian (defect {herm_defect:.2e})")
+        vals = bloch_eigvals(op)
+        n_minus = int(np.sum(np.linalg.eigvalsh(op.L_mat) < -1e-10))
     dim_u = int(np.sum(vals.real > TRICHOTOMY_THRESHOLD))
     dim_s = int(np.sum(vals.real < -TRICHOTOMY_THRESHOLD))
     dim_c = len(vals) - dim_u - dim_s
-    n_minus = int(np.sum(np.linalg.eigvalsh(op.L_mat) < -1e-10))
     split = TrichotomySplit(dim_u, dim_s, dim_c, n_minus)
     if strict:
         if dim_u != dim_s:
@@ -258,15 +268,17 @@ def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
     Q, half = u.q, u.N // 2
     N_f = 2 * -(-half // Q)          # the fiber grid |m| <= ceil(half / Q)
     m = np.arange(-(N_f // 2), N_f // 2 + 1)
-    fibers = bloch_decompose(u, q=1)
-    sq = np.zeros(len(times))
-    for r in sorted({min(j, Q - j) for j, (_, f) in enumerate(fibers)
-                     if np.any(f.coef)}):
-        keep = np.abs(Q * m + r) < half
-        A = assemble_bloch(model, wave, r / Q, N_f).A_mat[np.ix_(keep, keep)]
-        f = fibers[r][1]
-        sq += (1 if 2 * r % Q == 0 else 2) * _fiber_sq_norms(
-            A, f.coef[m[keep] + f.N // 2], times)
+    with serial(N_f + 1):
+        fibers = bloch_decompose(u, q=1)
+        sq = np.zeros(len(times))
+        for r in sorted({min(j, Q - j) for j, (_, f) in enumerate(fibers)
+                         if np.any(f.coef)}):
+            keep = np.abs(Q * m + r) < half
+            A = assemble_bloch(model, wave, r / Q,
+                               N_f).A_mat[np.ix_(keep, keep)]
+            f = fibers[r][1]
+            sq += (1 if 2 * r % Q == 0 else 2) * _fiber_sq_norms(
+                A, f.coef[m[keep] + f.N // 2], times)
     return np.sqrt(2.0 * np.pi * Q * sq)
 
 

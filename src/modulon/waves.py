@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._blas import serial
 from .errors import (BadDataError, ContinuationStallError,
                      DegenerateJacobianError, DivergenceError, DomainError,
                      InsufficientDataError)
@@ -276,7 +277,8 @@ def refine_newton(model: ModelSpec, guess: TravelingWave,
             M[J + 2, J + 2] = 1.0
             rhs[J + 2] = a_target - a_const
         try:
-            dx = np.linalg.solve(M, rhs)
+            with serial(n_unknown):
+                dx = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateJacobianError(
                 f"singular bordered Jacobian at iteration {it}") from exc

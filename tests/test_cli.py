@@ -392,3 +392,38 @@ dir = {out}
     assert obj["packet"]["Q"] == 64
     assert abs(obj["packet"]["lambda_fit"] - obj["lambda0"]) \
         <= 0.05 * obj["lambda0"]
+
+
+def _run_cli_pipeline(tmp_path, threads):
+    """wave, spectrum and verify in a fresh interpreter started with
+    ``OPENBLAS_NUM_THREADS=threads``; returns the artifacts by file name."""
+    import os
+    import subprocess
+    import sys
+
+    import modulon
+
+    src = os.path.dirname(os.path.dirname(modulon.__file__))
+    cfg = write_cfg(tmp_path, BASE_CFG.format(out="."))
+    out = tmp_path / f"t{threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               MODULON_OUT=str(out),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    wave = str(out / "w")
+    for argv in (["wave", cfg, "--name", "w"],
+                 ["spectrum", cfg, "--wave", wave, "--name", "s"],
+                 ["verify", cfg, "--wave", wave, "--name", "v"]):
+        subprocess.run([sys.executable, "-m", "modulon.cli", *argv], env=env,
+                       check=True, capture_output=True, timeout=300)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.slow
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    one = _run_cli_pipeline(tmp_path, 1)
+    two = _run_cli_pipeline(tmp_path, 2)
+    assert sorted(one) == ["s.csv", "s.json", "v.csv", "v.json", "w.fld",
+                           "w.json"]
+    for name in one:
+        assert one[name] == two[name], name
