@@ -85,35 +85,50 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
     return BlochOperator(k=float(k), N=N, xi=xi, D_diag=D, L_mat=L, A_mat=A)
 
 
-def bloch_eigvals(op: BlochOperator) -> np.ndarray:
-    """Eigenvalues of A, computed once per operator and kept on it.
+def _dense_eig(A: np.ndarray, vectors: bool):
+    """Eigenvalues of A and, with ``vectors``, its right eigenvectors as
+    complex columns (else None).
 
-    When A is imaginary to round-off it equals i Im(A) = i S L_k, and the
-    spectrum is i eig(Im A) in real arithmetic; otherwise the complex
-    eigenvalues of A.
+    When A is imaginary to round-off (max |Re A| <= ``_REAL_PATH_RTOL``
+    max |A|) it equals i Im(A), and the solve is eig(Im A) = (mu, V) in real
+    arithmetic: lambda = i mu with the same eigenvectors, a spectrum closed
+    under lambda -> -conj(lambda) exactly, and 2.5-3x less work with
+    vectors.  Otherwise A is solved in complex arithmetic.
     """
-    if op._eigvals is None:
-        A = op.A_mat
-        if np.max(np.abs(A.real)) <= _REAL_PATH_RTOL * np.max(np.abs(A)):
-            mu = np.linalg.eigvals(A.imag)
-            vals = np.empty(mu.shape, dtype=complex)
-            vals.real = 0.0 - mu.imag    # i mu, with no negative zeros
-            vals.imag = mu.real
+    if np.max(np.abs(A.real)) <= _REAL_PATH_RTOL * np.max(np.abs(A)):
+        if vectors:
+            mu, vecs = np.linalg.eig(A.imag)
+            vecs = vecs.astype(complex, copy=False)
         else:
-            vals = scipy.linalg.eigvals(A)
+            mu, vecs = np.linalg.eigvals(A.imag), None
+        vals = np.empty(mu.shape, dtype=complex)
+        vals.real = 0.0 - mu.imag    # i mu, with no negative zeros
+        vals.imag = mu.real
+        return vals, vecs
+    if vectors:
+        return scipy.linalg.eig(A)
+    return scipy.linalg.eigvals(A), None
+
+
+def bloch_eigvals(op: BlochOperator) -> np.ndarray:
+    """Eigenvalues of A, computed once per operator and kept on it; real
+    arithmetic when A is imaginary (``_dense_eig``)."""
+    if op._eigvals is None:
+        vals, _ = _dense_eig(op.A_mat, vectors=False)
         vals.flags.writeable = False    # shared by every later caller
         op._eigvals = vals
     return op._eigvals
 
 
 def eigens(op: BlochOperator, check_residual: bool = True):
-    """Full dense eigensolve; pairs sorted by decreasing real part.
+    """Full dense eigensolve (``_dense_eig``, so in real arithmetic when A
+    is imaginary); pairs sorted by decreasing real part.
 
     Eigenvector phases are fixed by rotating the largest-magnitude entry to
     the positive real axis, so output files are reproducible.
     """
     try:
-        vals, vecs = scipy.linalg.eig(op.A_mat)
+        vals, vecs = _dense_eig(op.A_mat, vectors=True)
     except Exception as exc:
         cond = np.linalg.cond(op.A_mat)
         raise ModulonError(

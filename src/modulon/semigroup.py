@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import serial
-from .bloch import BlochOperator, assemble_bloch, bloch_eigvals, eigens
+from .bloch import BlochOperator, _dense_eig, assemble_bloch, bloch_eigvals, \
+    eigens
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
 from .fields import PeriodicField, bloch_decompose
@@ -285,7 +286,7 @@ def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
 def _fiber_sq_norms(A: np.ndarray, x: np.ndarray,
                     times: np.ndarray) -> np.ndarray:
     """Squared coefficient norms of e^{tA} x at ``times``."""
-    vals, vecs = np.linalg.eig(A)
+    vals, vecs = _dense_eig(A, vectors=True)
     if np.linalg.cond(vecs) <= EIGBASIS_COND_CAP:
         c = np.linalg.solve(vecs, x)
         X = vecs @ (c[:, None] * np.exp(vals[:, None] * times[None, :]))

@@ -4,7 +4,9 @@ Session-scoped so the expensive Newton solves and eigensolves are paid
 once across the suite.
 """
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec,
                      model_for_symbol, refine_newton, small_amplitude_wave)
@@ -83,3 +85,16 @@ def constant_wave_factory():
                              amplitude=0.0, residual=0.0, converged=True)
 
     return make
+
+
+@pytest.fixture
+def eig_inputs(monkeypatch):
+    """dtypes of the matrices passed to np.linalg.eig or scipy.linalg.eig,
+    the dense eigensolves with eigenvectors, in call order."""
+    seen = []
+    for mod in (np.linalg, scipy.linalg):
+        def record(A, *args, _eig=mod.eig, **kw):
+            seen.append(np.asarray(A).dtype)
+            return _eig(A, *args, **kw)
+        monkeypatch.setattr(mod, "eig", record)
+    return seen

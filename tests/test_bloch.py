@@ -127,6 +127,45 @@ def test_translated_wave_takes_complex_path(bbm2_model, bbm2_wave):
     assert abs(np.max(vals.real) - np.max(even.real)) < 1e-10
 
 
+@pytest.mark.parametrize("family", ["bbm2", "whitham_k2"])
+@pytest.mark.parametrize("k", [0.0, 0.125, 0.37, 0.5])
+def test_eigens_real_path_matches_complex_eig(request, eig_inputs, family,
+                                              k):
+    model = request.getfixturevalue(family + "_model")
+    wave = request.getfixturevalue(family + "_wave")
+    op = assemble_bloch(model, wave, k, 96)
+    vals, vecs = eigens(op)
+    assert eig_inputs == [np.dtype(float)]
+    ref = scipy.linalg.eig(op.A_mat)[0]
+    cost = np.abs(vals[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-10 * np.max(np.abs(ref))
+    assert closure_defect(vals) == 0.0
+    for j in range(5):
+        Av = op.A_mat @ vecs[:, j]
+        assert np.linalg.norm(Av - vals[j] * vecs[:, j]) \
+            <= 1e-8 * max(1.0, np.linalg.norm(Av))
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    assert np.max(np.abs(lead.imag)) < 1e-14
+    assert np.all(lead.real > 0)
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-13)
+
+
+def test_eigens_translated_wave_takes_complex_path(bbm2_model, bbm2_wave,
+                                                   eig_inputs):
+    prof = bbm2_wave.profile
+    shifted = PeriodicField(1, prof.N, prof.coef * np.exp(-0.3j * prof.modes()))
+    wave = TravelingWave(bbm2_model, shifted, c=bbm2_wave.c,
+                         a_const=bbm2_wave.a_const,
+                         amplitude=bbm2_wave.amplitude,
+                         residual=bbm2_wave.residual)
+    op = assemble_bloch(bbm2_model, wave, 0.125, 96)
+    vals, _ = eigens(op)
+    assert eig_inputs == [np.dtype(complex)]
+    even, _ = eigens(assemble_bloch(bbm2_model, bbm2_wave, 0.125, 96))
+    assert abs(vals[0].real - even[0].real) < 1e-10
+
+
 def test_bloch_eigvals_memoized(bbm2_model, bbm2_wave):
     op = assemble_bloch(bbm2_model, bbm2_wave, 0.2, 32)
     assert bloch_eigvals(op) is bloch_eigvals(op)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from modulon import (SymbolSpec, TravelingWave, cosine_field,
-                     model_for_symbol, zero_field)
+                     model_for_symbol, synthesize_packet, zero_field)
 from modulon.errors import BlowupError, DomainError, DomainTooSmallError
 from modulon.experiments import (_monitor_run, build_band_packet,
                                  packet_domain_check, run_localized,
                                  run_multiperiodic, save_report,
                                  export_run_csv, threshold_sweep)
+from modulon.semigroup import fiber_norms
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,21 @@ def test_packet_nodes_inside_band(whitham_k2_model, whitham_k2_wave,
     for prof in packet.profiles:
         from modulon import l2_norm
         assert abs(l2_norm(prof) - 1.0) < 1e-9
+
+
+def test_packet_and_fiber_norms_solve_no_complex_eig(
+        eig_inputs, whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
+        whitham_k2_curve):
+    # an even wave's Bloch matrices are imaginary: every eigensolve with
+    # vectors runs on the real matrix Im A
+    packet, _, _ = build_band_packet(
+        whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
+        whitham_k2_curve, Q=64, N_op=96)
+    n_nodes = len(packet.nodes)
+    u = synthesize_packet(packet, 64)
+    fiber_norms(whitham_k2_model, whitham_k2_wave, u, [0.0, 1.0])
+    assert len(eig_inputs) > n_nodes >= 1
+    assert set(eig_inputs) == {np.dtype(float)}
 
 
 def test_packet_law_fit(whitham_k2_model, whitham_k2_wave,
