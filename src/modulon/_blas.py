@@ -22,16 +22,18 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import importlib
 import os
 from contextlib import contextmanager
+
+import numpy
+import scipy
 
 SERIAL_MAX_N = 513   # largest matrix size run on one thread
 
 # (package, get symbol, set symbol) of the OpenBLAS each package bundles
-_SYMBOLS = (("numpy", "scipy_openblas_get_num_threads64_",
+_SYMBOLS = ((numpy, "scipy_openblas_get_num_threads64_",
              "scipy_openblas_set_num_threads64_"),
-            ("scipy", "scipy_openblas_get_num_threads",
+            (scipy, "scipy_openblas_get_num_threads",
              "scipy_openblas_set_num_threads"))
 
 
@@ -41,9 +43,8 @@ def thread_controls() -> tuple:
     functions are found."""
     found = []
     for pkg, get_name, set_name in _SYMBOLS:
-        mod = importlib.import_module(pkg)
-        libdir = os.path.join(os.path.dirname(os.path.dirname(mod.__file__)),
-                              pkg + ".libs")
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                              pkg.__name__ + ".libs")
         for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
             try:
                 lib = ctypes.CDLL(path)
@@ -53,7 +54,7 @@ def thread_controls() -> tuple:
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((pkg, get, set_))
+                found.append((pkg.__name__, get, set_))
                 break
     return tuple(found)
 

@@ -10,12 +10,14 @@ Bloch parameter k is A = D_k L_k with xi = kappa (n+k),
 (see ``ModelSpec``).  L_k is Hermitian, so every spectrum is closed under
 lambda -> -conj(lambda); the maximal real part lambda0 is the growth rate.
 
-Values-only solves go through ``bloch_eigvals``.  D_k = i S is imaginary, and
-for an even real wave L_k is real, so A = i S L_k and the spectrum is
-i eig(S L_k): one real eigenvalues-only solve per k, closed under
-lambda -> -conj(lambda) exactly.  When A has a real part above round-off (a
-translated, non-even wave) the solve falls back to complex arithmetic.
-``eigens`` serves the callers that need eigenvectors.
+Values-only solves go through ``bloch_eigvals``, and ``eigens`` serves the
+callers that need eigenvectors.  D_k = i S is imaginary, and for an even
+real wave L_k is real, so A = i S L_k and its eigenpairs are (i mu, v) for
+the eigenpairs (mu, v) of S L_k: both solve in real arithmetic
+(``_dense_eig``), with a spectrum closed under lambda -> -conj(lambda)
+exactly.  When A has a real part above round-off (a translated, non-even
+wave) the solve falls back to complex arithmetic.  Scans and eigenfunctions
+run on one BLAS thread (``_blas.serial``).
 """
 
 from __future__ import annotations
@@ -180,52 +182,51 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
     then a small uniform fill around the global maximum for band fitting."""
     if k_count < 16:
         raise DomainError("k_count must be at least 16")
-    with serial(N + 1):
-        samples = {}
+    samples = {}
 
-        def r_of(k):
-            if k not in samples:
+    def r_of(k):
+        if k not in samples:
+            with serial(N + 1):
                 samples[k] = bloch_eigvals(assemble_bloch(model, wave, k, N))
-            return float(np.max(samples[k].real))
+        return float(np.max(samples[k].real))
 
-        grid = list(np.linspace(0.0, 1.0, k_count))
-        rvals = [r_of(k) for k in grid]
-        # local maxima on the uniform grid (interior only); refine anything
-        # that could plausibly clear the instability threshold at its peak
-        refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
-        maxima = [i for i in range(1, len(grid) - 1)
-                  if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
-                  and rvals[i] > refine_floor]
-        for i in maxima:
-            a, b, c = grid[i - 1], grid[i], grid[i + 1]
-            for _ in range(3):   # trisection rounds
-                m1 = 0.5 * (a + b)
-                m2 = 0.5 * (b + c)
-                trio = [(r_of(x), x) for x in (m1, b, m2)]
-                _, best = max(trio)
-                if best == m1:
-                    c = b
-                elif best == m2:
-                    a = b
-                else:
-                    a, c = m1, m2
-                b = best
+    grid = list(np.linspace(0.0, 1.0, k_count))
+    rvals = [r_of(k) for k in grid]
+    # local maxima on the uniform grid (interior only); refine anything that
+    # could plausibly clear the instability threshold at its true peak
+    refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
+    maxima = [i for i in range(1, len(grid) - 1)
+              if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
+              and rvals[i] > refine_floor]
+    for i in maxima:
+        a, b, c = grid[i - 1], grid[i], grid[i + 1]
+        for _ in range(3):   # trisection rounds
+            m1 = 0.5 * (a + b)
+            m2 = 0.5 * (b + c)
+            trio = [(r_of(x), x) for x in (m1, b, m2)]
+            _, best = max(trio)
+            if best == m1:
+                c = b
+            elif best == m2:
+                a = b
+            else:
+                a, c = m1, m2
+            b = best
 
-        _, _, k0, lambda0 = _peak(samples)
-        if lambda0 > UNSTABLE_THRESHOLD:
-            spacing = 1.0 / (k_count - 1)
-            w = 1.5 * spacing
-            for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w),
-                                  FIT_FILL):
-                r_of(float(kk))
+    _, _, k0, lambda0 = _peak(samples)
+    if lambda0 > UNSTABLE_THRESHOLD:
+        spacing = 1.0 / (k_count - 1)
+        w = 1.5 * spacing
+        for kk in np.linspace(max(0.0, k0 - w), min(1.0, k0 + w), FIT_FILL):
+            r_of(float(kk))
 
-        all_k, rs, k0, lambda0 = _peak(samples)
-        bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
-        return BlochSpectrum(k_grid=all_k,
-                             eigenvalues=[samples[k] for k in all_k],
-                             lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
-                             threshold=UNSTABLE_THRESHOLD,
-                             grid_spacing=1.0 / (k_count - 1))
+    all_k, rs, k0, lambda0 = _peak(samples)
+    bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
+    return BlochSpectrum(k_grid=all_k,
+                         eigenvalues=[samples[k] for k in all_k],
+                         lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
+                         threshold=UNSTABLE_THRESHOLD,
+                         grid_spacing=1.0 / (k_count - 1))
 
 
 def _peak(samples: dict):
