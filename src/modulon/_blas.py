@@ -12,7 +12,9 @@ is pinned.  One thread also makes the pinned kernels' output bits
 independent of the machine's default thread count.
 
 ``serial(n)`` sets both libraries to one thread for the scope of a block
-and restores the previous counts on exit.  The thread-count symbols are
+and restores the previous counts on exit.  The counts are process-wide, so
+scopes entered from concurrent Python threads would race; modulon enters
+them from one.  The thread-count symbols are
 looked up once, on first use; where they are not found (another BLAS
 build) the scope does nothing.
 """
