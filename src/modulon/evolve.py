@@ -11,10 +11,18 @@ exactly the assembled Bloch generator at k = 0 (and at k = p/q on the
 round-off.
 
 Every model is integrated with the fourth-order exponential time
-differencing of Cox & Matthews (ETDRK4): the linear part J E is propagated
-exactly, as e^{tA} is in the nonlinear-instability estimates, and the
-phi-functions are evaluated by a 16-point unit-circle contour mean
-(Kassam & Trefethen).
+differencing of Cox & Matthews (ETDRK4), in one of two splittings.
+``Evolver`` propagates the diagonal J E exactly, with phi-functions from a
+16-point unit-circle contour mean (Kassam & Trefethen), and treats the
+wave coupling J f'(u_c) explicitly.  ``SplitEvolver`` steps the
+perturbation w = u - u_c of a run that starts near the wave, as in the
+Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(w(s)) ds of the nonlinear
+instability estimates: e^{hA} of the full linearization is exact on each
+Bloch fiber k = r/q of T_{2 pi q}, and only the remainder G is explicit
+(Hochbruck & Ostermann), so the step is set by accuracy rather than by
+the wave coupling.  The escape runs and ``modulon evolve`` use the split
+stepper; the approximate-solution cascade, its residual and criterion 14's
+dt-halving check use ``Evolver``.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -27,13 +35,14 @@ rows, its real and imaginary parts, which is exact because the linearized
 flow is real-linear.
 
 ``advance`` is the one time loop: the escape runs, the approximate-solution
-cascade and ``modulon evolve`` step through it, observing every ``per``
-steps and after the last step.
+cascade and ``modulon evolve`` step through it with either stepper,
+observing every ``per`` steps and after the last step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import factorial
 
 import numpy as np
 import scipy.fft
@@ -46,6 +55,11 @@ from .waves import TravelingWave, resample
 
 _TWO_PI = 2.0 * np.pi
 _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
+# largest fiber stack (fibers x modes^2) the split stepper tabulates; its
+# 5 tables take 16 bytes an entry each, 40 MB at the cap
+SPLIT_MAX_ENTRIES = 2 ** 19
+_TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
+_TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18
 
 
 class _Transform:
@@ -55,16 +69,17 @@ class _Transform:
     ``values`` equals ``scipy.fft.irfft(half, n=M, norm="forward")`` and
     ``coef`` equals ``scipy.fft.rfft(vals, norm="forward")`` cut to the
     modes n = 0 .. N/2 with the Nyquist mode zeroed, bit for bit: both call
-    the pocketfft kernels with the arguments those functions pass.  The
+    the pocketfft kernels with the arguments those functions pass.  M is
+    the fast length from max(pad N, 2N) on, rounded to a ``multiple``.  The
     modes are written into a zero-padded buffer of M//2 + 1 entries, one
     buffer per leading shape, so no padded copy is made per call.
     """
 
-    def __init__(self, q: int, N: int, pad: float):
+    def __init__(self, q: int, N: int, pad: float, multiple: int = 1):
         self.q = q
         self.N = N
         M = max(int(np.ceil(pad * N)), 2 * N)
-        self.M = scipy.fft.next_fast_len(M)
+        self.M = multiple * scipy.fft.next_fast_len(-(-M // multiple))
         self._pads = {}
 
     def values(self, half: np.ndarray) -> np.ndarray:
@@ -121,6 +136,13 @@ class Evolver:
             uc = self.tr.values(base.coef[N // 2:])
             self.df_vals = model.nonlinearity.df(uc)
         self._etdrk4_tables()
+
+    def rows(self, half: np.ndarray) -> np.ndarray:
+        """The state of the real field with modes ``half``: the modes."""
+        return half
+
+    def half(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
     def nonlinear(self, half: np.ndarray, t: float) -> np.ndarray:
         vals = self.tr.values(half)
@@ -181,24 +203,253 @@ def stable_dt(model: ModelSpec, q: int, N: int, u_inf: float = 1.0) -> float:
     return min(0.2 * dx * kap ** -1 / max(speed, 1e-12), 0.1)
 
 
-def advance(ev: Evolver, rows: np.ndarray, n_steps: int, per: int,
-            observe) -> None:
-    """The one time loop: step ``rows`` from t = 0 with ``ev`` n_steps times.
+def advance(ev, rows: np.ndarray, n_steps: int, per: int, observe,
+            t0: float = 0.0) -> np.ndarray:
+    """The one time loop: step ``rows`` from t0 with ``ev`` n_steps times
+    and return them.
 
+    Step i ends at t0 + i dt, a product rather than a running sum.
     ``observe(t, rows)`` is called after every ``per`` steps and after the
     last step; a True return stops the run.  Non-finite rows at an
     observation raise BlowupError carrying that time.
     """
-    t = 0.0
     for i in range(1, n_steps + 1):
-        rows = ev.step_coef(rows, t)
-        t += ev.dt
+        rows = ev.step_coef(rows, t0 + (i - 1) * ev.dt)
         if i % per == 0 or i == n_steps:
+            t = t0 + i * ev.dt
             if not np.all(np.isfinite(rows)):
                 raise BlowupError(f"blow-up detected by t = {t:.6g}",
                                   last_time=t)
             if observe(t, rows):
-                return
+                break
+    return rows
+
+
+# -- the fiber-split stepper ---------------------------------------------------------
+
+
+class _Fibers:
+    """The Bloch fibers k = r/q of T_{2 pi q} that a real field needs.
+
+    Fiber r = 0 .. q/2 holds the signed modes n = q m + r with |n| < N/2;
+    the fibers q - r mirror them by conjugation.  Fibers are stacked as
+    rows of a common length, padded with modes that stay zero.  A real
+    field's modes n = 0 .. N/2 gather into the stack (a negative n reads
+    conj(c_{-n})), and scatter back from it.
+    """
+
+    def __init__(self, q: int, N: int):
+        half = N // 2
+        n = np.arange(1 - half, half)
+        rows = [n[n % q == r] for r in range(q // 2 + 1)]
+        self.size = max(len(ns) for ns in rows)
+        count = len(rows) * self.size
+        self.modes = np.zeros((len(rows), self.size), dtype=int)
+        self.mask = np.zeros((len(rows), self.size), dtype=bool)
+        # gather from [half, conj(half), 0]: a pad reads the final zero
+        self._gather = np.full((len(rows), self.size), 2 * (half + 1))
+        slot = {}
+        for r, ns in enumerate(rows):
+            self.modes[r, :len(ns)] = ns
+            self.mask[r, :len(ns)] = True
+            self._gather[r, :len(ns)] = np.where(ns >= 0, ns, half + 1 - ns)
+            slot.update((int(v), r * self.size + j) for j, v in enumerate(ns))
+        # scatter from [stack, conj(stack), 0]: mode n comes from its own
+        # slot when n mod q <= q/2, else conjugated from the slot of -n
+        self._scatter = np.array(
+            [slot[k] if k % q <= q // 2 else count + slot[-k]
+             for k in range(half)] + [2 * count])
+
+    def stack(self, half: np.ndarray) -> np.ndarray:
+        return np.concatenate((half, np.conj(half), [0.0]))[self._gather]
+
+    def half(self, stack: np.ndarray) -> np.ndarray:
+        flat = stack.ravel()
+        return np.concatenate((flat, np.conj(flat), [0.0]))[self._scatter]
+
+
+def _phi_tables(h: float, A: np.ndarray) -> tuple:
+    """(E2, Q, f1, 2 f2, f3) of ETDRK4 step h for the matrix A: the first
+    block row e^Z, phi_1(Z), phi_2(Z), phi_3(Z) of the augmented exponential
+    (Sidje) at Z = hA/2, by scaling and squaring on n x n blocks.  Taylor
+    sums at X = Z / 2^s, ||X||_1 <= 2, are doubled s times and once more to
+    hA by
+
+        phi_k(2X) = 2^-k [e^X phi_k(X) + sum_{j=1..k} phi_j(X) / (k - j)!].
+
+    No eigenbasis: the fiber k = 0 is defective (the translation kernel,
+    cond(V) ~ 1e8), and on the escape wave's other fibers (cond(V) <= 9) an
+    eigenbasis e^{hA} at h = 1 is 2e-13 off a long-double reference where
+    this one is 7e-15, at the same cost.  The updates run in place: at 96
+    modes a matrix is 147 kB.
+    """
+    I = np.eye(A.shape[0], dtype=A.dtype)
+    s = max(0, int(np.ceil(np.log2(max(0.5 * h * np.linalg.norm(A, 1), 1e-300)
+                                   / _TAYLOR_RADIUS))))
+    X = A * (0.5 * h / 2.0 ** s)
+    e, p1, p2, p3 = (I / factorial(k) for k in range(4))   # phi_k(X)
+    P = I
+    for j in range(1, _TAYLOR_TERMS + 1):
+        P = P @ X
+        for k, T in enumerate((e, p1, p2, p3)):
+            T += P / factorial(j + k)
+    del P, X
+    for i in range(s + 1):
+        if i == s:
+            E2, Q = e, 0.5 * h * p1
+        ep = e + I
+        p3 = ep @ p3       # each update reads the lower orders before theirs
+        p3 += p2
+        p3 += 0.5 * p1
+        p3 *= 0.125
+        p2 = ep @ p2
+        p2 += p1
+        p2 *= 0.25
+        p1 = ep @ p1
+        p1 *= 0.5
+        if i < s:
+            e = e @ e
+    del ep
+    f3 = 4.0 * p3      # f3 = h (4 phi_3 - phi_2)
+    f3 -= p2
+    f3 *= h
+    p1 -= 3.0 * p2     # f1 = h (phi_1 - 3 phi_2 + 4 phi_3)
+    p1 += 4.0 * p3
+    p1 *= h
+    p2 -= 2.0 * p3     # 2 f2 = 2h (phi_2 - 2 phi_3)
+    p2 *= 2.0 * h
+    return E2, Q, p1, p2, f3
+
+
+class _FiberGenerator:
+    """The linearization A of the ETDRK4 right-hand side at a base state
+    u_c on T_{2 pi q}, assembled fiber by fiber (``_Fibers``, ``block``), and
+    the pieces of the split w = u - u_c:  dw/dt = A w + G(w) with
+
+        G(w) = push P[f(u_c + w) - f(u_c) - f'(u_c) w] + R,
+
+    R the right-hand side at u_c.  A is the stepper's own linearization: its
+    coupling push P[f'(u_c) w] is the exact discrete convolution on the
+    transform grid, whose length is a multiple of q so that no aliased
+    product couples two fibers.  An integer p sums the remainder as
+    sum_{j>=2} f^(j)(u_c) w^j / j!, so nothing cancels; a non-integer p takes
+    the difference.  The mode n = 0 has J = 0, so neither A nor G moves it.
+    """
+
+    def __init__(self, model: ModelSpec, c: float, base: PeriodicField):
+        q, N = base.q, base.N
+        nl = model.nonlinearity
+        self.fib = _Fibers(q, N)
+        self.tr = _Transform(q, N, nl.pad, multiple=q)
+        self.base = base.coef[N // 2:].copy()
+        uc = self.tr.values(self.base)
+        # R, in the arithmetic of Evolver.step_coef's right-hand side
+        xi = model.kappa * (np.arange(N // 2 + 1) / q)
+        jop = model.j_symbol(xi)
+        lin = jop * model.energy_diag(xi, c)[0]
+        lin[-1] = 0.0
+        self.R = self.fib.stack(lin * self.base + model.nl_sign * jop
+                                * self.tr.coef(nl.f(uc)))
+        xi = model.kappa * (self.fib.modes / q)
+        jop = model.j_symbol(xi) * self.fib.mask
+        self.push = model.nl_sign * jop
+        if nl.degree is None:
+            self.f_uc, self.df_uc, self.f = nl.f(uc), nl.df(uc), nl.f
+            self.uc = uc
+            self.taylor = None
+        else:
+            self.taylor = [nl._power_rule(uc, j) / factorial(j)
+                           for j in range(2, nl.degree + 1)]
+        self.lin = jop * model.energy_diag(xi, c)[0]
+        self.dhat = np.fft.fft(nl.df(uc)) / self.tr.M
+
+    def block(self, r: int) -> np.ndarray:
+        """The block of A on fiber r, unpadded: lin on the diagonal and
+        push * (f'(u_c))^_{n - m} off it."""
+        k = int(np.sum(self.fib.mask[r]))
+        n = self.fib.modes[r, :k]
+        A = self.push[r, :k, None] * self.dhat[(n[:, None] - n) % self.tr.M]
+        A[np.arange(k), np.arange(k)] += self.lin[r, :k]
+        return A
+
+    def remainder(self, x: np.ndarray) -> np.ndarray:
+        """G on a fiber stack."""
+        w = self.tr.values(self.fib.half(x))
+        if self.taylor is None:
+            g = self.f(self.uc + w) - self.f_uc - self.df_uc * w
+        else:
+            g = self.taylor[-1]
+            for cj in self.taylor[-2::-1]:
+                g = cj + w * g
+            g = g * w * w
+        return self.push * self.fib.stack(self.tr.coef(g)) + self.R
+
+
+class SplitEvolver:
+    """ETDRK4 for w = u - u_c with e^{hA} exact on each Bloch fiber.
+
+    The Cox-Matthews stages run on the non-diagonal linear part A of a
+    ``_FiberGenerator`` (Hochbruck & Ostermann): E = e^{hA}, E2 = e^{hA/2},
+    Q = (h/2) phi_1(hA/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
+    2 f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), all at hA, one
+    dense block per fiber, and only the remainder G is explicit; E u is
+    E2 (E2 u).  States are fiber stacks of w (``rows``/``half``); only the
+    step tables are kept, 5 n^2 complex entries per fiber of n modes.
+    """
+
+    def __init__(self, gen: _FiberGenerator, h: float):
+        F, size = gen.fib.mask.shape
+        self.gen = gen
+        self.E2 = np.zeros((F, size, size), dtype=np.complex128)
+        self.Q = np.zeros_like(self.E2)
+        self.W = np.zeros((F, size, 3 * size), dtype=np.complex128)
+        self.tabulate(h)
+
+    def tabulate(self, h: float):
+        """Fill the tables E2, Q and W = [f1 | 2 f2 | f3] for the step h in
+        place, fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.
+
+        The row of A for the mode n = 0 is exactly zero, so the Taylor sums
+        and doublings give that mode the rows of phi_k(0) I exactly; with
+        G = 0 there, it keeps its value to the bit.
+        """
+        if h <= 0:
+            raise DomainError("the step must be positive")
+        self.dt = float(h)
+        size = self.gen.fib.size
+        for r in range(len(self.W)):
+            E2, Q, *fs = _phi_tables(self.dt, self.gen.block(r))
+            k = len(E2)
+            self.E2[r, :k, :k], self.Q[r, :k, :k] = E2, Q
+            for j, T in enumerate(fs):
+                self.W[r, :k, j * size:j * size + k] = T
+
+    def rows(self, half: np.ndarray) -> np.ndarray:
+        """The state of the real field with modes ``half`` (n = 0 .. N/2)."""
+        return self.gen.fib.stack(half - self.gen.base)
+
+    def half(self, rows: np.ndarray) -> np.ndarray:
+        return self.gen.base + self.gen.fib.half(rows)
+
+    def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
+        G = self.gen.remainder
+        E2, Q = self.E2, self.Q
+        # a blow-up overflows quietly; callers check the result is finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            n0 = G(x)
+            e2u = _matvec(E2, x)
+            a = e2u + _matvec(Q, n0)
+            na = G(a)
+            b = e2u + _matvec(Q, na)
+            nb = G(b)
+            c = _matvec(E2, a) + _matvec(Q, 2.0 * nb - n0)
+            nc = G(c)
+            return _matvec(E2, e2u) + _matvec(
+                self.W, np.concatenate((n0, na + nb, nc), axis=1))
+
+
+def _matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (T @ x[:, :, None])[:, :, 0]
 
 
 # -- states and conserved quantities ------------------------------------------------

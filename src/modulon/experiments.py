@@ -16,6 +16,14 @@ e^{2 Re lambda(k) t}), and the nonlinear phase measures escape in the plain
 (not orbital) L2 distance.  The linear phase is propagated exactly, fiber
 by fiber (``semigroup.fiber_norms``): one eigensolve per occupied conjugate
 pair of Bloch fibers, with an expm fallback for ill-conditioned eigenbases.
+
+The nonlinear runs of both kinds step w = u - u_c with the fiber-split
+stepper (``evolve.SplitEvolver``) and are observed every per = round(snap_dt
+/ dt) steps of dt, at t_j = j per dt, whatever the step.  An experiment
+chooses its step once, for all of its deltas (``plan_steps``): a pilot
+steps one observation interval from u_c + theta0 u1 and keeps the coarsest
+tried step whose energy drift stays within ``PILOT_DRIFT_BUDGET``.  Each
+run records its step, the steps taken and the pilot's drift.
 """
 
 from __future__ import annotations
@@ -30,19 +38,26 @@ from ._blas import serial
 from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     fit_band, rational_k0, scan_bloch, unstable_eigenfunction,
                     UNSTABLE_THRESHOLD)
-from .errors import (DomainError, DomainTooSmallError, ModulonError,
-                     RationalApproximationError)
-from .evolve import (ConservedLedger, Evolver, advance, conserved_quantities,
-                     field_rows, lift_wave, orbital_distance, rows_field,
-                     stable_dt)
-from .fields import PeriodicField, l2_norm, midpoint_band_nodes, \
-    synthesize_packet, write_csv, _lift_eigenfunction
+from .errors import (BlowupError, DomainError, DomainTooSmallError,
+                     ModulonError, RationalApproximationError)
+from .evolve import (SPLIT_MAX_ENTRIES, ConservedLedger, Evolver, SplitEvolver,
+                     _FiberGenerator, _Fibers, advance, conserved_quantities,
+                     lift_wave, orbital_distance, stable_dt)
+from .fields import PeriodicField, hermitian_full, l2_norm, \
+    midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
 from .waves import TravelingWave, refine_newton, resample, small_amplitude_wave, \
     model_to_dict
 
 DEFAULT_THETA_FRACTION = 0.05
+# the escape pilot: one observation interval from u_c + theta0 u1 must keep
+# its relative energy drift within the budget, a quarter of the 1e-9 (one
+# tenth of criterion 14's bound) that a whole run should keep, because a
+# run accumulates 2.5-4x the drift of its last interval
+PILOT_DRIFT_BUDGET = 2.5e-10
+PILOT_FIRST_SPLIT = 20    # the first try's step is 20 dt
+PILOT_TRIES = 4
 PACKET_PROFILE_N = 48     # modes kept per packet eigenprofile
 
 
@@ -65,6 +80,9 @@ class DeltaRun:
     energy_drift: float
     escaped: bool
     ledger: ConservedLedger
+    step: float = np.nan
+    steps: int = 0
+    pilot_error: float | None = None
     flags: dict = dc_field(default_factory=dict)
 
 
@@ -97,26 +115,125 @@ class ExperimentReport:
             "mass_drift": r.mass_drift,
             "momentum_drift": r.momentum_drift,
             "energy_drift": r.energy_drift,
+            "step": r.step,
+            "steps": r.steps,
+            "pilot_error": r.pilot_error,
             "flags": r.flags,
         } for r in self.runs]
         return out
 
 
+@dataclass
+class StepPlan:
+    """How the runs of one experiment step: ``ev`` takes ``n`` steps per
+    observation interval of ``per`` steps dt.  ``size`` is the largest
+    dense block of a step (0 for the diagonal stepper), ``pilot_error`` the
+    pilot's measured energy drift (None without a pilot)."""
+
+    ev: SplitEvolver | Evolver
+    n: int
+    per: int
+    size: int = 0
+    pilot_error: float | None = None
+
+
+def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
+               dt: float, per: int, theta0: float = 0.0,
+               u1: PeriodicField | None = None) -> StepPlan:
+    """The stepper of the runs from ref + delta u1 observed every per * dt.
+
+    The split stepper takes n steps per interval.  Without a direction u1
+    or with theta0 = 0 (``modulon evolve``) n = per, so the step is dt;
+    otherwise a pilot chooses n (``_pilot``).  Where the fiber tables would
+    pass ``SPLIT_MAX_ENTRIES``, or the pilot finds no n, the diagonal
+    stepper takes the steps of dt.
+    """
+    fib = _Fibers(ref.q, ref.N)
+    if fib.mask.size * fib.size > SPLIT_MAX_ENTRIES:
+        return StepPlan(Evolver(model, wave.c, ref.q, ref.N, dt), per, per)
+    with serial(fib.size):
+        gen = _FiberGenerator(model, wave.c, ref)
+        size_u1 = 0.0 if u1 is None else l2_norm(u1)
+        if theta0 > 0.0 and size_u1 > 0.0:
+            return _pilot(model, wave.c, gen, ref + u1 * (theta0 / size_u1),
+                          dt, per)
+        return StepPlan(SplitEvolver(gen, dt), per, per, fib.size)
+
+
+def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
+           start: PeriodicField, dt: float, per: int) -> StepPlan:
+    """The plan whose n keeps the energy drift of one interval of per * dt
+    from ``start`` within ``PILOT_DRIFT_BUDGET``.
+
+    The first try takes ceil(per / ``PILOT_FIRST_SPLIT``) steps; each
+    further try rescales n by (drift / budget)^(1/4), the order of the
+    scheme, up to ``PILOT_TRIES`` tries (a non-finite drift quadruples n).
+    The smallest n within the budget wins.  When none is, the runs keep the
+    diagonal stepper at dt, whose step costs a third of a split one.  The
+    tries refill one set of step tables.
+    """
+    T_obs = per * dt
+    e0 = conserved_quantities(model, start, c)[2]
+    drifts = {}
+    n = -(-per // PILOT_FIRST_SPLIT)
+    ev = SplitEvolver(gen, T_obs / n)
+    for _ in range(PILOT_TRIES):
+        if ev.dt != T_obs / n:
+            ev.tabulate(T_obs / n)
+        try:
+            rows = advance(ev, ev.rows(start.coef[start.N // 2:]), n, n,
+                           lambda t, rows: False)
+            end = PeriodicField(start.q, start.N,
+                                hermitian_full(ev.half(rows)))
+            drift = abs(conserved_quantities(model, end, c)[2] - e0) \
+                / max(abs(e0), 1e-30)
+        except BlowupError:
+            drift = np.inf
+        drifts[n] = drift
+        if np.isfinite(drift):
+            nxt = int(np.ceil(n * (drift / PILOT_DRIFT_BUDGET) ** 0.25))
+        else:
+            nxt = 4 * n
+        nxt = min(max(nxt, 1), per)
+        if nxt in drifts or (drift <= PILOT_DRIFT_BUDGET and nxt >= n):
+            break
+        n = nxt
+    ok = [m for m, drift in drifts.items() if drift <= PILOT_DRIFT_BUDGET]
+    if not ok:
+        return StepPlan(Evolver(model, c, start.q, start.N, dt), per, per)
+    n = min(ok)
+    if ev.dt != T_obs / n:
+        ev.tabulate(T_obs / n)
+    return StepPlan(ev, n, per, gen.fib.size, drifts[n])
+
+
 def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
                  ref: PeriodicField, dt: float, t_max: float,
-                 snap_dt: float, theta0: float, escape_metric: str) -> DeltaRun:
+                 snap_dt: float, theta0: float, escape_metric: str,
+                 plan: StepPlan | None = None) -> DeltaRun:
     """Evolve u0, recording perturbation norms (relative to ref) until the
     escape threshold is crossed or t_max is reached; raises BlowupError on
-    non-finite coefficients."""
-    per = max(1, int(round(snap_dt / dt)))
-    ev = Evolver(model, wave.c, u0.q, u0.N, dt)
+    non-finite coefficients.
+
+    Observations fall every per = round(snap_dt / dt) steps of dt, at
+    t_j = j per dt, and the run ends at ceil(t_max / dt) dt.  ``plan`` (by
+    default ``plan_steps``, one step of dt) takes n steps per interval; a
+    last partial interval that n does not divide takes its own step.
+    """
+    if plan is None:
+        plan = plan_steps(model, wave, ref, dt,
+                          max(1, int(round(snap_dt / dt))), theta0, u0 - ref)
+    ev, n, per = plan.ev, plan.n, plan.per
+    step = ev.dt
     times, perts, orbs = [], [], []
     ledger = ConservedLedger()
     escape_time = None
+    steps = chunk = 0
 
     def observe(t, rows):
-        nonlocal escape_time
-        f = rows_field(u0.q, u0.N, rows, u0.real)
+        nonlocal escape_time, steps
+        steps += chunk
+        f = PeriodicField(u0.q, u0.N, hermitian_full(ev.half(rows)), real=True)
         diff = f - ref
         pert = l2_norm(diff)
         if escape_metric == "orbital":
@@ -134,9 +251,17 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         ledger.append(t, *conserved_quantities(model, f, wave.c))
         return escape_time is not None
 
-    rows = field_rows(u0, ev)
+    rows = ev.rows(u0.coef[u0.N // 2:])
     if not observe(0.0, rows):
-        advance(ev, rows, int(np.ceil(t_max / dt)), per, observe)
+        full, rest = divmod(int(np.ceil(t_max / dt)), per)
+        chunk = n
+        with serial(plan.size):
+            rows = advance(ev, rows, full * n, n, observe)
+            if rest and escape_time is None:
+                chunk = -(-rest * n // per)
+                if chunk * per != rest * n:
+                    ev = SplitEvolver(ev.gen, rest * dt / chunk)
+                advance(ev, rows, chunk, chunk, observe, t0=full * per * dt)
     if theta0 == 0.0:
         escape_time = 0.0
 
@@ -149,7 +274,8 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         growth_window=None, mass_drift=peak(ledger.mass_drift()),
         momentum_drift=peak(ledger.momentum_drift()),
         energy_drift=peak(ledger.energy_drift()),
-        escaped=escape_time is not None, ledger=ledger)
+        escaped=escape_time is not None, ledger=ledger, step=step,
+        steps=steps, pilot_error=plan.pilot_error)
 
 
 def _fit_growth(run: DeltaRun, lo: float, hi: float):
@@ -177,7 +303,12 @@ def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
                  dt: float, snap_dt: float, t_max: float | None,
                  escape_metric: str):
     """Nonlinear runs from uc_big + delta * u1 for each delta, then the
-    regression of the escape times on |ln delta| (None below two escapes)."""
+    regression of the escape times on |ln delta| (None below two escapes).
+    The step plan is made once, for every delta."""
+    if not deltas:
+        return [], None
+    plan = plan_steps(model, wave, uc_big, dt,
+                      max(1, int(round(snap_dt / dt))), theta0, u1)
     runs = []
     for d in deltas:
         if t_max is None:
@@ -186,7 +317,7 @@ def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
         else:
             run_tmax = t_max
         run = _monitor_run(model, wave, uc_big + d * u1, uc_big, dt, run_tmax,
-                           snap_dt, theta0, escape_metric)
+                           snap_dt, theta0, escape_metric, plan)
         run.delta = d
         run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
         if not run.escaped:
@@ -411,19 +542,8 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     else:
         packet_width = 2.0 * np.pi / max(packet.width(), 1e-9)
 
-    if dt is None:
-        dt = stable_dt(model, Q, N_big,
-                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
-    # the linear phase is exact, so dt_lin only spaces the observation grid:
-    # every round(snap_dt / dt_lin) spacings and at ceil(t_linear / dt_lin),
-    # each time a running sum of dt_lin, as ``advance`` observes a run
-    dt_lin = min(8.0 * dt, 0.25) if model.family == "kdv_type" else dt
-    snap_dt = max(t_linear / 400.0, dt_lin)
-    n_steps = int(np.ceil(t_linear / dt_lin))
-    per = max(1, int(round(snap_dt / dt_lin)))
-    step = np.arange(1, n_steps + 1)
-    t_step = np.cumsum(np.full(n_steps, dt_lin))
-    times = np.concatenate([[0.0], t_step[(step % per == 0) | (step == n_steps)]])
+    # the linear phase is exact, so its observation grid needs no step
+    times = np.linspace(0.0, t_linear, 401)
     norms = fiber_norms(model, wave, u1, times)
     mask = (times >= t1) & (times <= t2)
     if int(np.sum(mask)) < 8:
@@ -460,6 +580,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
         "envelope_width": float(packet_width),
     }
 
+    if dt is None:
+        dt = stable_dt(model, Q, N_big,
+                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
     runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
                                     lambda0, dt, max(0.05 / lambda0, 20 * dt),
                                     t_max, "plain")

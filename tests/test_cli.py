@@ -334,7 +334,6 @@ dir = {out}
     assert sidecar["amplitude"] == 0.0
 
 
-@pytest.mark.slow
 def test_experiment_multiperiodic_through_cli(tmp_path):
     cfg_text = """\
 [model]
@@ -364,7 +363,6 @@ dir = {out}
     assert (tmp_path / "exp_delta0.csv").exists()
 
 
-@pytest.mark.slow
 def test_experiment_localized_kind(tmp_path):
     cfg_text = """\
 [model]

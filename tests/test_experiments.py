@@ -6,7 +6,8 @@ import pytest
 from modulon import (SymbolSpec, TravelingWave, cosine_field,
                      model_for_symbol, synthesize_packet, zero_field)
 from modulon.errors import BlowupError, DomainError, DomainTooSmallError
-from modulon.experiments import (_monitor_run, build_band_packet,
+from modulon.experiments import (PILOT_DRIFT_BUDGET, _monitor_run,
+                                 build_band_packet,
                                  packet_domain_check, run_localized,
                                  run_multiperiodic, save_report,
                                  export_run_csv, threshold_sweep)
@@ -16,13 +17,12 @@ from modulon.semigroup import fiber_norms
 @pytest.fixture(scope="module")
 def quick_multiperiodic(whitham_k2_model, whitham_k2_wave,
                         whitham_k2_spectrum):
-    """About 6 s of escape runs, so every test that uses it is marked slow."""
+    """Escape runs for two deltas, about 1 s."""
     return run_multiperiodic(whitham_k2_model, whitham_k2_wave,
                              whitham_k2_spectrum, deltas=[1e-3, 1e-4],
                              N_op=96, N_ev=48)
 
 
-@pytest.mark.slow
 def test_multiperiodic_rates_match_eigenvalue(quick_multiperiodic):
     rep = quick_multiperiodic
     for run in rep.runs:
@@ -30,7 +30,6 @@ def test_multiperiodic_rates_match_eigenvalue(quick_multiperiodic):
         assert run.growth_rate == pytest.approx(rep.reference_rate, rel=0.05)
 
 
-@pytest.mark.slow
 def test_multiperiodic_escape_monotone(quick_multiperiodic):
     ts = [r.escape_time for r in quick_multiperiodic.runs]
     assert all(t is not None for t in ts)
@@ -38,14 +37,12 @@ def test_multiperiodic_escape_monotone(quick_multiperiodic):
     assert quick_multiperiodic.passes["escape_monotone"]
 
 
-@pytest.mark.slow
 def test_multiperiodic_regression(quick_multiperiodic):
     reg = quick_multiperiodic.regression
     assert reg is not None
     assert abs(reg["slope_times_rate"] - 1.0) <= 0.1
 
 
-@pytest.mark.slow
 def test_multiperiodic_conservation(quick_multiperiodic):
     for run in quick_multiperiodic.runs:
         assert run.mass_drift < 1e-12
@@ -53,7 +50,6 @@ def test_multiperiodic_conservation(quick_multiperiodic):
         assert run.energy_drift < 1e-8
 
 
-@pytest.mark.slow
 def test_multiperiodic_rational_within_qmax(quick_multiperiodic):
     assert 1 <= quick_multiperiodic.q <= 8
     assert 0 < quick_multiperiodic.p / quick_multiperiodic.q < 1
@@ -82,7 +78,6 @@ def test_multiperiodic_requires_instability(whitham_model, whitham_wave):
         run_multiperiodic(whitham_model, whitham_wave, sp, deltas=[1e-3])
 
 
-@pytest.mark.slow
 def test_report_serialization(tmp_path, quick_multiperiodic):
     path = tmp_path / "rep.json"
     save_report(quick_multiperiodic, path)
@@ -94,6 +89,22 @@ def test_report_serialization(tmp_path, quick_multiperiodic):
     export_run_csv(quick_multiperiodic, quick_multiperiodic.runs[0], csv_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,l2_perturbation,orbital_distance"
+
+
+def test_report_records_step_health_byte_identically(
+        tmp_path, quick_multiperiodic, whitham_k2_model, whitham_k2_wave,
+        whitham_k2_spectrum):
+    again = run_multiperiodic(whitham_k2_model, whitham_k2_wave,
+                              whitham_k2_spectrum, deltas=[1e-3, 1e-4],
+                              N_op=96, N_ev=48)
+    save_report(quick_multiperiodic, tmp_path / "a.json")
+    save_report(again, tmp_path / "b.json")
+    raw = (tmp_path / "a.json").read_bytes()
+    assert raw == (tmp_path / "b.json").read_bytes()
+    for run in json.loads(raw)["runs"]:
+        assert run["step"] > 0.0
+        assert run["steps"] > 0
+        assert 0.0 < run["pilot_error"] <= PILOT_DRIFT_BUDGET
 
 
 # -- localized ----------------------------------------------------------------------
@@ -160,7 +171,6 @@ def test_packet_domain_check_passes_short_horizon():
         packet_domain_check(pk, rates, 64, t_end=1e5)
 
 
-@pytest.mark.slow
 def test_theta0_doubling_shifts_escape_by_ln2_over_rate(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum):
     # doubling theta0 adds ~ln2 / Re lambda to every escape time
