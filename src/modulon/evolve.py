@@ -20,9 +20,9 @@ Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(w(s)) ds of the nonlinear
 instability estimates: e^{hA} of the full linearization is exact on each
 Bloch fiber k = r/q of T_{2 pi q}, and only the remainder G is explicit
 (Hochbruck & Ostermann), so the step is set by accuracy rather than by
-the wave coupling.  The escape runs and ``modulon evolve`` use the split
-stepper; the approximate-solution cascade, its residual and criterion 14's
-dt-halving check use ``Evolver``.
+the wave coupling.  The escape runs use the split stepper at the step
+their pilot chooses; ``modulon evolve``, the approximate-solution cascade,
+its residual and criterion 14's dt-halving check use ``Evolver``.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -55,8 +55,11 @@ from .waves import TravelingWave, resample
 
 _TWO_PI = 2.0 * np.pi
 _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
-# largest fiber stack (fibers x modes^2) the split stepper tabulates; its
-# 5 tables take 16 bytes an entry each, 40 MB at the cap
+# largest fiber stack (fibers x modes^2) the split stepper tabulates, a
+# memory bound: on localized escape runs (fibers of 50 modes, Q = 52 .. 832)
+# a split interval ran 2.3-4x faster than a diagonal one at every size, but
+# the split run's peak RSS rose by 57 bytes an entry over the diagonal
+# run's, 30 MB at this cap (133 against 103 MB at Q = 416)
 SPLIT_MAX_ENTRIES = 2 ** 19
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
 _TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18
@@ -137,12 +140,13 @@ class Evolver:
             self.df_vals = model.nonlinearity.df(uc)
         self._etdrk4_tables()
 
-    def rows(self, half: np.ndarray) -> np.ndarray:
-        """The state of the real field with modes ``half``: the modes."""
-        return half
+    def rows(self, f: PeriodicField) -> np.ndarray:
+        """The state of ``f`` (``field_rows``)."""
+        return field_rows(f, self)
 
-    def half(self, rows: np.ndarray) -> np.ndarray:
-        return rows
+    def field(self, rows: np.ndarray, real: bool = True) -> PeriodicField:
+        """The field of the state ``rows`` (``rows_field``)."""
+        return rows_field(self.q, self.N, rows, real)
 
     def nonlinear(self, half: np.ndarray, t: float) -> np.ndarray:
         vals = self.tr.values(half)
@@ -393,7 +397,7 @@ class SplitEvolver:
     Q = (h/2) phi_1(hA/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
     2 f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), all at hA, one
     dense block per fiber, and only the remainder G is explicit; E u is
-    E2 (E2 u).  States are fiber stacks of w (``rows``/``half``); only the
+    E2 (E2 u).  States are fiber stacks of w (``rows``/``field``); only the
     step tables are kept, 5 n^2 complex entries per fiber of n modes.
     """
 
@@ -424,12 +428,16 @@ class SplitEvolver:
             for j, T in enumerate(fs):
                 self.W[r, :k, j * size:j * size + k] = T
 
-    def rows(self, half: np.ndarray) -> np.ndarray:
-        """The state of the real field with modes ``half`` (n = 0 .. N/2)."""
-        return self.gen.fib.stack(half - self.gen.base)
+    def rows(self, f: PeriodicField) -> np.ndarray:
+        """The state of the real field ``f``: the fiber stack of f - u_c."""
+        if not f.real:
+            raise DomainError("the split stepper steps real fields only")
+        return self.gen.fib.stack(field_rows(f, self) - self.gen.base)
 
-    def half(self, rows: np.ndarray) -> np.ndarray:
-        return self.gen.base + self.gen.fib.half(rows)
+    def field(self, rows: np.ndarray) -> PeriodicField:
+        """The real field u_c + w of the state ``rows``."""
+        q, N = self.gen.tr.q, self.gen.tr.N
+        return rows_field(q, N, self.gen.base + self.gen.fib.half(rows), True)
 
     def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
         G = self.gen.remainder
@@ -461,11 +469,12 @@ def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
 
 
 def field_rows(f: PeriodicField, ev: Evolver) -> np.ndarray:
-    """The stepper state of ``f``: the modes n = 0 .. N/2 of its real part,
-    stacked with those of its imaginary part when ``f`` is complex.
+    """The ``Evolver`` state of ``f``: the modes n = 0 .. N/2 of its real
+    part, stacked with those of its imaginary part when ``f`` is complex.
 
     Splitting is exact only for a real-linear flow, so a complex field
-    needs a linearized, unforced evolver (DomainError otherwise).
+    needs a linearized, unforced evolver (DomainError otherwise); ``ev`` is
+    not consulted for a real field.
     """
     h = f.coef[f.N // 2:]
     rev = np.conj(f.coef[f.N // 2::-1])     # conj(c_{-n}), n = 0 .. N/2

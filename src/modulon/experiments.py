@@ -17,13 +17,16 @@ e^{2 Re lambda(k) t}), and the nonlinear phase measures escape in the plain
 by fiber (``semigroup.fiber_norms``): one eigensolve per occupied conjugate
 pair of Bloch fibers, with an expm fallback for ill-conditioned eigenbases.
 
-The nonlinear runs of both kinds step w = u - u_c with the fiber-split
-stepper (``evolve.SplitEvolver``) and are observed every per = round(snap_dt
-/ dt) steps of dt, at t_j = j per dt, whatever the step.  An experiment
-chooses its step once, for all of its deltas (``plan_steps``): a pilot
-steps one observation interval from u_c + theta0 u1 and keeps the coarsest
-tried step whose energy drift stays within ``PILOT_DRIFT_BUDGET``.  Each
-run records its step, the steps taken and the pilot's drift.
+The nonlinear runs of both kinds are observed every per = round(snap_dt /
+dt) steps of dt, at t_j = j per dt, whatever the step.  An experiment
+chooses its stepper once, for all of its deltas (``plan_steps``): a pilot
+steps one observation interval from u_c + theta0 u1 with the fiber-split
+stepper (``evolve.SplitEvolver``, which steps w = u - u_c) and keeps the
+coarsest tried step whose energy drift stays within ``PILOT_DRIFT_BUDGET``
+and whose w stays within ``PILOT_ERROR_BUDGET`` of the w at half the step.
+Without a pilot (``modulon evolve``), or when no split step coarser than
+dt passes, the runs take the diagonal ``evolve.Evolver`` at dt.  Each run
+records its step, the steps taken and the pilot's h against h/2 error.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (BlowupError, DomainError, DomainTooSmallError,
 from .evolve import (SPLIT_MAX_ENTRIES, ConservedLedger, Evolver, SplitEvolver,
                      _FiberGenerator, _Fibers, advance, conserved_quantities,
                      lift_wave, orbital_distance, stable_dt)
-from .fields import PeriodicField, hermitian_full, l2_norm, \
+from .fields import PeriodicField, l2_norm, \
     midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
@@ -56,6 +59,12 @@ DEFAULT_THETA_FRACTION = 0.05
 # tenth of criterion 14's bound) that a whole run should keep, because a
 # run accumulates 2.5-4x the drift of its last interval
 PILOT_DRIFT_BUDGET = 2.5e-10
+# ... and its w within this relative L2 distance of the w at half the step,
+# which also sees phase and translation errors that conserve the energy.
+# Under h -> h/2 the escape time moved by about the pilot's figure (BBM
+# escape wave: 6.1e-9 -> 6.7e-9; gKdV p = 3: 9.5e-8 -> 1.3e-7), so the
+# budget keeps T_esc well inside 1e-6
+PILOT_ERROR_BUDGET = 1e-7
 PILOT_FIRST_SPLIT = 20    # the first try's step is 20 dt
 PILOT_TRIES = 4
 PACKET_PROFILE_N = 48     # modes kept per packet eigenprofile
@@ -128,7 +137,8 @@ class StepPlan:
     """How the runs of one experiment step: ``ev`` takes ``n`` steps per
     observation interval of ``per`` steps dt.  ``size`` is the largest
     dense block of a step (0 for the diagonal stepper), ``pilot_error`` the
-    pilot's measured energy drift (None without a pilot)."""
+    relative L2 distance of the pilot's w at the chosen step from its w at
+    half that step (None without a pilot)."""
 
     ev: SplitEvolver | Evolver
     n: int
@@ -142,69 +152,81 @@ def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
                u1: PeriodicField | None = None) -> StepPlan:
     """The stepper of the runs from ref + delta u1 observed every per * dt.
 
-    The split stepper takes n steps per interval.  Without a direction u1
-    or with theta0 = 0 (``modulon evolve``) n = per, so the step is dt;
-    otherwise a pilot chooses n (``_pilot``).  Where the fiber tables would
-    pass ``SPLIT_MAX_ENTRIES``, or the pilot finds no n, the diagonal
-    stepper takes the steps of dt.
+    With a direction u1 and theta0 > 0, a pilot (``_pilot``) looks for a
+    split step per * dt / n with n < per.  Otherwise (``modulon evolve``),
+    where the fiber tables would pass ``SPLIT_MAX_ENTRIES``, or where the
+    pilot finds no such n, the diagonal stepper takes the steps of dt: at
+    an equal step it costs a third of a split one and builds no tables.
     """
     fib = _Fibers(ref.q, ref.N)
-    if fib.mask.size * fib.size > SPLIT_MAX_ENTRIES:
-        return StepPlan(Evolver(model, wave.c, ref.q, ref.N, dt), per, per)
-    with serial(fib.size):
-        gen = _FiberGenerator(model, wave.c, ref)
-        size_u1 = 0.0 if u1 is None else l2_norm(u1)
-        if theta0 > 0.0 and size_u1 > 0.0:
-            return _pilot(model, wave.c, gen, ref + u1 * (theta0 / size_u1),
-                          dt, per)
-        return StepPlan(SplitEvolver(gen, dt), per, per, fib.size)
+    size_u1 = 0.0 if u1 is None else l2_norm(u1)
+    plan = None
+    if (theta0 > 0.0 and size_u1 > 0.0
+            and fib.mask.size * fib.size <= SPLIT_MAX_ENTRIES):
+        with serial(fib.size):
+            gen = _FiberGenerator(model, wave.c, ref)
+            plan = _pilot(model, wave.c, gen, ref,
+                          ref + u1 * (theta0 / size_u1), dt, per)
+    return plan or StepPlan(Evolver(model, wave.c, ref.q, ref.N, dt), per, per)
 
 
 def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
-           start: PeriodicField, dt: float, per: int) -> StepPlan:
-    """The plan whose n keeps the energy drift of one interval of per * dt
-    from ``start`` within ``PILOT_DRIFT_BUDGET``.
+           ref: PeriodicField, start: PeriodicField, dt: float,
+           per: int) -> StepPlan | None:
+    """The split plan whose n < per steps keep one interval of per * dt from
+    ``start`` within both pilot budgets, or None.
 
+    A try steps the interval n times.  Its relative energy drift must stay
+    within ``PILOT_DRIFT_BUDGET``; then its w = u - ref must stay within
+    ``PILOT_ERROR_BUDGET``, in relative L2 distance, of the w of 2n steps.
     The first try takes ceil(per / ``PILOT_FIRST_SPLIT``) steps; each
-    further try rescales n by (drift / budget)^(1/4), the order of the
-    scheme, up to ``PILOT_TRIES`` tries (a non-finite drift quadruples n).
-    The smallest n within the budget wins.  When none is, the runs keep the
-    diagonal stepper at dt, whose step costs a third of a split one.  The
+    further try rescales n by the larger ratio to a budget, to the power
+    1/4, the order of the scheme (a blow-up quadruples n), up to
+    ``PILOT_TRIES`` tries.  The smallest n within both budgets wins.  The
     tries refill one set of step tables.
     """
+    if per < 2:
+        return None
     T_obs = per * dt
     e0 = conserved_quantities(model, start, c)[2]
-    drifts = {}
     n = -(-per // PILOT_FIRST_SPLIT)
     ev = SplitEvolver(gen, T_obs / n)
-    for _ in range(PILOT_TRIES):
-        if ev.dt != T_obs / n:
-            ev.tabulate(T_obs / n)
+
+    def end(m):
+        """w after m steps over the interval, None on a blow-up."""
+        if ev.dt != T_obs / m:
+            ev.tabulate(T_obs / m)
         try:
-            rows = advance(ev, ev.rows(start.coef[start.N // 2:]), n, n,
-                           lambda t, rows: False)
-            end = PeriodicField(start.q, start.N,
-                                hermitian_full(ev.half(rows)))
-            drift = abs(conserved_quantities(model, end, c)[2] - e0) \
-                / max(abs(e0), 1e-30)
+            rows = advance(ev, ev.rows(start), m, m, lambda t, rows: False)
         except BlowupError:
-            drift = np.inf
-        drifts[n] = drift
-        if np.isfinite(drift):
-            nxt = int(np.ceil(n * (drift / PILOT_DRIFT_BUDGET) ** 0.25))
-        else:
-            nxt = 4 * n
-        nxt = min(max(nxt, 1), per)
-        if nxt in drifts or (drift <= PILOT_DRIFT_BUDGET and nxt >= n):
+            return None
+        return ev.field(rows) - ref
+
+    tried = {}       # n -> (larger ratio to a budget, h vs h/2 error)
+    for _ in range(PILOT_TRIES):
+        w, ratio, error = end(n), np.inf, np.inf
+        if w is not None:
+            drift = abs(conserved_quantities(model, ref + w, c)[2] - e0) \
+                / max(abs(e0), 1e-30)
+            ratio = drift / PILOT_DRIFT_BUDGET
+            if ratio <= 1.0:
+                fine = end(2 * n)
+                if fine is not None:
+                    error = l2_norm(w - fine) / max(l2_norm(fine), 1e-300)
+                ratio = max(ratio, error / PILOT_ERROR_BUDGET)
+        tried[n] = (ratio, error)
+        nxt = int(np.ceil(n * ratio ** 0.25)) if np.isfinite(ratio) else 4 * n
+        nxt = min(max(nxt, 1), per - 1)
+        if nxt in tried or (ratio <= 1.0 and nxt >= n):
             break
         n = nxt
-    ok = [m for m, drift in drifts.items() if drift <= PILOT_DRIFT_BUDGET]
+    ok = [m for m, (ratio, _) in tried.items() if ratio <= 1.0]
     if not ok:
-        return StepPlan(Evolver(model, c, start.q, start.N, dt), per, per)
+        return None
     n = min(ok)
     if ev.dt != T_obs / n:
         ev.tabulate(T_obs / n)
-    return StepPlan(ev, n, per, gen.fib.size, drifts[n])
+    return StepPlan(ev, n, per, gen.fib.size, tried[n][1])
 
 
 def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
@@ -217,8 +239,8 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
 
     Observations fall every per = round(snap_dt / dt) steps of dt, at
     t_j = j per dt, and the run ends at ceil(t_max / dt) dt.  ``plan`` (by
-    default ``plan_steps``, one step of dt) takes n steps per interval; a
-    last partial interval that n does not divide takes its own step.
+    default ``plan_steps``) takes n steps per interval; a last partial
+    interval that n does not divide takes its own step.
     """
     if plan is None:
         plan = plan_steps(model, wave, ref, dt,
@@ -233,7 +255,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     def observe(t, rows):
         nonlocal escape_time, steps
         steps += chunk
-        f = PeriodicField(u0.q, u0.N, hermitian_full(ev.half(rows)), real=True)
+        f = ev.field(rows)
         diff = f - ref
         pert = l2_norm(diff)
         if escape_metric == "orbital":
@@ -251,7 +273,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         ledger.append(t, *conserved_quantities(model, f, wave.c))
         return escape_time is not None
 
-    rows = ev.rows(u0.coef[u0.N // 2:])
+    rows = ev.rows(u0)
     if not observe(0.0, rows):
         full, rest = divmod(int(np.ceil(t_max / dt)), per)
         chunk = n

@@ -6,7 +6,7 @@ import pytest
 from modulon import (SymbolSpec, TravelingWave, cosine_field,
                      model_for_symbol, synthesize_packet, zero_field)
 from modulon.errors import BlowupError, DomainError, DomainTooSmallError
-from modulon.experiments import (PILOT_DRIFT_BUDGET, _monitor_run,
+from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  build_band_packet,
                                  packet_domain_check, run_localized,
                                  run_multiperiodic, save_report,
@@ -104,7 +104,7 @@ def test_report_records_step_health_byte_identically(
     for run in json.loads(raw)["runs"]:
         assert run["step"] > 0.0
         assert run["steps"] > 0
-        assert 0.0 < run["pilot_error"] <= PILOT_DRIFT_BUDGET
+        assert 0.0 < run["pilot_error"] <= PILOT_ERROR_BUDGET
 
 
 # -- localized ----------------------------------------------------------------------

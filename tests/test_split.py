@@ -9,9 +9,9 @@ from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
                      cosine_field, l2_norm, model_for_symbol, zero_field)
 from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
                             _phi_tables, advance, lift_wave)
-from modulon.experiments import (PILOT_DRIFT_BUDGET, _monitor_run,
+from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
-from modulon.fields import PeriodicField, _lift_eigenfunction
+from modulon.fields import PeriodicField, _lift_eigenfunction, hermitian_full
 
 
 def random_half(N, seed, scale=1.0):
@@ -96,8 +96,7 @@ def test_phi_tables_match_the_augmented_expm(h, bbm2_model, bbm2_wave):
 def test_wave_is_a_fixed_point(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, 8, 8 * 48)
     ev = SplitEvolver(_FiberGenerator(bbm2_model, bbm2_wave.c, uc), 1.0)
-    rows = advance(ev, ev.rows(uc.coef[uc.N // 2:]), 50, 50,
-                   lambda t, rows: False)
+    rows = advance(ev, ev.rows(uc), 50, 50, lambda t, rows: False)
     assert np.max(np.abs(rows)) < 1e-14
 
 
@@ -107,16 +106,17 @@ def test_split_agrees_with_diagonal_stepper_and_keeps_mode_zero(
     uc = lift_wave(bbm2_wave, q, N)
     w0 = random_half(N, 7, 1e-3)
     w0[0] = 0.0
-    u0 = uc.coef[N // 2:] + w0
+    u0 = uc + PeriodicField(q, N, hermitian_full(w0), real=True)
     h, n = 0.05, 100
     split = SplitEvolver(_FiberGenerator(bbm2_model, bbm2_wave.c, uc), h)
     diag = Evolver(bbm2_model, bbm2_wave.c, q, N, h)
     end = advance(split, split.rows(u0), n, n, lambda t, rows: False)
-    ref = advance(diag, u0, n, n, lambda t, rows: False)
-    got = split.half(end)
-    w_ref = ref - uc.coef[N // 2:]
-    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(w_ref))
-    assert got[0] == uc.coef[N // 2]      # mode 0 of w stays exactly zero
+    ref = advance(diag, diag.rows(u0), n, n, lambda t, rows: False)
+    assert np.all(end[split.gen.fib.modes == 0] == 0.0)   # w's mode 0
+    got = split.field(end).coef
+    w_ref = diag.field(ref).coef - uc.coef
+    assert np.max(np.abs(got - uc.coef - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+    assert got[N // 2] == uc.coef[N // 2]     # so mode 0 of u keeps its value
 
 
 def test_escape_time_converges_under_step_halving(bbm2_model, bbm2_wave,
@@ -128,10 +128,11 @@ def test_escape_time_converges_under_step_halving(bbm2_model, bbm2_wave,
     theta0 = 0.05 * l2_norm(uc)
     dt, per = 0.1, 798
     plan = plan_steps(model, wave, uc, dt, per, theta0, u1)
-    assert plan.pilot_error <= PILOT_DRIFT_BUDGET
+    assert isinstance(plan.ev, SplitEvolver)
     assert plan.n < per
+    assert 0.0 < plan.pilot_error <= PILOT_ERROR_BUDGET
     fine = StepPlan(SplitEvolver(plan.ev.gen, plan.ev.dt / 2), 2 * plan.n,
-                    per, dt, plan.size)
+                    per, plan.size)
     runs = [_monitor_run(model, wave, uc + 1e-2 * u1, uc, dt, 2000.0,
                          per * dt, theta0, "orbital", p) for p in (plan, fine)]
     T, T_half = (r.escape_time for r in runs)
@@ -142,25 +143,44 @@ def test_escape_time_converges_under_step_halving(bbm2_model, bbm2_wave,
         assert r.energy_drift <= 1e-9
 
 
-def test_plan_without_pilot_steps_dt(bbm2_model, bbm2_wave):
+def test_plan_without_pilot_keeps_the_diagonal_stepper(bbm2_model, bbm2_wave):
+    # modulon evolve: theta0 = 0, so the step is dt and Evolver takes it
     uc = lift_wave(bbm2_wave, 2, 2 * 24)
-    plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 4)
-    assert (plan.n, plan.per, plan.ev.dt, plan.pilot_error) == (4, 4, 0.1, None)
+    for theta0, u1 in ((0.0, cosine_field(2, 48, [0.0, 1.0])), (1e-2, None)):
+        plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 4, theta0, u1)
+        assert isinstance(plan.ev, Evolver)
+        assert (plan.n, plan.per, plan.ev.dt, plan.pilot_error) == \
+            (4, 4, 0.1, None)
+
+
+def test_pilot_error_budget_refines_the_step(bbm2_model, bbm2_wave,
+                                            monkeypatch):
+    # the h against h/2 check, not the energy drift, decides here
+    uc = lift_wave(bbm2_wave, 2, 2 * 24)
+    u1 = cosine_field(2, 48, [0.0, 1.0])
+    plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 40, 1e-2, u1)
+    budget = plan.pilot_error / 100
+    monkeypatch.setattr("modulon.experiments.PILOT_ERROR_BUDGET", budget)
+    tight = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 40, 1e-2, u1)
+    assert isinstance(tight.ev, SplitEvolver)
+    assert plan.n < tight.n < 40
+    assert tight.pilot_error <= budget
 
 
 def test_large_fiber_stacks_keep_the_diagonal_stepper(bbm2_model, bbm2_wave,
                                                       monkeypatch):
     uc = lift_wave(bbm2_wave, 2, 2 * 24)
-    u0 = uc + cosine_field(2, 48, [0.0, 1e-3])
-    split = _monitor_run(bbm2_model, bbm2_wave, u0, uc, 0.1, 2.0, 0.5, 0.0,
-                         "plain")
+    u1 = cosine_field(2, 48, [0.0, 1.0])
+    plans = [plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 5, 1e-2, u1)]
     monkeypatch.setattr("modulon.experiments.SPLIT_MAX_ENTRIES", 0)
-    assert isinstance(plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 5).ev,
-                      Evolver)
-    diag = _monitor_run(bbm2_model, bbm2_wave, u0, uc, 0.1, 2.0, 0.5, 0.0,
-                        "plain")
+    plans.append(plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 5, 1e-2, u1))
+    assert isinstance(plans[0].ev, SplitEvolver) and plans[0].n < 5
+    assert isinstance(plans[1].ev, Evolver) and plans[1].n == 5
+    split, diag = (_monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc,
+                                0.1, 2.0, 0.5, 1e-2, "plain", p)
+                   for p in plans)
     assert np.array_equal(split.times, diag.times)
-    assert split.steps == diag.steps == 20
+    assert (split.steps, diag.steps) == (4 * plans[0].n, 20)
     assert np.allclose(split.pert_norm, diag.pert_norm, rtol=1e-9, atol=0.0)
 
 
