@@ -144,9 +144,9 @@ class Evolver:
         """The state of ``f`` (``field_rows``)."""
         return field_rows(f, self)
 
-    def field(self, rows: np.ndarray, real: bool = True) -> PeriodicField:
-        """The field of the state ``rows`` (``rows_field``)."""
-        return rows_field(self.q, self.N, rows, real)
+    def field(self, rows: np.ndarray) -> PeriodicField:
+        """The real field of the state ``rows`` (``rows_field``)."""
+        return rows_field(self.q, self.N, rows, True)
 
     def nonlinear(self, half: np.ndarray, t: float) -> np.ndarray:
         vals = self.tr.values(half)
