@@ -20,9 +20,12 @@ Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(w(s)) ds of the nonlinear
 instability estimates: e^{hA} of the full linearization is exact on each
 Bloch fiber k = r/q of T_{2 pi q}, and only the remainder G is explicit
 (Hochbruck & Ostermann), so the step is set by accuracy rather than by
-the wave coupling.  The escape runs use the split stepper at the step
-their pilot chooses; ``modulon evolve``, the approximate-solution cascade,
-its residual and criterion 14's dt-halving check use ``Evolver``.
+the wave coupling.  Its phi-function tables come from Taylor sums, by
+Paterson-Stockmeyer, and scaling and modified squaring (Skaflestad &
+Wright).  The escape runs use the split stepper at the step their pilot
+chooses, and at up to 8 times that step while the perturbation is small;
+``modulon evolve``, the approximate-solution cascade, its residual and
+criterion 14's dt-halving check use ``Evolver``.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -36,7 +39,8 @@ flow is real-linear.
 
 ``advance`` is the one time loop: the escape runs, the approximate-solution
 cascade and ``modulon evolve`` step through it with either stepper,
-observing every ``per`` steps and after the last step.
+observing every ``per`` steps and after the last step (the escape runs
+call it once per observation interval).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 # run's, 30 MB at this cap (133 against 103 MB at Q = 416)
 SPLIT_MAX_ENTRIES = 2 ** 19
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
-_TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18
+_TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18; 5 blocks of Paterson-Stockmeyer
 
 
 class _Transform:
@@ -275,8 +279,11 @@ class _Fibers:
 def _phi_tables(h: float, A: np.ndarray) -> tuple:
     """(E2, Q, f1, 2 f2, f3) of ETDRK4 step h for the matrix A: the first
     block row e^Z, phi_1(Z), phi_2(Z), phi_3(Z) of the augmented exponential
-    (Sidje) at Z = hA/2, by scaling and squaring on n x n blocks.  Taylor
-    sums at X = Z / 2^s, ||X||_1 <= 2, are doubled s times and once more to
+    (Sidje) at Z = hA/2, by scaling and squaring on n x n blocks.  At
+    X = Z / 2^s, ||X||_1 <= 2, the Taylor sum phi_3(X) = sum_j X^j / (j+3)!
+    is evaluated by Paterson-Stockmeyer in Y = X^5, the lower orders follow
+    from phi_k(X) = X phi_{k+1}(X) + I / k! (11 products in all, against
+    24 for term-by-term sums), and all are doubled s times and once more to
     hA by
 
         phi_k(2X) = 2^-k [e^X phi_k(X) + sum_{j=1..k} phi_j(X) / (k - j)!].
@@ -287,17 +294,32 @@ def _phi_tables(h: float, A: np.ndarray) -> tuple:
     this one is 7e-15, at the same cost.  The updates run in place: at 96
     modes a matrix is 147 kB.
     """
-    I = np.eye(A.shape[0], dtype=A.dtype)
+    n = A.shape[0]
     s = max(0, int(np.ceil(np.log2(max(0.5 * h * np.linalg.norm(A, 1), 1e-300)
                                    / _TAYLOR_RADIUS))))
     X = A * (0.5 * h / 2.0 ** s)
-    e, p1, p2, p3 = (I / factorial(k) for k in range(4))   # phi_k(X)
-    P = I
-    for j in range(1, _TAYLOR_TERMS + 1):
-        P = P @ X
-        for k, T in enumerate((e, p1, p2, p3)):
-            T += P / factorial(j + k)
-    del P, X
+    X2 = X @ X
+    P = (X, X2, X2 @ X, X2 @ X2)          # X^1 .. X^4
+    Y = P[3] @ X
+    del X2
+    p3 = None
+    for i in range(_TAYLOR_TERMS // 5, -1, -1):   # blocks of X^{5i} .. X^{5i+4}
+        B = P[0] * (1.0 / factorial(5 * i + 4))
+        for j in (1, 2, 3):
+            B += P[j] * (1.0 / factorial(5 * i + j + 4))
+        B.flat[::n + 1] += 1.0 / factorial(5 * i + 3)
+        if p3 is not None:
+            B += Y @ p3
+        p3 = B
+    del P, Y, B
+    p2 = X @ p3                            # phi_k = X phi_{k+1} + I / k!
+    p2.flat[::n + 1] += 0.5
+    p1 = X @ p2
+    p1.flat[::n + 1] += 1.0
+    e = X @ p1
+    e.flat[::n + 1] += 1.0
+    del X
+    I = np.eye(n, dtype=A.dtype)
     for i in range(s + 1):
         if i == s:
             E2, Q = e, 0.5 * h * p1

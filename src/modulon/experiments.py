@@ -23,10 +23,16 @@ chooses its stepper once, for all of its deltas (``plan_steps``): a pilot
 steps one observation interval from u_c + theta0 u1 with the fiber-split
 stepper (``evolve.SplitEvolver``, which steps w = u - u_c) and keeps the
 coarsest tried step whose energy drift stays within ``PILOT_DRIFT_BUDGET``
-and whose w stays within ``PILOT_ERROR_BUDGET`` of the w at half the step.
-Without a pilot (``modulon evolve``), or when no split step coarser than
-dt passes, the runs take the diagonal ``evolve.Evolver`` at dt.  Each run
-records its step, the steps taken and the pilot's h against h/2 error.
+and whose w stays within ``PILOT_ERROR_BUDGET`` of the w at half the step;
+only the step it keeps is stepped at half the step.  A run on a split plan
+then steps each interval on a ladder of 2^j times coarser steps while its
+perturbation is small: the pilot's error, scaled by the h^4 ||w|| law the
+escape wave measured, must stay within the error budget, and a coarse
+interval's energy change within ``COARSE_DRIFT_BUDGET``, or the interval is
+redone finer.  Without a pilot (``modulon evolve``), or when no split step
+coarser than dt passes, the runs take the diagonal ``evolve.Evolver`` at
+dt.  Each run records its step, the steps of its accepted intervals, the
+intervals it redid and the pilot's h against h/2 error.
 """
 
 from __future__ import annotations
@@ -67,6 +73,18 @@ PILOT_DRIFT_BUDGET = 2.5e-10
 PILOT_ERROR_BUDGET = 1e-7
 PILOT_FIRST_SPLIT = 20    # the first try's step is 20 dt
 PILOT_TRIES = 4
+# the step ladder of a run with a pilot: below theta0 an interval may take
+# ceil(n / 2^j) steps.  On the escape wave the h vs h/2 error of one
+# interval went as h^4 ||w|| (x16-18 a level) and its energy change as h^5
+# ||w||^2 or faster: at ||w|| = 0.08 theta0, 4.3e-10 / 1.3e-14 at n = 75,
+# 7.0e-9 / 5.1e-13 at 38, 1.2e-7 / 8.5e-12 at 19, 2.1e-6 / 1.6e-10 at 10.
+# A fourth level (n / 16) would meet the error law only below
+# 2.4e-4 theta0, which no escape delta above 3e-6 starts at
+LADDER_DEPTH = 3
+# a coarse interval's relative energy change must stay within a tenth of
+# the pilot's, so that the tens of coarse intervals of a small-delta run
+# add at most a few 1e-10 to the run's drift
+COARSE_DRIFT_BUDGET = PILOT_DRIFT_BUDGET / 10
 PACKET_PROFILE_N = 48     # modes kept per packet eigenprofile
 
 
@@ -91,6 +109,7 @@ class DeltaRun:
     ledger: ConservedLedger
     step: float = np.nan
     steps: int = 0
+    redone: int = 0
     pilot_error: float | None = None
     flags: dict = dc_field(default_factory=dict)
 
@@ -126,6 +145,7 @@ class ExperimentReport:
             "energy_drift": r.energy_drift,
             "step": r.step,
             "steps": r.steps,
+            "redone": r.redone,
             "pilot_error": r.pilot_error,
             "flags": r.flags,
         } for r in self.runs]
@@ -138,13 +158,15 @@ class StepPlan:
     observation interval of ``per`` steps dt.  ``size`` is the largest
     dense block of a step (0 for the diagonal stepper), ``pilot_error`` the
     relative L2 distance of the pilot's w at the chosen step from its w at
-    half that step (None without a pilot)."""
+    half that step (None without a pilot, and then every interval takes n
+    steps), and ``theta0`` the L2 size of the pilot's w at its start."""
 
     ev: SplitEvolver | Evolver
     n: int
     per: int
     size: int = 0
     pilot_error: float | None = None
+    theta0: float = 0.0
 
 
 def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
@@ -176,14 +198,20 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
     """The split plan whose n < per steps keep one interval of per * dt from
     ``start`` within both pilot budgets, or None.
 
-    A try steps the interval n times.  Its relative energy drift must stay
-    within ``PILOT_DRIFT_BUDGET``; then its w = u - ref must stay within
-    ``PILOT_ERROR_BUDGET``, in relative L2 distance, of the w of 2n steps.
-    The first try takes ceil(per / ``PILOT_FIRST_SPLIT``) steps; each
-    further try rescales n by the larger ratio to a budget, to the power
-    1/4, the order of the scheme (a blow-up quadruples n), up to
-    ``PILOT_TRIES`` tries.  The smallest n within both budgets wins.  The
-    tries refill one set of step tables.
+    A try steps the interval n times, and its relative energy drift must
+    stay within ``PILOT_DRIFT_BUDGET``.  The drift goes as h^5 (ROADMAP
+    Baseline: n = 20 .. 160), so the next n is n times the drift's ratio to
+    its budget to the power 1/5 (a blow-up quadruples n), but not below the
+    floor that the last h vs h/2 check set.  Only a try that neither would
+    coarsen is checked: its w = u - ref must stay within
+    ``PILOT_ERROR_BUDGET``, in relative L2 distance, of the w of 2n steps,
+    and n times the error's ratio to its budget to the power 1/4, the order
+    of the scheme, becomes the floor.  The first try takes
+    ceil(per / ``PILOT_FIRST_SPLIT``) steps, and there are at most
+    ``PILOT_TRIES``.  The smallest n within both budgets wins: a try within
+    the drift budget, finer than every try that failed its check, is
+    checked from its kept w if the tries left it unchecked.  The tries
+    refill one set of step tables.
     """
     if per < 2:
         return None
@@ -202,31 +230,44 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
             return None
         return ev.field(rows) - ref
 
-    tried = {}       # n -> (larger ratio to a budget, h vs h/2 error)
+    tried = {}       # n -> [drift ratio to its budget, w, h vs h/2 error]
+
+    def error(m):
+        """The h vs h/2 error of the try m, stepping 2m only once."""
+        if tried[m][2] is None:
+            fine = end(2 * m)
+            tried[m][2] = np.inf if fine is None else \
+                l2_norm(tried[m][1] - fine) / max(l2_norm(fine), 1e-300)
+        return tried[m][2]
+
+    def rescaled(m, ratio, order):
+        if not np.isfinite(ratio):
+            return 4 * m
+        return int(np.ceil(m * ratio ** (1.0 / order)))
+
+    floor = 1        # the n that the last h vs h/2 check asks for
     for _ in range(PILOT_TRIES):
-        w, ratio, error = end(n), np.inf, np.inf
+        w, ratio = end(n), np.inf
         if w is not None:
-            drift = abs(conserved_quantities(model, ref + w, c)[2] - e0) \
-                / max(abs(e0), 1e-30)
-            ratio = drift / PILOT_DRIFT_BUDGET
-            if ratio <= 1.0:
-                fine = end(2 * n)
-                if fine is not None:
-                    error = l2_norm(w - fine) / max(l2_norm(fine), 1e-300)
-                ratio = max(ratio, error / PILOT_ERROR_BUDGET)
-        tried[n] = (ratio, error)
-        nxt = int(np.ceil(n * ratio ** 0.25)) if np.isfinite(ratio) else 4 * n
-        nxt = min(max(nxt, 1), per - 1)
-        if nxt in tried or (ratio <= 1.0 and nxt >= n):
+            ratio = abs(conserved_quantities(model, ref + w, c)[2] - e0) \
+                / max(abs(e0), 1e-30) / PILOT_DRIFT_BUDGET
+        tried[n] = [ratio, w, None]
+        coarse = rescaled(n, ratio, 5)
+        if ratio <= 1.0 and max(coarse, floor) >= n:
+            floor = rescaled(n, error(n) / PILOT_ERROR_BUDGET, 4)
+        nxt = min(max(coarse, floor, 1), per - 1)
+        if nxt == n or nxt in tried:
             break
         n = nxt
-    ok = [m for m, (ratio, _) in tried.items() if ratio <= 1.0]
-    if not ok:
-        return None
-    n = min(ok)
-    if ev.dt != T_obs / n:
-        ev.tabulate(T_obs / n)
-    return StepPlan(ev, n, per, gen.fib.size, tried[n][1])
+    failed = max((m for m, (_, _, err) in tried.items()
+                  if err is not None and err > PILOT_ERROR_BUDGET), default=0)
+    for n in sorted(tried):
+        if n > failed and tried[n][0] <= 1.0 and error(n) <= PILOT_ERROR_BUDGET:
+            if ev.dt != T_obs / n:
+                ev.tabulate(T_obs / n)
+            return StepPlan(ev, n, per, gen.fib.size, tried[n][2],
+                            l2_norm(start - ref))
+    return None
 
 
 def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
@@ -240,7 +281,17 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     Observations fall every per = round(snap_dt / dt) steps of dt, at
     t_j = j per dt, and the run ends at ceil(t_max / dt) dt.  ``plan`` (by
     default ``plan_steps``) takes n steps per interval; a last partial
-    interval that n does not divide takes its own step.
+    interval that n does not divide takes its own step.  A plan with a
+    pilot error steps each interval on the coarsest level j of the ladder
+    ceil(n / 2^j), j <= ``LADDER_DEPTH``, that the error law
+
+        pilot_error * 16^j * ||w|| / theta0_pilot <= PILOT_ERROR_BUDGET
+
+    allows at the interval's start (the h^4 ||w|| law of the ROADMAP
+    Baseline).  An interval on a coarse level whose relative energy change
+    exceeds ``COARSE_DRIFT_BUDGET`` is redone one level finer, and the run
+    then never coarsens again.  The plan's tables are retabulated in place
+    and restored to its step on return.
     """
     if plan is None:
         plan = plan_steps(model, wave, ref, dt,
@@ -250,14 +301,15 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     times, perts, orbs = [], [], []
     ledger = ConservedLedger()
     escape_time = None
-    steps = chunk = 0
+    steps = redone = 0
 
-    def observe(t, rows):
-        nonlocal escape_time, steps
-        steps += chunk
+    def measure(rows):
         f = ev.field(rows)
-        diff = f - ref
-        pert = l2_norm(diff)
+        return f, conserved_quantities(model, f, wave.c)
+
+    def observe(t, f, quantities):
+        nonlocal escape_time
+        pert = l2_norm(f - ref)
         if escape_metric == "orbital":
             dist, _ = orbital_distance(f, wave.profile)
         else:
@@ -270,20 +322,54 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         times.append(t)
         perts.append(pert)
         orbs.append(dist)
-        ledger.append(t, *conserved_quantities(model, f, wave.c))
+        ledger.append(t, *quantities)
         return escape_time is not None
 
+    def interval(rows, m, t0, h):
+        if ev.dt != h:
+            ev.tabulate(h)
+        return advance(ev, rows, m, m, lambda t, rows: False, t0=t0)
+
+    ladder = [n]        # n_j = ceil(n / 2^j) while it still shrinks
+    if plan.pilot_error is not None:
+        while len(ladder) <= LADDER_DEPTH and ladder[-1] > 1:
+            ladder.append(-(-n // 2 ** len(ladder)))
+    cap = len(ladder) - 1
     rows = ev.rows(u0)
-    if not observe(0.0, rows):
-        full, rest = divmod(int(np.ceil(t_max / dt)), per)
-        chunk = n
-        with serial(plan.size):
-            rows = advance(ev, rows, full * n, n, observe)
-            if rest and escape_time is None:
-                chunk = -(-rest * n // per)
-                if chunk * per != rest * n:
-                    ev = SplitEvolver(ev.gen, rest * dt / chunk)
-                advance(ev, rows, chunk, chunk, observe, t0=full * per * dt)
+    done = observe(0.0, *measure(rows))
+    full, rest = divmod(int(np.ceil(t_max / dt)), per)
+    with serial(plan.size):
+        try:
+            for i in range(full):
+                if done:
+                    break
+                level = cap
+                while level and (plan.pilot_error * 16 ** level * perts[-1]
+                                 > PILOT_ERROR_BUDGET * plan.theta0):
+                    level -= 1
+                start, e0 = rows, ledger.energy[-1]
+                while True:
+                    m = ladder[level]
+                    rows = interval(start, m, i * n * step,
+                                    per * dt / m if level else step)
+                    f, quantities = measure(rows)
+                    if level == 0 or abs(quantities[2] - e0) \
+                            <= COARSE_DRIFT_BUDGET * max(abs(e0), 1e-30):
+                        break
+                    redone += 1
+                    cap = level = level - 1
+                steps += m
+                done = observe((i + 1) * n * step, f, quantities)
+            if rest and not done:
+                m = -(-rest * n // per)
+                t0 = full * per * dt
+                rows = interval(rows, m, t0,
+                                step if m * per == rest * n else rest * dt / m)
+                steps += m
+                observe(t0 + m * ev.dt, *measure(rows))
+        finally:
+            if ev.dt != step:
+                ev.tabulate(step)
     if theta0 == 0.0:
         escape_time = 0.0
 
@@ -297,7 +383,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         momentum_drift=peak(ledger.momentum_drift()),
         energy_drift=peak(ledger.energy_drift()),
         escaped=escape_time is not None, ledger=ledger, step=step,
-        steps=steps, pilot_error=plan.pilot_error)
+        steps=steps, redone=redone, pilot_error=plan.pilot_error)
 
 
 def _fit_growth(run: DeltaRun, lo: float, hi: float):

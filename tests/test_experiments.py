@@ -104,6 +104,7 @@ def test_report_records_step_health_byte_identically(
     for run in json.loads(raw)["runs"]:
         assert run["step"] > 0.0
         assert run["steps"] > 0
+        assert run["redone"] >= 0 and isinstance(run["redone"], int)
         assert 0.0 < run["pilot_error"] <= PILOT_ERROR_BUDGET
 
 

@@ -11,6 +11,7 @@ from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
                             _phi_tables, advance, lift_wave)
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
+from modulon import experiments
 from modulon.fields import PeriodicField, _lift_eigenfunction, hermitian_full
 
 
@@ -72,7 +73,7 @@ def test_fibers_round_trip_and_pad():
     assert np.sum(fib.mask[1:4]) * 2 + np.sum(fib.mask[[0, 4]]) == 95
 
 
-@pytest.mark.parametrize("h", [0.3, 2.0])
+@pytest.mark.parametrize("h", [0.3, 2.0, 4.0])   # scaling exponents 0, 2, 3
 def test_phi_tables_match_the_augmented_expm(h, bbm2_model, bbm2_wave):
     gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
                           lift_wave(bbm2_wave, 8, 8 * 24))
@@ -119,28 +120,113 @@ def test_split_agrees_with_diagonal_stepper_and_keeps_mode_zero(
     assert got[N // 2] == uc.coef[N // 2]     # so mode 0 of u keeps its value
 
 
-def test_escape_time_converges_under_step_halving(bbm2_model, bbm2_wave,
-                                                 bbm2_spectrum):
+@pytest.fixture(scope="module")
+def escape_case(bbm2_model, bbm2_wave, bbm2_spectrum):
+    """The escape workload's wave and seed at q = 8, its theta0 and the
+    observation interval of 798 steps of 0.1."""
+    _, q, lam, u1 = eigenfunction_seed(bbm2_model, bbm2_wave, bbm2_spectrum,
+                                       8, 96, 96)
+    uc = lift_wave(bbm2_wave, q, u1.N)
+    return bbm2_model, bbm2_wave, uc, u1, 0.05 * l2_norm(uc), 0.1, 798
+
+
+@pytest.fixture(scope="module")
+def escape_plan(escape_case):
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    return plan_steps(model, wave, uc, dt, per, theta0, u1)
+
+
+def escape_run(escape_case, plan, delta, t_max=2000.0):
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    return _monitor_run(model, wave, uc + delta * u1, uc, dt, t_max, per * dt,
+                        theta0, "orbital", plan)
+
+
+def test_escape_time_converges_under_step_halving(escape_case, escape_plan):
     # the escape workload's wave and seed, delta = 1e-2
-    model, wave = bbm2_model, bbm2_wave
-    _, q, lam, u1 = eigenfunction_seed(model, wave, bbm2_spectrum, 8, 96, 96)
-    uc = lift_wave(wave, q, u1.N)
-    theta0 = 0.05 * l2_norm(uc)
-    dt, per = 0.1, 798
-    plan = plan_steps(model, wave, uc, dt, per, theta0, u1)
+    plan, per = escape_plan, escape_case[-1]
     assert isinstance(plan.ev, SplitEvolver)
     assert plan.n < per
     assert 0.0 < plan.pilot_error <= PILOT_ERROR_BUDGET
     fine = StepPlan(SplitEvolver(plan.ev.gen, plan.ev.dt / 2), 2 * plan.n,
                     per, plan.size)
-    runs = [_monitor_run(model, wave, uc + 1e-2 * u1, uc, dt, 2000.0,
-                         per * dt, theta0, "orbital", p) for p in (plan, fine)]
+    runs = [escape_run(escape_case, p, 1e-2) for p in (plan, fine)]
     T, T_half = (r.escape_time for r in runs)
     assert abs(T - T_half) <= 1e-6 * T_half
     assert runs[0].steps == plan.n * (len(runs[0].times) - 1)
     for r in runs:
         assert r.mass_drift == 0.0
         assert r.energy_drift <= 1e-9
+
+
+def recorded_intervals(monkeypatch):
+    """The (start time, steps) of every ``advance`` call in experiments."""
+    intervals = []
+
+    def recorded(ev, rows, n_steps, per, observe, t0=0.0):
+        intervals.append((t0, n_steps))
+        return advance(ev, rows, n_steps, per, observe, t0)
+
+    monkeypatch.setattr(experiments, "advance", recorded)
+    return intervals
+
+
+def test_pilot_checks_only_the_step_it_keeps(escape_case, monkeypatch):
+    # one interval at 2n, the h/2 check of the chosen n, and no other
+    intervals = recorded_intervals(monkeypatch)
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    plan = plan_steps(model, wave, uc, dt, per, theta0, u1)
+    tries = [m for _, m in intervals]
+    assert [m for m in tries if m % 2 == 0 and m // 2 in tries] == [2 * plan.n]
+    assert tries.count(plan.n) == 1       # the check reused its w
+    assert sum(tries) <= 350
+    assert plan.theta0 == pytest.approx(theta0, rel=1e-12)
+
+
+def test_ladder_keeps_the_escape_time_and_the_drift(escape_case, escape_plan):
+    plan = escape_plan
+    fixed = StepPlan(plan.ev, plan.n, plan.per, plan.size)  # no pilot error
+    ladder, ref = (escape_run(escape_case, p, 1e-3, 6000.0)
+                   for p in (plan, fixed))
+    assert ref.steps == plan.n * (len(ref.times) - 1)
+    assert ladder.steps < ref.steps
+    assert np.array_equal(ladder.times, ref.times)
+    assert abs(ladder.escape_time - ref.escape_time) <= 1e-7 * ref.escape_time
+    assert ladder.energy_drift <= 1e-9
+    assert ladder.mass_drift == 0.0
+    assert plan.ev.dt == plan.per * escape_case[-2] / plan.n   # restored
+
+
+def test_ladder_counts_the_steps_and_redone_intervals(escape_case, escape_plan,
+                                                      monkeypatch):
+    # delta = 1e-2 starts at 0.8 theta0: the error law allows n / 2, whose
+    # energy change is too large, so the first interval is redone at n
+    intervals, calls = recorded_intervals(monkeypatch), [0]
+
+    def step_coef(self, x, t, _step=SplitEvolver.step_coef):
+        calls[0] += 1
+        return _step(self, x, t)
+
+    monkeypatch.setattr(SplitEvolver, "step_coef", step_coef)
+    run = escape_run(escape_case, escape_plan, 1e-2)
+    starts = [t0 for t0, _ in intervals]
+    accepted = [m for i, (t0, m) in enumerate(intervals)
+                if starts[i + 1:i + 2] != [t0]]     # the next one is not a redo
+    assert calls[0] == sum(m for _, m in intervals)
+    assert run.redone == len(intervals) - len(accepted) >= 1
+    assert run.steps == sum(accepted)
+    assert len(accepted) == len(run.times) - 1
+
+
+def test_run_from_theta0_uses_the_plan_step_only(escape_case, escape_plan,
+                                                 monkeypatch):
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    intervals = recorded_intervals(monkeypatch)
+    run = _monitor_run(model, wave, uc + theta0 * u1, uc, dt, 3 * per * dt,
+                       per * dt, 10 * theta0, "plain", escape_plan)
+    assert len(run.times) == 4
+    assert run.steps == 3 * escape_plan.n
+    assert [m for _, m in intervals[run.redone:]] == [escape_plan.n] * 3
 
 
 def test_plan_without_pilot_keeps_the_diagonal_stepper(bbm2_model, bbm2_wave):
@@ -182,6 +268,19 @@ def test_large_fiber_stacks_keep_the_diagonal_stepper(bbm2_model, bbm2_wave,
     assert np.array_equal(split.times, diag.times)
     assert (split.steps, diag.steps) == (4 * plans[0].n, 20)
     assert np.allclose(split.pert_norm, diag.pert_norm, rtol=1e-9, atol=0.0)
+
+
+def test_diagonal_plan_steps_dt_when_per_dt_over_per_rounds(bbm2_model,
+                                                           bbm2_wave):
+    # 3 * 0.1 / 3 is not 0.1 in floating point; the plan's step is kept
+    uc = lift_wave(bbm2_wave, 2, 2 * 24)
+    u1 = cosine_field(2, 48, [0.0, 1.0])
+    plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 3)
+    assert 3 * 0.1 / 3 != 0.1 and isinstance(plan.ev, Evolver)
+    run = _monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc, 0.1, 1.0,
+                       0.3, 0.0, "plain", plan)
+    assert (run.steps, run.redone, len(run.times)) == (10, 0, 5)
+    assert run.step == plan.ev.dt == 0.1
 
 
 def test_pilot_without_a_step_in_budget_keeps_the_diagonal_stepper():
