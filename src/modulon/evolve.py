@@ -14,18 +14,19 @@ Every model is integrated with the fourth-order exponential time
 differencing of Cox & Matthews (ETDRK4), in one of two splittings.
 ``Evolver`` propagates the diagonal J E exactly, with phi-functions from a
 16-point unit-circle contour mean (Kassam & Trefethen), and treats the
-wave coupling J f'(u_c) explicitly.  ``SplitEvolver`` steps the
-perturbation w = u - u_c of a run that starts near the wave, as in the
-Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(w(s)) ds of the nonlinear
+whole nonlinearity explicitly.  ``SplitEvolver`` steps the linearized
+flow at the wave exactly and an explicit term G(x, t) by ETDRK4, as in the
+Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(s) ds of the nonlinear
 instability estimates: e^{hA} of the full linearization is exact on each
-Bloch fiber k = r/q of T_{2 pi q}, and only the remainder G is explicit
-(Hochbruck & Ostermann), so the step is set by accuracy rather than by
-the wave coupling.  Its phi-function tables come from Taylor sums, by
-Paterson-Stockmeyer, and scaling and modified squaring (Skaflestad &
-Wright).  The escape runs use the split stepper at the step their pilot
+Bloch fiber k = r/q of T_{2 pi q} (Hochbruck & Ostermann), so the step is
+set by accuracy rather than by the wave coupling.  Its phi-function tables
+come from Taylor sums, by Paterson-Stockmeyer, and scaling and modified
+squaring (Skaflestad & Wright).  The escape runs step the perturbation
+w = u - u_c with the generator's remainder as G, at the step their pilot
 chooses, and at up to 8 times that step while the perturbation is small;
-``modulon evolve``, the approximate-solution cascade, its residual and
-criterion 14's dt-halving check use ``Evolver``.
+the approximate-solution cascade steps its forced linear solves with the
+Taylor forcing as G.  ``modulon evolve`` and criterion 14's dt-halving
+check use ``Evolver``.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -33,9 +34,7 @@ SciPy's pocketfft kernels, called directly: at the escape runs' M = 1536
 the dispatch of ``scipy.fft.irfft``/``rfft`` costs about as much as the
 transform itself, and the results equal theirs bit for bit.  The full
 centered array is rebuilt (``fields.hermitian_full``) only where a
-``PeriodicField`` is needed.  A complex linearized state steps as two real
-rows, its real and imaginary parts, which is exact because the linearized
-flow is real-linear.
+``PeriodicField`` is needed.  A complex field is rejected.
 
 ``advance`` is the one time loop: the escape runs, the approximate-solution
 cascade and ``modulon evolve`` step through it with either stepper,
@@ -52,10 +51,11 @@ import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
+from ._blas import serial
 from .errors import BlowupError, DomainError, GridMismatchError
 from .fields import PeriodicField, _lift_eigenfunction, hermitian_full
 from .symbols import ModelSpec, evaluate_symbol
-from .waves import TravelingWave, resample
+from .waves import TravelingWave
 
 _TWO_PI = 2.0 * np.pi
 _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
@@ -109,22 +109,15 @@ class Evolver:
     """ETDRK4 stepper for one (model, grid, dt) combination.
 
     States are the modes n = 0 .. N/2 of real fields, and may be stacked
-    along leading axes.  ``linearized`` freezes the nonlinearity to
-    multiplication by f'(u_c); an optional ``forcing(t, half)`` is added to
-    the right-hand side, enabling the forced solves of the
-    approximate-solution cascade.
+    along leading axes.
     """
 
-    def __init__(self, model: ModelSpec, c: float, q: int, N: int, dt: float,
-                 linearized: bool = False, wave_profile: PeriodicField | None = None,
-                 forcing=None):
+    def __init__(self, model: ModelSpec, c: float, q: int, N: int, dt: float):
         if dt <= 0:
             raise DomainError("dt must be positive")
         self.model = model
         self.c = float(c)
         self.q, self.N, self.dt = q, N, float(dt)
-        self.linearized = linearized
-        self.forcing = forcing
         xi = model.kappa * (np.arange(N // 2 + 1) / q)
         jop = model.j_symbol(xi)
         self.lin = jop * model.energy_diag(xi, c)[0]
@@ -132,36 +125,18 @@ class Evolver:
         self.lin[-1] = 0.0
         self.tr = _Transform(q, N, model.nonlinearity.pad)
         self.nl_f = model.nonlinearity.f   # bound once, not per call
-        self.df_vals = None
-        if linearized:
-            if wave_profile is None:
-                raise DomainError("linearized stepping needs the base wave")
-            base = resample(wave_profile, N) if wave_profile.q == q else None
-            if base is None:
-                raise DomainError("wave profile must live on the target torus "
-                                  "(lift it to q first)")
-            uc = self.tr.values(base.coef[N // 2:])
-            self.df_vals = model.nonlinearity.df(uc)
         self._etdrk4_tables()
 
     def rows(self, f: PeriodicField) -> np.ndarray:
-        """The state of ``f`` (``field_rows``)."""
-        return field_rows(f, self)
+        """The state of the real field ``f`` (``field_rows``)."""
+        return field_rows(f)
 
     def field(self, rows: np.ndarray) -> PeriodicField:
         """The real field of the state ``rows`` (``rows_field``)."""
-        return rows_field(self.q, self.N, rows, True)
+        return rows_field(self.q, self.N, rows)
 
-    def nonlinear(self, half: np.ndarray, t: float) -> np.ndarray:
-        vals = self.tr.values(half)
-        if self.linearized:
-            fv = self.df_vals * vals
-        else:
-            fv = self.nl_f(vals)
-        out = self.push * self.tr.coef(fv)
-        if self.forcing is not None:
-            out = out + self.forcing(t, half)
-        return out
+    def nonlinear(self, half: np.ndarray) -> np.ndarray:
+        return self.push * self.tr.coef(self.nl_f(self.tr.values(half)))
 
     def _etdrk4_tables(self):
         h, n_pts = self.dt, _CONTOUR_POINTS
@@ -181,15 +156,14 @@ class Evolver:
     def step_coef(self, u: np.ndarray, t: float) -> np.ndarray:
         # a blow-up overflows quietly; callers check the result is finite
         with np.errstate(invalid="ignore", over="ignore"):
-            h = self.dt
-            n0 = self.nonlinear(u, t)
+            n0 = self.nonlinear(u)
             e2u = self.E2 * u
             a = e2u + self.Q * n0
-            na = self.nonlinear(a, t + h / 2.0)
+            na = self.nonlinear(a)
             b = e2u + self.Q * na
-            nb = self.nonlinear(b, t + h / 2.0)
+            nb = self.nonlinear(b)
             cst = self.E2 * a + self.Q * (2.0 * nb - n0)
-            nc = self.nonlinear(cst, t + h)
+            nc = self.nonlinear(cst)
             return (self.E * u + self.f1 * n0 + self.f2x2 * (na + nb)
                     + self.f3 * nc)
 
@@ -243,7 +217,7 @@ class _Fibers:
     the fibers q - r mirror them by conjugation.  Fibers are stacked as
     rows of a common length, padded with modes that stay zero.  A real
     field's modes n = 0 .. N/2 gather into the stack (a negative n reads
-    conj(c_{-n})), and scatter back from it.
+    conj(c_{-n})), and scatter back from it; leading axes are kept.
     """
 
     def __init__(self, q: int, N: int):
@@ -269,11 +243,17 @@ class _Fibers:
              for k in range(half)] + [2 * count])
 
     def stack(self, half: np.ndarray) -> np.ndarray:
-        return np.concatenate((half, np.conj(half), [0.0]))[self._gather]
+        return _with_conj(half)[..., self._gather]
 
     def half(self, stack: np.ndarray) -> np.ndarray:
-        flat = stack.ravel()
-        return np.concatenate((flat, np.conj(flat), [0.0]))[self._scatter]
+        flat = stack.reshape(stack.shape[:-2] + (-1,))
+        return _with_conj(flat)[..., self._scatter]
+
+
+def _with_conj(x: np.ndarray) -> np.ndarray:
+    """[x, conj(x), 0] along the last axis."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.concatenate((x, np.conj(x), zero), axis=-1)
 
 
 def _phi_tables(h: float, A: np.ndarray) -> tuple:
@@ -389,6 +369,13 @@ class _FiberGenerator:
         self.lin = jop * model.energy_diag(xi, c)[0]
         self.dhat = np.fft.fft(nl.df(uc)) / self.tr.M
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A on a fiber stack, block by block."""
+        out = np.zeros_like(x)
+        for r, mask in enumerate(self.fib.mask):
+            out[..., r, mask] = x[..., r, mask] @ self.block(r).T
+        return out
+
     def block(self, r: int) -> np.ndarray:
         """The block of A on fiber r, unpadded: lin on the diagonal and
         push * (f'(u_c))^_{n - m} off it."""
@@ -398,8 +385,8 @@ class _FiberGenerator:
         A[np.arange(k), np.arange(k)] += self.lin[r, :k]
         return A
 
-    def remainder(self, x: np.ndarray) -> np.ndarray:
-        """G on a fiber stack."""
+    def remainder(self, x: np.ndarray, t: float) -> np.ndarray:
+        """G on a fiber stack (G does not depend on t)."""
         w = self.tr.values(self.fib.half(x))
         if self.taylor is None:
             g = self.f(self.uc + w) - self.f_uc - self.df_uc * w
@@ -412,20 +399,24 @@ class _FiberGenerator:
 
 
 class SplitEvolver:
-    """ETDRK4 for w = u - u_c with e^{hA} exact on each Bloch fiber.
+    """ETDRK4 for dx/dt = A x + G(x, t) with e^{hA} exact on each Bloch fiber.
 
     The Cox-Matthews stages run on the non-diagonal linear part A of a
     ``_FiberGenerator`` (Hochbruck & Ostermann): E = e^{hA}, E2 = e^{hA/2},
     Q = (h/2) phi_1(hA/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
     2 f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), all at hA, one
-    dense block per fiber, and only the remainder G is explicit; E u is
-    E2 (E2 u).  States are fiber stacks of w (``rows``/``field``); only the
-    step tables are kept, 5 n^2 complex entries per fiber of n modes.
+    dense block per fiber, and only G, called on fiber stacks at t, t + h/2,
+    t + h/2 and t + h, is explicit; E x is E2 (E2 x).  States are fiber
+    stacks, possibly with leading axes; ``rows``/``field`` map a field u to
+    the stack of w = u - u_c and back, the state of the escape runs, whose
+    G is ``gen.remainder``.  Only the step tables are kept, 5 n^2 complex
+    entries per fiber of n modes.
     """
 
-    def __init__(self, gen: _FiberGenerator, h: float):
+    def __init__(self, gen: _FiberGenerator, h: float, G):
         F, size = gen.fib.mask.shape
         self.gen = gen
+        self.G = G
         self.E2 = np.zeros((F, size, size), dtype=np.complex128)
         self.Q = np.zeros_like(self.E2)
         self.W = np.zeros((F, size, 3 * size), dtype=np.complex128)
@@ -452,34 +443,32 @@ class SplitEvolver:
 
     def rows(self, f: PeriodicField) -> np.ndarray:
         """The state of the real field ``f``: the fiber stack of f - u_c."""
-        if not f.real:
-            raise DomainError("the split stepper steps real fields only")
-        return self.gen.fib.stack(field_rows(f, self) - self.gen.base)
+        return self.gen.fib.stack(field_rows(f) - self.gen.base)
 
     def field(self, rows: np.ndarray) -> PeriodicField:
         """The real field u_c + w of the state ``rows``."""
         q, N = self.gen.tr.q, self.gen.tr.N
-        return rows_field(q, N, self.gen.base + self.gen.fib.half(rows), True)
+        return rows_field(q, N, self.gen.base + self.gen.fib.half(rows))
 
     def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
-        G = self.gen.remainder
+        G, h = self.G, self.dt
         E2, Q = self.E2, self.Q
         # a blow-up overflows quietly; callers check the result is finite
         with np.errstate(invalid="ignore", over="ignore"):
-            n0 = G(x)
+            n0 = G(x, t)
             e2u = _matvec(E2, x)
             a = e2u + _matvec(Q, n0)
-            na = G(a)
+            na = G(a, t + h / 2.0)
             b = e2u + _matvec(Q, na)
-            nb = G(b)
+            nb = G(b, t + h / 2.0)
             c = _matvec(E2, a) + _matvec(Q, 2.0 * nb - n0)
-            nc = G(c)
+            nc = G(c, t + h)
             return _matvec(E2, e2u) + _matvec(
-                self.W, np.concatenate((n0, na + nb, nc), axis=1))
+                self.W, np.concatenate((n0, na + nb, nc), axis=-1))
 
 
 def _matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (T @ x[:, :, None])[:, :, 0]
+    return (T @ x[..., None])[..., 0]
 
 
 # -- states and conserved quantities ------------------------------------------------
@@ -490,31 +479,18 @@ def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
     return PeriodicField(q, N, _lift_eigenfunction(wave.profile, 0, q, N), real=True)
 
 
-def field_rows(f: PeriodicField, ev: Evolver) -> np.ndarray:
-    """The ``Evolver`` state of ``f``: the modes n = 0 .. N/2 of its real
-    part, stacked with those of its imaginary part when ``f`` is complex.
-
-    Splitting is exact only for a real-linear flow, so a complex field
-    needs a linearized, unforced evolver (DomainError otherwise); ``ev`` is
-    not consulted for a real field.
-    """
-    h = f.coef[f.N // 2:]
+def field_rows(f: PeriodicField) -> np.ndarray:
+    """The ``Evolver`` state of the real field ``f``: its modes
+    n = 0 .. N/2, symmetrized.  A complex field raises DomainError."""
+    if not f.real:
+        raise DomainError("the steppers step real fields only")
     rev = np.conj(f.coef[f.N // 2::-1])     # conj(c_{-n}), n = 0 .. N/2
-    re = 0.5 * (h + rev)
-    if f.real:
-        return re
-    if not ev.linearized or ev.forcing is not None:
-        raise DomainError("a complex field steps only under the unforced "
-                          "linearized flow")
-    return np.stack([re, -0.5j * (h - rev)])
+    return 0.5 * (f.coef[f.N // 2:] + rev)
 
 
-def rows_field(q: int, N: int, rows: np.ndarray, real: bool) -> PeriodicField:
+def rows_field(q: int, N: int, rows: np.ndarray) -> PeriodicField:
     """Inverse of ``field_rows``."""
-    if real:
-        return PeriodicField(q, N, hermitian_full(rows), real=True)
-    return PeriodicField(q, N, hermitian_full(rows[0])
-                         + 1j * hermitian_full(rows[1]), real=False)
+    return PeriodicField(q, N, hermitian_full(rows), real=True)
 
 
 def conserved_quantities(model: ModelSpec, f: PeriodicField, c: float):
@@ -683,27 +659,24 @@ class ApproxSolution:
         return PeriodicField(self.q, self.N, uc.coef + coef, real=True)
 
 
-class _TaylorForcing:
-    """Order-j forcing polynomials f^(k)(u_c)/k! pushed through J."""
+def _cascade_forcing(gen: _FiberGenerator, sol: ApproxSolution):
+    """G(x, t) of the forced solves on the stack x of (U_2) or (U_2, U_3):
+    G_2 = push P[f''(u_c) U_1^2 / 2] and
+    G_3 = push P[f''(u_c) U_1 U_2 + f'''(u_c) U_1^3 / 6], from the
+    generator's Taylor table and transform."""
+    c2 = gen.taylor[0]
+    c3 = gen.taylor[1] if len(gen.taylor) > 1 else 0.0
+    half = sol.N // 2
 
-    def __init__(self, model: ModelSpec, wave: TravelingWave, q: int, N_big: int):
-        self.tr = _Transform(q, N_big, model.nonlinearity.pad + 1.0)
-        uc_vals = self.tr.values(lift_wave(wave, q, N_big).coef[N_big // 2:])
-        nl = model.nonlinearity
-        self.d2f_uc = nl.d2f(uc_vals)
-        self.d3f_uc = nl.d3f(uc_vals)
-        xi = model.kappa * np.arange(N_big // 2 + 1) / q
-        self.gop = model.nl_sign * model.j_symbol(xi)
+    def forcing(x: np.ndarray, t: float) -> np.ndarray:
+        u1 = gen.tr.values(sol.U1(t)[half:])
+        g = [c2 * u1 * u1]
+        if len(x) > 1:
+            u2 = gen.tr.values(gen.fib.half(x[0]))
+            g.append(2.0 * c2 * u1 * u2 + c3 * u1 ** 3)
+        return gen.push * gen.fib.stack(gen.tr.coef(np.stack(g)))
 
-    def G2(self, u1_half: np.ndarray) -> np.ndarray:
-        u1v = self.tr.values(u1_half)
-        return self.gop * self.tr.coef(0.5 * self.d2f_uc * u1v * u1v)
-
-    def G3(self, u1_half: np.ndarray, u2_half: np.ndarray) -> np.ndarray:
-        u1v = self.tr.values(u1_half)
-        u2v = self.tr.values(u2_half)
-        g = self.d2f_uc * u1v * u2v + self.d3f_uc * u1v ** 3 / 6.0
-        return self.gop * self.tr.coef(g)
+    return forcing
 
 
 def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
@@ -714,10 +687,16 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
 
     U_1 is the analytic eigen-solution; U_j for j >= 2 solves the forced
     linearized equation dU_j/dt = A U_j + G_j with zero initial data, where
-    G_j collects the order-j Taylor terms of f at u_c.
+    G_j collects the order-j Taylor terms of f at u_c.  The corrections
+    step together as one fiber stack on ``SplitEvolver``, at the step
+    dt_eff <= dt that puts the snapshots on step boundaries.
     """
     if n_order < 1 or n_order > 3:
         raise DomainError("approximate solutions support orders 1..3 only")
+    if not (t_end > 0 and dt > 0):
+        raise DomainError("t_end and dt must be positive")
+    if n_snapshots < 2:
+        raise DomainError("the cascade needs at least two snapshots")
     if n_order >= 2 and model.nonlinearity.degree is None:
         raise DomainError("higher-order corrections need a polynomial f")
     p, q = int(pq[0]), int(pq[1])
@@ -730,32 +709,21 @@ def build_approximate_solution(model: ModelSpec, wave: TravelingWave,
     if n_order == 1:
         return sol
 
-    forcing = _TaylorForcing(model, wave, q, N_big)
-    n_hi = n_order - 1
-    half = N_big // 2
-
-    def cascade_forcing(t, stacked):
-        u1 = sol.U1(t)[half:]
-        rows = [forcing.G2(u1)]
-        if n_hi >= 2:
-            rows.append(forcing.G3(u1, stacked[0]))
-        return np.stack(rows)
-
     # align dt so snapshots land exactly on step boundaries
     per = max(1, int(np.ceil(t_end / ((n_snapshots - 1) * dt))))
     dt_eff = t_end / ((n_snapshots - 1) * per)
-    uc_big = lift_wave(wave, q, N_big)
-    ev = Evolver(model, wave.c, q, N_big, dt_eff, linearized=True,
-                 wave_profile=uc_big, forcing=cascade_forcing)
-    state = np.zeros((n_hi, half + 1), dtype=np.complex128)
-    sol.corrections = [list(hermitian_full(state))]
+    gen = _FiberGenerator(model, wave.c, lift_wave(wave, q, N_big))
+    state = np.zeros((n_order - 1,) + gen.fib.mask.shape, dtype=np.complex128)
+    sol.corrections = [list(hermitian_full(gen.fib.half(state)))]
     snap_t = [0.0]
 
     def store(t, rows):
-        sol.corrections.append(list(hermitian_full(rows)))
+        sol.corrections.append(list(hermitian_full(gen.fib.half(rows))))
         snap_t.append(t)
 
-    advance(ev, state, (n_snapshots - 1) * per, per, store)
+    with serial(gen.fib.size):
+        ev = SplitEvolver(gen, dt_eff, _cascade_forcing(gen, sol))
+        advance(ev, state, (n_snapshots - 1) * per, per, store)
     sol.times = np.array(snap_t)
     return sol
 
@@ -764,32 +732,33 @@ def approximate_solution_residual(sol: ApproxSolution) -> np.ndarray:
     """L2 norms of d/dt U^app - RHS(U^app) at the stored snapshots.
 
     The time derivative uses the defining relations (dU_1 analytic,
-    dU_j = A U_j + G_j), so the result measures the order-(n+1) defect of
-    the construction rather than integrator error.
+    dU_j = A U_j + G_j, A applied on the fiber blocks), so the result
+    measures the order-(n+1) defect of the construction rather than
+    integrator error.
     """
     model, wave = sol.model, sol.wave
     q, N_big = sol.q, sol.N
     delta = sol.delta
     uc_big = lift_wave(wave, q, N_big)
-    ev = Evolver(model, wave.c, q, N_big, dt=1.0, linearized=False)
-    ev_lin = Evolver(model, wave.c, q, N_big, dt=1.0, linearized=True,
-                     wave_profile=uc_big)
-    forcing = _TaylorForcing(model, wave, q, N_big)
+    ev = Evolver(model, wave.c, q, N_big, dt=1.0)
+    gen = _FiberGenerator(model, wave.c, uc_big)
+    forcing = _cascade_forcing(gen, sol) if sol.n_order > 1 else None
     half = N_big // 2
     out = []
-    for i, t in enumerate(sol.times):
-        U1 = sol.U1(t)[half:]
-        dU = delta * sol.dU1(t)[half:]
-        total = uc_big.coef[half:] + delta * U1
-        corr = [Uj[half:] for Uj in sol.corrections[i]]
-        for j, Uj in enumerate(corr, start=2):
-            AUj = ev_lin.lin * Uj + ev_lin.nonlinear(Uj, t)
-            Gj = forcing.G2(U1) if j == 2 else forcing.G3(U1, corr[0])
-            dU = dU + delta ** j * (AUj + Gj)
-            total = total + delta ** j * Uj
-        rhs = ev.lin * total + ev.nonlinear(total, t)
-        res = hermitian_full(dU - rhs)
-        out.append(float(np.sqrt(_TWO_PI * q * np.sum(np.abs(res) ** 2))))
+    with serial(gen.fib.size):
+        for i, t in enumerate(sol.times):
+            dU = delta * sol.dU1(t)[half:]
+            total = uc_big.coef[half:] + delta * sol.U1(t)[half:]
+            if forcing is not None:
+                corr = np.array([Uj[half:] for Uj in sol.corrections[i]])
+                x = gen.fib.stack(corr)
+                dcorr = gen.fib.half(gen.apply(x) + forcing(x, t))
+                for j, (Uj, dUj) in enumerate(zip(corr, dcorr), start=2):
+                    dU = dU + delta ** j * dUj
+                    total = total + delta ** j * Uj
+            rhs = ev.lin * total + ev.nonlinear(total)
+            res = hermitian_full(dU - rhs)
+            out.append(float(np.sqrt(_TWO_PI * q * np.sum(np.abs(res) ** 2))))
     res_arr = np.array(out)
     sol.residual_norms = res_arr
     return res_arr

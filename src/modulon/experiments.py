@@ -218,7 +218,7 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
     T_obs = per * dt
     e0 = conserved_quantities(model, start, c)[2]
     n = -(-per // PILOT_FIRST_SPLIT)
-    ev = SplitEvolver(gen, T_obs / n)
+    ev = SplitEvolver(gen, T_obs / n, gen.remainder)
 
     def end(m):
         """w after m steps over the interval, None on a blow-up."""

@@ -34,8 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import serial
-from .bloch import BlochOperator, _dense_eig, assemble_bloch, bloch_eigvals, \
-    eigens
+from .bloch import BlochOperator, _dense_eig, assemble_bloch, bloch_eigvals
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
 from .fields import PeriodicField, bloch_decompose
@@ -233,24 +232,6 @@ def trichotomy_split(op: BlochOperator, strict: bool = True) -> TrichotomySplit:
             raise StructureViolationError(
                 f"dim E^u = {dim_u} exceeds n^-(L) = {n_minus} at k = {op.k}")
     return split
-
-
-def expm_cross_check(op: BlochOperator, t: float):
-    """Compare scaling-and-squaring with the eigendecomposition propagator.
-
-    Returns (relative difference, eigenvector condition number); the
-    comparison is skipped (returns None) when the eigenbasis is too
-    ill-conditioned to trust.
-    """
-    vals, vecs = eigens(op, check_residual=False)
-    cond = float(np.linalg.cond(vecs))
-    if cond > EIGBASIS_COND_CAP:
-        return None, cond
-    E_pade = scipy.linalg.expm(t * op.A_mat)
-    E_eig = (vecs * np.exp(t * vals)) @ np.linalg.inv(vecs)
-    rel = float(np.linalg.norm(E_pade - E_eig, 2) /
-                max(np.linalg.norm(E_pade, 2), 1e-300))
-    return rel, cond
 
 
 def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,

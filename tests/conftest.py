@@ -11,6 +11,8 @@ import scipy.linalg
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec,
                      model_for_symbol, refine_newton, small_amplitude_wave)
 from modulon.bloch import fit_band, scan_bloch
+from modulon.evolve import (SplitEvolver, _FiberGenerator, advance,
+                            field_rows, lift_wave, rows_field)
 
 
 @pytest.fixture(scope="session")
@@ -98,3 +100,26 @@ def eig_inputs(monkeypatch):
             return _eig(A, *args, **kw)
         monkeypatch.setattr(mod, "eig", record)
     return seen
+
+
+def _propagate(model, wave, u, h, n_steps, per):
+    """e^{tA} u for the linearization A at the wave lifted to u's torus:
+    the fiber propagator (``SplitEvolver`` with G = 0) takes n_steps steps
+    of h and is observed every ``per`` steps and at the end.  Returns the
+    observation times and fields."""
+    gen = _FiberGenerator(model, wave.c, lift_wave(wave, u.q, u.N))
+    ev = SplitEvolver(gen, h, lambda x, t: np.zeros_like(x))
+    times, fields = [], []
+
+    def observe(t, x):
+        times.append(t)
+        fields.append(rows_field(u.q, u.N, gen.fib.half(x)))
+
+    advance(ev, gen.fib.stack(field_rows(u)), n_steps, per, observe)
+    return np.array(times), fields
+
+
+@pytest.fixture(scope="session")
+def propagate():
+    """The linear flow at a wave on the fiber propagator (``_propagate``)."""
+    return _propagate

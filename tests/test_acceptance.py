@@ -16,8 +16,8 @@ from modulon import (ModelSpec, SymbolSpec, TravelingWave,
 from modulon.bloch import (assemble_bloch, eigens, scan_bloch,
                            unstable_eigenfunction)
 from modulon.evolve import (Evolver, advance, build_approximate_solution,
-                            approximate_solution_residual, field_rows,
-                            lift_wave, rows_field, stable_dt)
+                            approximate_solution_residual, lift_wave,
+                            stable_dt)
 from modulon.experiments import (run_localized, run_multiperiodic,
                                  threshold_sweep)
 from modulon.semigroup import (dual_propagator_norm, probe_growth,
@@ -300,8 +300,8 @@ def test_acceptance_14_conservation(bbm_acceptance, whitham_k2_model,
         ev = Evolver(model, wave.c, 1, N, dt)
         n = int(round(4.0 / dt))
         last = []
-        advance(ev, field_rows(u0, ev), n, n, lambda t, rows: last.append(rows))
-        return rows_field(1, N, last[-1], True)
+        advance(ev, ev.rows(u0), n, n, lambda t, rows: last.append(rows))
+        return ev.field(last[-1])
 
     ref = final(base_dt / 8)
     ratio = l2_norm(final(base_dt) - ref) / l2_norm(final(base_dt / 2) - ref)

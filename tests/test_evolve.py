@@ -9,7 +9,8 @@ from modulon import (NonlinearitySpec, SymbolSpec, cosine_field, l2_norm,
                      model_for_symbol, zero_field, PeriodicField)
 from modulon.bloch import assemble_bloch, unstable_eigenfunction
 from modulon.errors import BlowupError, DomainError
-from modulon.evolve import (ConservedLedger, Evolver, _Transform,
+from modulon.evolve import (ConservedLedger, Evolver, SplitEvolver,
+                            _FiberGenerator, _Transform,
                             _lift_eigenfunction, advance,
                             approximate_solution_residual,
                             build_approximate_solution, conserved_quantities,
@@ -20,19 +21,17 @@ from modulon.fields import hermitian_full
 TWO_PI = 2.0 * np.pi
 
 
-def make_evolver(model, wave, field, dt, linearized=False):
-    prof = lift_wave(wave, field.q, field.N) if linearized else None
-    return Evolver(model, wave.c, field.q, field.N, dt, linearized=linearized,
-                   wave_profile=prof)
+def make_evolver(model, wave, field, dt):
+    return Evolver(model, wave.c, field.q, field.N, dt)
 
 
 def run_steps(ev, field, n):
     """Step ``field`` n times through ``advance``; returns (field, t)."""
     last = []
-    advance(ev, field_rows(field, ev), n, n,
+    advance(ev, field_rows(field), n, n,
             lambda t, rows: last.append((t, rows)))
     t, rows = last[-1]
-    return rows_field(field.q, field.N, rows, field.real), t
+    return rows_field(field.q, field.N, rows), t
 
 
 def test_zero_is_fixed_point(whitham_model, whitham_wave):
@@ -117,45 +116,41 @@ def test_stable_dt_bbm_no_longer_shrinks_with_resolution():
 
 
 @pytest.mark.parametrize("name", ["whitham", "bbm2"])
-def test_linearized_matches_matrix_exponential(name, request):
-    # the Evolver and the Bloch assembly share J and L from ModelSpec
+def test_linearized_matches_matrix_exponential(name, request, propagate):
+    # the fiber propagator and the Bloch assembly share J and L from ModelSpec
     model = request.getfixturevalue(name + "_model")
     wave = request.getfixturevalue(name + "_wave")
     N = 64
     op = assemble_bloch(model, wave, 0.0, N)
     rng = np.random.default_rng(0)
-    n = np.arange(-(N // 2), N // 2 + 1)
-    c0 = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
-    c0 *= np.exp(-0.6 * np.abs(n))
-    c0[0] = c0[-1] = 0.0
-    f0 = PeriodicField(1, N, c0.copy(), real=False)
-    ev = make_evolver(model, wave, f0, 0.002, linearized=True)
-    coef = run_steps(ev, f0, 500)[0].coef
-    exact = scipy.linalg.expm(1.0 * op.A_mat) @ c0
+    half = rng.standard_normal(N // 2 + 1) + 1j * rng.standard_normal(N // 2 + 1)
+    half *= np.exp(-0.6 * np.arange(N // 2 + 1))
+    half[0] = half[0].real
+    half[-1] = 0.0
+    f0 = PeriodicField(1, N, hermitian_full(half), real=True)
+    coef = propagate(model, wave, f0, 0.25, 4, 4)[1][-1].coef
+    exact = scipy.linalg.expm(1.0 * op.A_mat) @ f0.coef
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
 
 def test_linearized_eigenfunction_grows_exponentially(bbm2_model, bbm2_wave,
-                                                      bbm2_spectrum):
-    # v = eigenfunction: the solution is e^{lam t} v to high accuracy
+                                                      bbm2_spectrum, propagate):
+    # v = eigenfunction: w + conj is e^{lam t} w + conj to high accuracy
     p, q = 1, 8
     lam, v = unstable_eigenfunction(bbm2_model, bbm2_wave, p / q, N=64)
     N_big = q * 64
     w = _lift_eigenfunction(v, p, q, N_big)
-    f0 = PeriodicField(q, N_big, w.copy(), real=False)
-    dt = 0.01
-    ev = make_evolver(bbm2_model, bbm2_wave, f0, dt, linearized=True)
+    f0 = PeriodicField(q, N_big, w + np.conj(w[::-1]), real=True)
     t_end = 3.0
-    n = int(round(t_end / dt))
-    coef = run_steps(ev, f0, n)[0].coef
-    exact = np.exp(lam * t_end) * w
+    coef = propagate(bbm2_model, bbm2_wave, f0, 0.5, 6, 6)[1][-1].coef
+    grown = np.exp(lam * t_end) * w
+    exact = grown + np.conj(grown[::-1])
     assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) < 1e-6
 
 
-def test_linearized_zero(whitham_model, whitham_wave):
-    z = zero_field(1, 64, real=False)
-    ev = make_evolver(whitham_model, whitham_wave, z, 0.01, linearized=True)
-    f, _ = run_steps(ev, z, 1)
+def test_linearized_zero(whitham_model, whitham_wave, propagate):
+    z = zero_field(1, 64)
+    f = propagate(whitham_model, whitham_wave, z, 0.01, 1, 1)[1][-1]
     assert l2_norm(f) == 0.0
 
 
@@ -199,11 +194,11 @@ def record_run(model, wave, u0, dt, n_obs, per):
     led = ConservedLedger()
 
     def record(t, rows):
-        f = rows_field(u0.q, u0.N, rows, u0.real)
+        f = rows_field(u0.q, u0.N, rows)
         led.append(t, *conserved_quantities(model, f, wave.c))
 
     ev = make_evolver(model, wave, u0, dt)
-    rows = field_rows(u0, ev)
+    rows = field_rows(u0)
     record(0.0, rows)
     advance(ev, rows, n_obs * per, per, record)
     return led
@@ -267,7 +262,7 @@ def test_blowup_detected():
     big = cosine_field(1, 64, [0.0, 40.0])
     ev = make_evolver(m, w, big, 1.0)     # wildly unstable step size
     with pytest.raises(BlowupError):
-        advance(ev, field_rows(big, ev), 50, 1, lambda t, rows: None)
+        advance(ev, field_rows(big), 50, 1, lambda t, rows: None)
 
 
 def test_advance_observes_every_per_steps_and_at_the_end():
@@ -285,7 +280,7 @@ def test_advance_stops_when_observe_returns_true(whitham_model, whitham_wave):
     step_coef = ev.step_coef
     ev.step_coef = lambda rows, t: calls.append(t) or step_coef(rows, t)
     seen = []
-    advance(ev, field_rows(uc, ev), 20, 4,
+    advance(ev, field_rows(uc), 20, 4,
             lambda t, rows: seen.append(t) or len(seen) == 2)
     assert len(seen) == 2
     assert len(calls) == 8
@@ -320,7 +315,7 @@ class _C2CTransform:
         return out
 
 
-def c2c_reference_steps(model, wave, N, dt, linearized, coef, n):
+def c2c_reference_steps(model, wave, N, dt, coef, n):
     """The former full-spectrum ETDRK4: c2c transforms, tables on every
     mode, and Hermitian re-symmetrization after each step."""
     xi = model.kappa * np.arange(-(N // 2), N // 2 + 1)
@@ -330,11 +325,9 @@ def c2c_reference_steps(model, wave, N, dt, linearized, coef, n):
     tab = types.SimpleNamespace(dt=dt, lin=lin)
     Evolver._etdrk4_tables(tab)
     tr = _C2CTransform(N, Evolver(model, wave.c, 1, N, dt).tr.M)
-    df = model.nonlinearity.df(tr.values(lift_wave(wave, 1, N).coef).real)
 
     def nonlinear(c):
-        vals = tr.values(c)
-        fv = df * vals if linearized else model.nonlinearity.f(vals.real)
+        fv = model.nonlinearity.f(tr.values(c).real)
         return model.nl_sign * jop * tr.coef(fv)
 
     for _ in range(n):
@@ -421,19 +414,18 @@ def test_step_equals_scipy_fft_reference_step(sym, nl, kappa, q, N, M):
         assert np.array_equal(ev.step_coef(u, 0.0), ref)
 
 
-@pytest.mark.parametrize("name, linearized", [("bbm2", False),
-                                              ("whitham", False),
-                                              ("whitham", True)])
-def test_real_stepper_matches_c2c_reference(name, linearized, request):
+# the "-False" ids mark the nonlinear flow; selections by id keep working
+@pytest.mark.parametrize("name", ["bbm2", "whitham"],
+                         ids=["bbm2-False", "whitham-False"])
+def test_real_stepper_matches_c2c_reference(name, request):
     model = request.getfixturevalue(name + "_model")
     wave = request.getfixturevalue(name + "_wave")
     N = 64
-    pert = random_real_field(N, seed=21, scale=0.005)
-    u0 = pert if linearized else lift_wave(wave, 1, N) + pert
+    u0 = lift_wave(wave, 1, N) + random_real_field(N, seed=21, scale=0.005)
     dt = 0.05 if name == "bbm2" else stable_dt(model, 1, N, u_inf=0.2)
-    ev = make_evolver(model, wave, u0, dt, linearized=linearized)
+    ev = make_evolver(model, wave, u0, dt)
     f, _ = run_steps(ev, u0, 200)
-    ref = c2c_reference_steps(model, wave, N, dt, linearized, u0.coef, 200)
+    ref = c2c_reference_steps(model, wave, N, dt, u0.coef, 200)
     assert np.linalg.norm(f.coef - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -445,30 +437,15 @@ def test_stepped_field_is_exactly_real(whitham_model, whitham_wave):
     assert f.hermitian_defect() == 0.0
 
 
-def test_complex_linearized_step_splits_real_and_imaginary(whitham_model,
-                                                          whitham_wave):
-    N = 64
-    rng = np.random.default_rng(23)
-    n = np.arange(-(N // 2), N // 2 + 1)
-    c = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)) \
-        * np.exp(-0.4 * np.abs(n))
-    f = PeriodicField(1, N, c, real=False)
-    mirror = np.conj(f.coef[::-1])
-    re = PeriodicField(1, N, 0.5 * (f.coef + mirror), real=True)
-    im = PeriodicField(1, N, -0.5j * (f.coef - mirror), real=True)
-    ev = make_evolver(whitham_model, whitham_wave, f, 0.01, linearized=True)
-    out, _ = run_steps(ev, f, 1)
-    parts = [run_steps(ev, g, 1)[0].coef for g in (re, im)]
-    assert not out.real
-    assert np.array_equal(out.coef, parts[0] + 1j * parts[1])
-
-
 def test_nonlinear_step_rejects_complex_field(whitham_model, whitham_wave):
-    f = lift_wave(whitham_wave, 1, 64)
+    uc = lift_wave(whitham_wave, 1, 64)
+    f = uc.copy()
     f.real = False
-    ev = make_evolver(whitham_model, whitham_wave, f, 0.01)
-    with pytest.raises(DomainError):
-        field_rows(f, ev)
+    gen = _FiberGenerator(whitham_model, whitham_wave.c, uc)
+    for ev in (make_evolver(whitham_model, whitham_wave, f, 0.01),
+               SplitEvolver(gen, 0.01, gen.remainder)):
+        with pytest.raises(DomainError):
+            ev.rows(f)
 
 
 # -- orbital distance ---------------------------------------------------------------
@@ -531,11 +508,11 @@ def test_approx_order1_is_exact_sum(bbm2_model, bbm2_wave, bbm_eigenpair):
 
 
 def test_approx_residual_orders(bbm2_model, bbm2_wave, bbm_eigenpair):
-    # Richardson in delta: order-1 residual ratio ~4, order-2 ratio ~8
+    # Richardson in delta: order-n residual ratio ~2^(n+1)
     lam, v = bbm_eigenpair
     t_end = 2.0
     ratios = {}
-    for order, lo, hi in ((1, 3.6, 4.4), (2, 6.8, 9.2)):
+    for order, lo, hi in ((1, 3.6, 4.4), (2, 6.8, 9.2), (3, 13.6, 18.4)):
         res = {}
         for delta in (2e-3, 1e-3):
             sol = build_approximate_solution(bbm2_model, bbm2_wave, lam, v,
@@ -563,3 +540,17 @@ def test_approx_rejects_bad_order(bbm2_model, bbm2_wave, bbm_eigenpair):
     with pytest.raises(DomainError):
         build_approximate_solution(bbm2_model, bbm2_wave, lam, v, (1, 8),
                                    delta=1e-3, n_order=4, t_end=1.0, dt=0.05)
+
+
+@pytest.mark.parametrize("kw", [dict(n_snapshots=1), dict(n_snapshots=0),
+                                dict(t_end=0.0), dict(t_end=-1.0),
+                                dict(dt=0.0), dict(dt=-0.1)])
+@pytest.mark.parametrize("n_order", [1, 2, 3])
+def test_approx_rejects_bad_grid(kw, n_order, bbm2_model, bbm2_wave,
+                                 bbm_eigenpair):
+    lam, v = bbm_eigenpair
+    args = dict(delta=1e-3, n_order=n_order, t_end=1.0, dt=0.05,
+                n_snapshots=5) | kw
+    with pytest.raises(DomainError):
+        build_approximate_solution(bbm2_model, bbm2_wave, lam, v, (1, 8),
+                                   **args)

@@ -188,30 +188,17 @@ def test_theta0_doubling_shifts_escape_by_ln2_over_rate(
 
 def test_single_node_packet_reduces_to_multiperiodic_growth(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
-        whitham_k2_curve):
+        whitham_k2_curve, propagate):
     # eta -> 0 limit: one Fourier line, pure e^{lambda t}, no algebraic factor
-    from modulon.evolve import lift_wave, Evolver
-    from modulon.fields import (synthesize_packet, l2_norm, PeriodicField,
-                                hermitian_full)
+    from modulon.fields import synthesize_packet, l2_norm
     packet, rates, freqs = build_band_packet(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
         whitham_k2_curve, Q=64, n_nodes=1, N_op=96)
     u1 = synthesize_packet(packet, 64)
     u1 = u1 * (1.0 / l2_norm(u1))
-    uc = lift_wave(whitham_k2_wave, 64, u1.N)
-    ev = Evolver(whitham_k2_model, whitham_k2_wave.c, 64, u1.N, 0.05,
-                 linearized=True, wave_profile=uc)
-    half = u1.coef[u1.N // 2:]
-    ts, ys = [0.0], [0.0]
-    t = 0.0
-    for _ in range(40):
-        for _ in range(20):
-            half = ev.step_coef(half, t)
-            t += 0.05
-        f = PeriodicField(64, u1.N, hermitian_full(half), real=True)
-        ts.append(t)
-        ys.append(np.log(l2_norm(f)))
-    ts, ys = np.array(ts), np.array(ys)
+    ts, fields = propagate(whitham_k2_model, whitham_k2_wave, u1, 1.0, 40, 1)
+    ts = np.append(0.0, ts)
+    ys = np.append(0.0, [np.log(l2_norm(f)) for f in fields])
     X = np.column_stack([np.ones_like(ts), ts, -np.log1p(ts)])
     c0, lam_fit, beta = np.linalg.lstsq(X, ys, rcond=None)[0]
     node_rate = float(rates[0].real)

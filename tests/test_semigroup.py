@@ -6,14 +6,12 @@ from modulon import SymbolSpec, model_for_symbol, semigroup
 from modulon.bloch import BlochOperator, assemble_bloch
 from modulon.errors import (ContourError, DomainError, PropagatorRangeError,
                             StructureViolationError)
-from modulon.evolve import Evolver, advance, field_rows, lift_wave, rows_field
 from modulon.experiments import build_band_packet
 from modulon.fields import (PeriodicField, l2_norm, midpoint_band_nodes,
                             synthesize_packet)
 from modulon.semigroup import (PropagatorProbe, dual_propagator_norm,
-                               expm_cross_check, fiber_norms, probe_growth,
-                               propagator_norm, riesz_projection,
-                               trichotomy_split)
+                               fiber_norms, probe_growth, propagator_norm,
+                               riesz_projection, trichotomy_split)
 
 
 def random_structured_op(n=16, seed=0, unstable=False):
@@ -275,13 +273,6 @@ def test_trichotomy_rejects_nonhermitian():
         trichotomy_split(op)
 
 
-def test_expm_cross_check(bbm2_model, bbm2_wave):
-    op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 48)
-    rel, cond = expm_cross_check(op, 2.0)
-    if rel is not None:
-        assert rel < 1e-8
-
-
 # -- fiber propagation on a multi-period torus ------------------------------------
 
 
@@ -308,32 +299,23 @@ def k_half_field(Q=16):
     return u * (1.0 / l2_norm(u))
 
 
-def stepped_norms(model, wave, u, dt, t_end, per):
-    """L2 norms of u under linearized ETDRK4, observed every ``per`` steps."""
-    ev = Evolver(model, wave.c, u.q, u.N, dt, linearized=True,
-                 wave_profile=lift_wave(wave, u.q, u.N))
-    times, norms = [], []
-
-    def observe(t, rows):
-        times.append(t)
-        norms.append(l2_norm(rows_field(u.q, u.N, rows, True)))
-
-    advance(ev, field_rows(u, ev), int(round(t_end / dt)), per, observe)
-    return np.array(times), np.array(norms)
+def stepped_norms(propagate, model, wave, u, h, t_end, per):
+    """L2 norms of u under the fiber propagator, observed every ``per``
+    steps of h."""
+    times, fields = propagate(model, wave, u, h, int(round(t_end / h)), per)
+    return times, np.array([l2_norm(f) for f in fields])
 
 
 def test_fiber_norms_are_the_stepper_limit(whitham_k2_model, whitham_k2_wave,
-                                           whitham_packet):
-    # linearized ETDRK4 on the whole torus converges to the fiber
-    # propagator at fourth order (observed 3.9-4.0 at these steps)
+                                           whitham_packet, propagate):
+    # the fiber propagator steps e^{hA} exactly, so at any step it gives
+    # the eigenbasis norms of fiber_norms to round-off
     u = whitham_packet
-    errs = []
-    for dt, per in ((0.25, 20), (0.125, 40)):
-        t, stepped = stepped_norms(whitham_k2_model, whitham_k2_wave, u, dt,
-                                   20.0, per)
+    for h, per in ((1.0, 5), (0.25, 20)):
+        t, stepped = stepped_norms(propagate, whitham_k2_model,
+                                   whitham_k2_wave, u, h, 20.0, per)
         exact = fiber_norms(whitham_k2_model, whitham_k2_wave, u, t)
-        errs.append(float(np.max(np.abs(stepped / exact - 1.0))))
-    assert np.log2(errs[0] / errs[1]) >= 3.5
+        assert np.max(np.abs(stepped / exact - 1.0)) <= 1e-12
     at0 = fiber_norms(whitham_k2_model, whitham_k2_wave, u, [0.0])[0]
     assert at0 == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
 

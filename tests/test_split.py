@@ -49,18 +49,15 @@ def cases(request):
 def test_fiber_operator_is_the_stepper_linearization(name, request):
     model, c, base = cases(request)[name]
     gen = _FiberGenerator(model, c, base)
-    ev = Evolver(model, c, base.q, base.N, 0.1, linearized=True,
-                 wave_profile=base)
+    ev = Evolver(model, c, base.q, base.N, 0.1)
     assert gen.tr.M == ev.tr.M
-    for seed in range(3):
-        w = random_half(base.N, seed)
-        ref = ev.lin * w + ev.nonlinear(w, 0.0)
-        x = gen.fib.stack(w)
-        Ax = np.zeros_like(x)
-        for r, mask in enumerate(gen.fib.mask):
-            Ax[r, mask] = gen.block(r) @ x[r, mask]
-        got = gen.fib.half(Ax)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # lin w + push P[f'(u_c) w], the right-hand side linearized at u_c
+    df_uc = model.nonlinearity.df(ev.tr.values(base.coef[base.N // 2:]))
+    ws = np.array([random_half(base.N, seed) for seed in range(3)])
+    ref = ev.lin * ws + ev.push * ev.tr.coef(df_uc * ev.tr.values(ws))
+    got = gen.fib.half(gen.apply(gen.fib.stack(ws)))
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_fibers_round_trip_and_pad():
@@ -71,6 +68,19 @@ def test_fibers_round_trip_and_pad():
     assert np.all(x[~fib.mask] == 0.0)
     # every mode |n| < N/2 sits in exactly one of the fibers r, 8 - r
     assert np.sum(fib.mask[1:4]) * 2 + np.sum(fib.mask[[0, 4]]) == 95
+
+
+def test_stacked_states_step_row_by_row(bbm2_model, bbm2_wave):
+    # leading axes of a state (the cascade's U_2, U_3) step independently
+    gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
+                          lift_wave(bbm2_wave, 8, 8 * 24))
+    ev = SplitEvolver(gen, 0.5, lambda x, t: np.sin(t) * x * x)
+    ws = np.array([random_half(8 * 24, seed, 1e-2) for seed in (5, 6)])
+    x = gen.fib.stack(ws)
+    assert np.array_equal(gen.fib.half(x), ws)
+    both = ev.step_coef(x, 0.3)
+    for row, xr in zip(both, x):
+        assert np.array_equal(row, ev.step_coef(xr, 0.3))
 
 
 @pytest.mark.parametrize("h", [0.3, 2.0, 4.0])   # scaling exponents 0, 2, 3
@@ -96,7 +106,8 @@ def test_phi_tables_match_the_augmented_expm(h, bbm2_model, bbm2_wave):
 
 def test_wave_is_a_fixed_point(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, 8, 8 * 48)
-    ev = SplitEvolver(_FiberGenerator(bbm2_model, bbm2_wave.c, uc), 1.0)
+    gen = _FiberGenerator(bbm2_model, bbm2_wave.c, uc)
+    ev = SplitEvolver(gen, 1.0, gen.remainder)
     rows = advance(ev, ev.rows(uc), 50, 50, lambda t, rows: False)
     assert np.max(np.abs(rows)) < 1e-14
 
@@ -109,7 +120,8 @@ def test_split_agrees_with_diagonal_stepper_and_keeps_mode_zero(
     w0[0] = 0.0
     u0 = uc + PeriodicField(q, N, hermitian_full(w0), real=True)
     h, n = 0.05, 100
-    split = SplitEvolver(_FiberGenerator(bbm2_model, bbm2_wave.c, uc), h)
+    gen = _FiberGenerator(bbm2_model, bbm2_wave.c, uc)
+    split = SplitEvolver(gen, h, gen.remainder)
     diag = Evolver(bbm2_model, bbm2_wave.c, q, N, h)
     end = advance(split, split.rows(u0), n, n, lambda t, rows: False)
     ref = advance(diag, diag.rows(u0), n, n, lambda t, rows: False)
@@ -148,8 +160,9 @@ def test_escape_time_converges_under_step_halving(escape_case, escape_plan):
     assert isinstance(plan.ev, SplitEvolver)
     assert plan.n < per
     assert 0.0 < plan.pilot_error <= PILOT_ERROR_BUDGET
-    fine = StepPlan(SplitEvolver(plan.ev.gen, plan.ev.dt / 2), 2 * plan.n,
-                    per, plan.size)
+    ev = plan.ev
+    fine = StepPlan(SplitEvolver(ev.gen, ev.dt / 2, ev.G), 2 * plan.n, per,
+                    plan.size)
     runs = [escape_run(escape_case, p, 1e-2) for p in (plan, fine)]
     T, T_half = (r.escape_time for r in runs)
     assert abs(T - T_half) <= 1e-6 * T_half
