@@ -95,7 +95,8 @@ def _dense_eig(A: np.ndarray, vectors: bool):
     max |A|) it equals i Im(A), and the solve is eig(Im A) = (mu, V) in real
     arithmetic: lambda = i mu with the same eigenvectors, a spectrum closed
     under lambda -> -conj(lambda) exactly, and 2.5-3x less work with
-    vectors.  Otherwise A is solved in complex arithmetic.
+    vectors.  Otherwise A is solved in complex arithmetic.  Its callers are
+    ``bloch_eigvals`` and ``eigens``; no time propagation uses an eigenbasis.
     """
     if np.max(np.abs(A.real)) <= _REAL_PATH_RTOL * np.max(np.abs(A)):
         if vectors:

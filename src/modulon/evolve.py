@@ -105,6 +105,16 @@ class _Transform:
         return out
 
 
+def _half_symbols(model: ModelSpec, c: float, q: int, N: int) -> tuple:
+    """(lin, push) on the modes n = 0 .. N/2: lin = J E, zero at the Nyquist
+    mode, and push = nl_sign J, which takes f(U) to its term of dU/dt."""
+    xi = model.kappa * (np.arange(N // 2 + 1) / q)
+    jop = model.j_symbol(xi)
+    lin = jop * model.energy_diag(xi, c)[0]
+    lin[-1] = 0.0
+    return lin, model.nl_sign * jop
+
+
 class Evolver:
     """ETDRK4 stepper for one (model, grid, dt) combination.
 
@@ -118,11 +128,7 @@ class Evolver:
         self.model = model
         self.c = float(c)
         self.q, self.N, self.dt = q, N, float(dt)
-        xi = model.kappa * (np.arange(N // 2 + 1) / q)
-        jop = model.j_symbol(xi)
-        self.lin = jop * model.energy_diag(xi, c)[0]
-        self.push = model.nl_sign * jop    # f(U) -> its term of dU/dt
-        self.lin[-1] = 0.0
+        self.lin, self.push = _half_symbols(model, c, q, N)
         self.tr = _Transform(q, N, model.nonlinearity.pad)
         self.nl_f = model.nonlinearity.f   # bound once, not per call
         self._etdrk4_tables()
@@ -350,12 +356,8 @@ class _FiberGenerator:
         self.base = base.coef[N // 2:].copy()
         uc = self.tr.values(self.base)
         # R, in the arithmetic of Evolver.step_coef's right-hand side
-        xi = model.kappa * (np.arange(N // 2 + 1) / q)
-        jop = model.j_symbol(xi)
-        lin = jop * model.energy_diag(xi, c)[0]
-        lin[-1] = 0.0
-        self.R = self.fib.stack(lin * self.base + model.nl_sign * jop
-                                * self.tr.coef(nl.f(uc)))
+        lin, push = _half_symbols(model, c, q, N)
+        self.R = self.fib.stack(lin * self.base + push * self.tr.coef(nl.f(uc)))
         xi = model.kappa * (self.fib.modes / q)
         jop = model.j_symbol(xi) * self.fib.mask
         self.push = model.nl_sign * jop
@@ -500,7 +502,10 @@ def conserved_quantities(model: ModelSpec, f: PeriodicField, c: float):
     energy = (1/2) <M U, U> + int F(U).  The BBM analogues carry the H^1
     metric: momentum = (1/2) int (U^2 + kappa^2 U_z^2) and
     energy = (c/2) int (U^2 + kappa^2 U_z^2) - (1/2) int U^2 - int F(U).
+    A complex field raises DomainError.
     """
+    if not f.real:
+        raise DomainError("conserved quantities are defined for real fields")
     kap = model.kappa
     scale = _TWO_PI * f.q
     mass = float((scale * f.coef[f.N // 2]).real)
@@ -510,8 +515,6 @@ def conserved_quantities(model: ModelSpec, f: PeriodicField, c: float):
     M = int(np.ceil(pad * f.N))
     M += M % 2
     vals = f.values(M)
-    if not f.real:
-        vals = vals.real
     intF = float(np.sum(nl.F(vals)) * scale / M)
     xi = kap * f.xi()
     if model.family == "kdv_type":
@@ -734,29 +737,28 @@ def approximate_solution_residual(sol: ApproxSolution) -> np.ndarray:
     The time derivative uses the defining relations (dU_1 analytic,
     dU_j = A U_j + G_j, A applied on the fiber blocks), so the result
     measures the order-(n+1) defect of the construction rather than
-    integrator error.
+    integrator error.  RHS(U^app) is A w + G(w) at w = U^app - u_c, on the
+    same fiber generator.
     """
-    model, wave = sol.model, sol.wave
-    q, N_big = sol.q, sol.N
-    delta = sol.delta
-    uc_big = lift_wave(wave, q, N_big)
-    ev = Evolver(model, wave.c, q, N_big, dt=1.0)
-    gen = _FiberGenerator(model, wave.c, uc_big)
+    q, N_big, delta = sol.q, sol.N, sol.delta
+    gen = _FiberGenerator(sol.model, sol.wave.c, lift_wave(sol.wave, q, N_big))
     forcing = _cascade_forcing(gen, sol) if sol.n_order > 1 else None
     half = N_big // 2
     out = []
     with serial(gen.fib.size):
         for i, t in enumerate(sol.times):
             dU = delta * sol.dU1(t)[half:]
-            total = uc_big.coef[half:] + delta * sol.U1(t)[half:]
+            w = delta * sol.U1(t)[half:]          # U^app - u_c
             if forcing is not None:
                 corr = np.array([Uj[half:] for Uj in sol.corrections[i]])
                 x = gen.fib.stack(corr)
                 dcorr = gen.fib.half(gen.apply(x) + forcing(x, t))
                 for j, (Uj, dUj) in enumerate(zip(corr, dcorr), start=2):
                     dU = dU + delta ** j * dUj
-                    total = total + delta ** j * Uj
-            rhs = ev.lin * total + ev.nonlinear(total)
+                    w = w + delta ** j * Uj
+            # RHS(u_c + w) = A w + G(w), G carrying the RHS at u_c
+            x = gen.fib.stack(w)
+            rhs = gen.fib.half(gen.apply(x) + gen.remainder(x, t))
             res = hermitian_full(dU - rhs)
             out.append(float(np.sqrt(_TWO_PI * q * np.sum(np.abs(res) ** 2))))
     res_arr = np.array(out)

@@ -14,8 +14,8 @@ unstable band; the linear phase follows the packet law
 ||U1(t)||^2 ~ e^{2 lambda0 t} (1+t)^{-1/l} (the band integral of
 e^{2 Re lambda(k) t}), and the nonlinear phase measures escape in the plain
 (not orbital) L2 distance.  The linear phase is propagated exactly, fiber
-by fiber (``semigroup.fiber_norms``): one eigensolve per occupied conjugate
-pair of Bloch fibers, with an expm fallback for ill-conditioned eigenbases.
+by fiber (``semigroup.fiber_norms``): one expm per occupied conjugate pair
+of Bloch fibers, chained over an even time grid.
 
 The nonlinear runs of both kinds are observed every per = round(snap_dt /
 dt) steps of dt, at t_j = j per dt, whatever the step.  An experiment
@@ -615,9 +615,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     """Wave-packet instability: linear packet-law fit plus nonlinear escape.
 
     The linear phase is exact Bloch-fiber dynamics on the torus: the packet's
-    norms come from ``fiber_norms``, one eigensolve per occupied conjugate
-    pair of fibers (chained expm where the eigenbasis is ill-conditioned).
-    So the envelope-separation guard applies only to the nonlinear escape runs;
+    norms come from ``fiber_norms``, one expm per occupied conjugate pair of
+    fibers, at 401 even times up to t_linear.  So the envelope-separation
+    guard applies only to the nonlinear escape runs;
     ``enforce_envelope=False`` runs them anyway (accepting periodization
     error) instead of raising with a suggested Q.  ``t_max`` caps each
     escape run, as in ``run_multiperiodic``.
@@ -651,8 +651,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
         packet_width = 2.0 * np.pi / max(packet.width(), 1e-9)
 
     # the linear phase is exact, so its observation grid needs no step
-    times = np.linspace(0.0, t_linear, 401)
-    norms = fiber_norms(model, wave, u1, times)
+    h_linear = t_linear / 400
+    norms = fiber_norms(model, wave, u1, h_linear, 400)
+    times = h_linear * np.arange(401)
     mask = (times >= t1) & (times <= t2)
     if int(np.sum(mask)) < 8:
         mask = times >= 0.5 * t1

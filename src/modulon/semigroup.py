@@ -18,9 +18,10 @@ identity (A = DL, L Hermitian, D skew) makes ||e^{tA}||_{H^{-1}} equal to the
 H^1 norm of exp(t L D) exactly, up to round-off, for the real-symmetric L
 that even real waves produce.
 
-The fiber eigenbases of ``fiber_norms`` come from ``bloch._dense_eig``, so an
-even wave's fibers solve in real arithmetic.  The propagator norms, probes,
-Riesz projections, trichotomy counts and fiber norms run inside
+``fiber_norms`` propagates a field on the Bloch fibers of the split
+stepper's generator (``evolve._FiberGenerator``), with one expm per occupied
+fiber and no eigenbasis: the fiber k = 0 is defective.  The propagator
+norms, probes, Riesz projections, trichotomy counts and fiber norms run inside
 ``_blas.serial``: on one BLAS thread for matrices up to n = 513, where two
 threads are slower and would make the output bits depend on the machine's
 default thread count.
@@ -34,10 +35,11 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import serial
-from .bloch import BlochOperator, _dense_eig, assemble_bloch, bloch_eigvals
+from .bloch import BlochOperator, bloch_eigvals
 from .errors import ContourError, DomainError, PropagatorRangeError, \
     StructureViolationError
-from .fields import PeriodicField, bloch_decompose
+from .evolve import _FiberGenerator, _matvec, field_rows, lift_wave
+from .fields import PeriodicField
 from .symbols import ModelSpec
 from .waves import TravelingWave
 
@@ -47,7 +49,6 @@ RIESZ_QUAD_POINTS = 64  # starting trapezoidal nodes on the Riesz contour
 RIESZ_MAX_POINTS = 2048
 RIESZ_IDEM_TOL = 1e-8   # idempotence defect that ends the node doubling
 TRICHOTOMY_THRESHOLD = 1e-8   # |Re lambda| below this counts as center
-EIGBASIS_COND_CAP = 1e6       # eigenbasis cond past which e^{tA} avoids it
 
 
 def _weighted_norm(mat: np.ndarray, weights: np.ndarray) -> float:
@@ -235,47 +236,33 @@ def trichotomy_split(op: BlochOperator, strict: bool = True) -> TrichotomySplit:
 
 
 def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
-                times) -> np.ndarray:
-    """L2 norms of e^{tA} u on T_{2 pi Q} at ``times``, fiber by fiber.
+                h: float, steps: int) -> np.ndarray:
+    """L2 norms of e^{tA} u on T_{2 pi Q} at t_j = j h, j = 0 .. steps.
 
-    The generator linearized at u_c is block-diagonal over the Bloch fibers
-    k = r/Q of the torus: fiber r holds the modes n = Q m + r with
-    |n| < N/2 (the N/2 mode stays zero) and evolves under A(r/Q) truncated
-    to those m.  For a real u, fiber Q - r mirrors fiber r and has its norm,
-    so each occupied conjugate pair is solved once and counted twice, and a
-    self-conjugate fiber (k = 0 or 1/2) once.  A fiber is propagated as
-    V e^{t Lambda} V^{-1} u_r in its eigenbasis, or, when cond(V) exceeds
-    ``EIGBASIS_COND_CAP``, by chained expm over the spacings of ``times``
-    (one expm per distinct spacing).
+    A, the linearization at u_c lifted to u's torus, is block-diagonal over
+    the Bloch fibers k = r/Q (``evolve._Fibers``), with the blocks the split
+    stepper propagates (``evolve._FiberGenerator.block``).  For a real u,
+    fiber Q - r mirrors fiber r and has its norm, so only r = 0 .. Q/2 are
+    propagated: a conjugate pair counts twice, k = 0 and k = 1/2 once.  Each
+    occupied fiber takes one expm(h A_r), by scaling and squaring, and the
+    chain x <- e^{h A_r} x gives its norms.
     """
     if not u.real:
         raise DomainError("fiber norms pair conjugate fibers; u must be real")
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times, prepend=0.0) < 0.0):
-        raise DomainError("times must be nondecreasing from t = 0")
-    Q, half = u.q, u.N // 2
-    N_f = 2 * -(-half // Q)          # the fiber grid |m| <= ceil(half / Q)
-    m = np.arange(-(N_f // 2), N_f // 2 + 1)
-    with serial(N_f + 1):
-        fibers = bloch_decompose(u, q=1)
-        sq = np.zeros(len(times))
-        for r in sorted({min(j, Q - j) for j, (_, f) in enumerate(fibers)
-                         if np.any(f.coef)}):
-            keep = np.abs(Q * m + r) < half
-            A = assemble_bloch(model, wave, r / Q,
-                               N_f).A_mat[np.ix_(keep, keep)]
-            f = fibers[r][1]
-            sq += (1 if 2 * r % Q == 0 else 2) * _fiber_sq_norms(
-                A, f.coef[m[keep] + f.N // 2], times)
-    return np.sqrt(2.0 * np.pi * Q * sq)
-
-
-def _fiber_sq_norms(A: np.ndarray, x: np.ndarray,
-                    times: np.ndarray) -> np.ndarray:
-    """Squared coefficient norms of e^{tA} x at ``times``."""
-    vals, vecs = _dense_eig(A, vectors=True)
-    if np.linalg.cond(vecs) <= EIGBASIS_COND_CAP:
-        c = np.linalg.solve(vecs, x)
-        X = vecs @ (c[:, None] * np.exp(vals[:, None] * times[None, :]))
-        return np.sum(np.abs(X) ** 2, axis=0)
-    return np.array([np.vdot(y, y).real for y in _expm_chain(A, x, times)])
+    if not h > 0 or steps < 0:
+        raise DomainError("fiber norms need h > 0 and steps >= 0")
+    gen = _FiberGenerator(model, wave.c, lift_wave(wave, u.q, u.N))
+    x = gen.fib.stack(field_rows(u))
+    occupied = np.flatnonzero(np.any(x != 0.0, axis=1))
+    weight = np.where(2 * occupied % u.q == 0, 1.0, 2.0)
+    x = x[occupied]
+    E = np.zeros((len(occupied),) + 2 * (gen.fib.size,), dtype=np.complex128)
+    with serial(gen.fib.size):
+        for E_r, r in zip(E, occupied):
+            A_r = gen.block(r)
+            E_r[:len(A_r), :len(A_r)] = scipy.linalg.expm(h * A_r)
+        sq = [weight @ np.sum(np.abs(x) ** 2, axis=1)]
+        for _ in range(steps):
+            x = _matvec(E, x)
+            sq.append(weight @ np.sum(np.abs(x) ** 2, axis=1))
+    return np.sqrt(2.0 * np.pi * u.q * np.array(sq))

@@ -189,6 +189,16 @@ def test_conserved_examples_kdv():
     assert conserved_quantities(m, z, c=1.0) == (0.0, 0.0, 0.0)
 
 
+def test_conserved_quantities_reject_complex_field():
+    # the energy's int F(U) needs real values; a complex field is refused,
+    # not cut to its real part
+    m = model_for_symbol(SymbolSpec("kdv"))
+    f = cosine_field(1, 64, [0.0, 1.0])
+    for bad in (f * 1j, zero_field(1, 32, real=False)):
+        with pytest.raises(DomainError):
+            conserved_quantities(m, bad, c=1.0)
+
+
 def record_run(model, wave, u0, dt, n_obs, per):
     """Ledger of u0 and of n_obs observations every per steps."""
     led = ConservedLedger()

@@ -129,15 +129,17 @@ def test_packet_and_fiber_norms_solve_no_complex_eig(
         eig_inputs, whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
         whitham_k2_curve):
     # an even wave's Bloch matrices are imaginary: every eigensolve with
-    # vectors runs on the real matrix Im A
+    # vectors runs on the real matrix Im A, one per packet node, and
+    # fiber_norms makes none
     packet, _, _ = build_band_packet(
         whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum,
         whitham_k2_curve, Q=64, N_op=96)
     n_nodes = len(packet.nodes)
-    u = synthesize_packet(packet, 64)
-    fiber_norms(whitham_k2_model, whitham_k2_wave, u, [0.0, 1.0])
-    assert len(eig_inputs) > n_nodes >= 1
+    assert len(eig_inputs) == n_nodes >= 1
     assert set(eig_inputs) == {np.dtype(float)}
+    u = synthesize_packet(packet, 64)
+    fiber_norms(whitham_k2_model, whitham_k2_wave, u, 1.0, 1)
+    assert len(eig_inputs) == n_nodes
 
 
 def test_packet_law_fit(whitham_k2_model, whitham_k2_wave,

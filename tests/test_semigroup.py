@@ -306,37 +306,46 @@ def stepped_norms(propagate, model, wave, u, h, t_end, per):
     return times, np.array([l2_norm(f) for f in fields])
 
 
+def fiber0_field(Q=4, N=192):
+    """Unit-L2 real field on T_{2 pi Q} occupying only the fiber k = 0,
+    whose block is defective (the translation kernel)."""
+    n = np.arange(-(N // 2), N // 2 + 1)
+    coef = np.where((n % Q == 0) & (np.abs(n) < N // 2),
+                    np.exp(-0.2 * np.abs(n) / Q + 0.3j * np.sign(n)), 0.0)
+    u = PeriodicField(Q, N, coef, real=True)
+    return u * (1.0 / l2_norm(u))
+
+
 def test_fiber_norms_are_the_stepper_limit(whitham_k2_model, whitham_k2_wave,
                                            whitham_packet, propagate):
     # the fiber propagator steps e^{hA} exactly, so at any step it gives
-    # the eigenbasis norms of fiber_norms to round-off
+    # the chained-expm norms of fiber_norms to round-off
     u = whitham_packet
     for h, per in ((1.0, 5), (0.25, 20)):
         t, stepped = stepped_norms(propagate, whitham_k2_model,
                                    whitham_k2_wave, u, h, 20.0, per)
-        exact = fiber_norms(whitham_k2_model, whitham_k2_wave, u, t)
-        assert np.max(np.abs(stepped / exact - 1.0)) <= 1e-12
-    at0 = fiber_norms(whitham_k2_model, whitham_k2_wave, u, [0.0])[0]
-    assert at0 == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
+        exact = fiber_norms(whitham_k2_model, whitham_k2_wave, u, h * per,
+                            len(t))
+        assert np.max(np.abs(stepped / exact[1:] - 1.0)) <= 1e-12
+    at0 = fiber_norms(whitham_k2_model, whitham_k2_wave, u, 1.0, 0)
+    assert at0 == pytest.approx([l2_norm(u)], rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("case", ["band_packet", "node_at_k_half"])
-def test_fiber_norms_expm_fallback_matches_eigenbasis(
-        case, monkeypatch, request, whitham_k2_model, whitham_k2_wave):
-    u = request.getfixturevalue("whitham_packet") if case == "band_packet" \
-        else k_half_field()
-    times = np.append(np.linspace(0.0, 20.0, 9), 21.0)
-    eig = fiber_norms(whitham_k2_model, whitham_k2_wave, u, times)
-    # counting each conjugate pair twice and k = 1/2 once keeps ||u||
-    assert eig[0] == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
-    monkeypatch.setattr(semigroup, "EIGBASIS_COND_CAP", 0.0)
-    chained = fiber_norms(whitham_k2_model, whitham_k2_wave, u, times)
-    np.testing.assert_allclose(chained, eig, rtol=1e-10, atol=0.0)
+@pytest.mark.parametrize("case", ["node_at_k_half", "defective_fiber_0"])
+def test_fiber_norms_match_the_propagator(case, whitham_k2_model,
+                                          whitham_k2_wave, propagate):
+    u = k_half_field() if case == "node_at_k_half" else fiber0_field()
+    norms = fiber_norms(whitham_k2_model, whitham_k2_wave, u, 2.5, 8)
+    # counting each conjugate pair twice and k = 0, 1/2 once keeps ||u||
+    assert norms[0] == pytest.approx(l2_norm(u), rel=1e-13, abs=0.0)
+    _, stepped = stepped_norms(propagate, whitham_k2_model, whitham_k2_wave,
+                               u, 0.5, 20.0, 5)
+    np.testing.assert_allclose(norms[1:], stepped, rtol=1e-12, atol=0.0)
 
 
 def test_fiber_norms_rejects_bad_input(whitham_k2_model, whitham_k2_wave):
     u = k_half_field()
-    with pytest.raises(DomainError):
-        fiber_norms(whitham_k2_model, whitham_k2_wave, u * 1j, [0.0, 1.0])
-    with pytest.raises(DomainError):
-        fiber_norms(whitham_k2_model, whitham_k2_wave, u, [1.0, 0.5])
+    for bad, h, steps in ((u * 1j, 1.0, 2), (u, 0.0, 2), (u, -1.0, 2),
+                          (u, 1.0, -1)):
+        with pytest.raises(DomainError):
+            fiber_norms(whitham_k2_model, whitham_k2_wave, bad, h, steps)
