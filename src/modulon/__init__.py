@@ -15,8 +15,7 @@ from .fields import (PeriodicField, WavePacket, zero_field, field_from_values,
 from .waves import (TravelingWave, small_amplitude_wave, refine_newton,
                     continue_in_amplitude, whitham_condition_margin,
                     spectral_decay_diagnostic, kernel_defect, residual_norm,
-                    steady_residual_field, apply_energy_operator, resample,
-                    save_wave, load_wave)
+                    steady_residual_field, resample, save_wave, load_wave)
 from .bloch import (BlochOperator, BlochSpectrum, GrowthCurve, assemble_bloch,
                     bloch_eigvals, eigens, scan_bloch, fit_band, rational_k0,
                     unstable_eigenfunction)

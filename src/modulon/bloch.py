@@ -5,10 +5,11 @@ Conventions: in the Fourier basis {e^{inx}}, |n| <= N/2, the generator at
 Bloch parameter k is A = D_k L_k with xi = kappa (n+k),
 
     D_k = diag(model.j_symbol(xi)),
-    L_k = diag(model.energy_diag(xi, c)[0]) + model.nl_sign * Toeplitz(f'(u_c))
+    L_k = model.nl_sign * Toeplitz(f'(u_c)) + diag(model.energy_diag(xi, c)[0])
 
-(see ``ModelSpec``).  L_k is Hermitian, so every spectrum is closed under
-lambda -> -conj(lambda); the maximal real part lambda0 is the growth rate.
+from ``ModelSpec.generator_factors``, the one builder of A = J L.  L_k is
+Hermitian, so every spectrum is closed under lambda -> -conj(lambda); the
+maximal real part lambda0 is the growth rate.
 
 Values-only solves go through ``bloch_eigvals``, and ``eigens`` serves the
 callers that need eigenvectors.  D_k = i S is imaginary, and for an even
@@ -34,7 +35,7 @@ from .errors import (BandFitError, DomainError, InsufficientDataError,
                      StructureViolationError)
 from .fields import PeriodicField, l2_norm, write_csv
 from .symbols import ModelSpec
-from .waves import TravelingWave, _df_fourier_coeffs, spectral_decay_diagnostic
+from .waves import TravelingWave, _df_toeplitz, spectral_decay_diagnostic
 
 UNSTABLE_THRESHOLD = 1e-8
 FIT_FILL = 12      # uniform samples added around the maximum for band fits
@@ -73,16 +74,9 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
         raise DomainError(f"Bloch parameter must lie in [0, 1], got {k}")
     if N % 2 != 0:
         raise DomainError("truncation N must be even")
-    n = np.arange(-(N // 2), N // 2 + 1)
-    kap = model.kappa
-    xi = kap * (n + k)
-    w = _df_fourier_coeffs(model, wave.profile, N)
-    # Toeplitz block T[i, j] = w_{n_i - n_j}
-    col = w[N:]          # w_0 .. w_N
-    row = w[N::-1]       # w_0 .. w_{-N}
-    T = scipy.linalg.toeplitz(col, row)
-    L = np.diag(model.energy_diag(xi, wave.c)[0]) + model.nl_sign * T
-    D = model.j_symbol(xi)
+    xi = model.kappa * (np.arange(-(N // 2), N // 2 + 1) + k)
+    D, L = model.generator_factors(xi, wave.c,
+                                   _df_toeplitz(model, wave.profile, N))
     A = D[:, None] * L
     return BlochOperator(k=float(k), N=N, xi=xi, D_diag=D, L_mat=L, A_mat=A)
 

@@ -353,13 +353,17 @@ def cmd_report(cfg: RunConfig, args) -> int:
             except json.JSONDecodeError:
                 continue
         line = [fn]
-        for key in ("lambda0", "boundary", "reference_rate"):
-            if key in obj and obj[key] is not None:
-                line.append(f"{key}={obj[key]:.6g}")
-        if "passes" in obj and obj["passes"]:
-            line.append(f"passes={obj['passes']}")
-        if "regression" in obj and obj["regression"]:
-            line.append(f"r2={obj['regression']['r2']:.4f}")
+        try:
+            for key in ("lambda0", "boundary", "reference_rate"):
+                if obj.get(key) is not None:
+                    line.append(f"{key}={obj[key]:.6g}")
+            if obj.get("passes"):
+                line.append(f"passes={obj['passes']}")
+            if obj.get("regression"):
+                line.append(f"r2={obj['regression']['r2']:.4f}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BadDataError(
+                f"malformed report {os.path.join(d, fn)}: {exc!r}") from exc
         print("  ".join(line))
     return EXIT_OK
 

@@ -5,10 +5,10 @@ In the package's frequency orientation the evolved equation is
 
     dU/dt = J (E U + nl_sign f(U)),  J = j_symbol(xi),  E = energy_diag(xi, c)[0]
 
-with the operator pieces of ``ModelSpec``.  Its linearization at u_c is
-exactly the assembled Bloch generator at k = 0 (and at k = p/q on the
-2 pi q torus).  Converged waves are fixed points of the stepper to
-round-off.
+with the operator pieces of ``ModelSpec``.  Its linearization at u_c (from
+``ModelSpec.generator_factors``, on the stepper's transform grid) is the
+assembled Bloch generator at k = 0 (and at k = p/q on the 2 pi q torus).
+Converged waves are fixed points of the stepper to round-off.
 
 Every model is integrated with the fourth-order exponential time
 differencing of Cox & Matthews (ETDRK4), in one of two splittings.
@@ -62,8 +62,8 @@ _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 # largest fiber stack (fibers x modes^2) the split stepper tabulates, a
 # memory bound: on localized escape runs (fibers of 50 modes, Q = 52 .. 832)
 # a split interval ran 2.3-4x faster than a diagonal one at every size, but
-# the split run's peak RSS rose by 57 bytes an entry over the diagonal
-# run's, 30 MB at this cap (133 against 103 MB at Q = 416)
+# the split run's peak RSS rose by 71 bytes an entry over the diagonal
+# run's, 37 MB at this cap (142 against 105 MB at Q = 416)
 SPLIT_MAX_ENTRIES = 2 ** 19
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
 _TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18; 5 blocks of Paterson-Stockmeyer
@@ -335,7 +335,7 @@ def _phi_tables(h: float, A: np.ndarray) -> tuple:
 
 class _FiberGenerator:
     """The linearization A of the ETDRK4 right-hand side at a base state
-    u_c on T_{2 pi q}, assembled fiber by fiber (``_Fibers``, ``block``), and
+    u_c on T_{2 pi q}, one kept block per fiber (``_Fibers``, ``block``), and
     the pieces of the split w = u - u_c:  dw/dt = A w + G(w) with
 
         G(w) = push P[f(u_c + w) - f(u_c) - f'(u_c) w] + R,
@@ -358,9 +358,7 @@ class _FiberGenerator:
         # R, in the arithmetic of Evolver.step_coef's right-hand side
         lin, push = _half_symbols(model, c, q, N)
         self.R = self.fib.stack(lin * self.base + push * self.tr.coef(nl.f(uc)))
-        xi = model.kappa * (self.fib.modes / q)
-        jop = model.j_symbol(xi) * self.fib.mask
-        self.push = model.nl_sign * jop
+        self.push = self.fib.stack(push)
         if nl.degree is None:
             self.f_uc, self.df_uc, self.f = nl.f(uc), nl.df(uc), nl.f
             self.uc = uc
@@ -368,24 +366,29 @@ class _FiberGenerator:
         else:
             self.taylor = [nl._power_rule(uc, j) / factorial(j)
                            for j in range(2, nl.degree + 1)]
-        self.lin = jop * model.energy_diag(xi, c)[0]
+        self.model, self.c = model, c
         self.dhat = np.fft.fft(nl.df(uc)) / self.tr.M
+        self._blocks = [None] * len(self.fib.modes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A on a fiber stack, block by block."""
         out = np.zeros_like(x)
-        for r, mask in enumerate(self.fib.mask):
-            out[..., r, mask] = x[..., r, mask] @ self.block(r).T
+        for r in range(len(self._blocks)):
+            A = self.block(r)
+            out[..., r, :len(A)] = x[..., r, :len(A)] @ A.T
         return out
 
     def block(self, r: int) -> np.ndarray:
-        """The block of A on fiber r, unpadded: lin on the diagonal and
-        push * (f'(u_c))^_{n - m} off it."""
-        k = int(np.sum(self.fib.mask[r]))
-        n = self.fib.modes[r, :k]
-        A = self.push[r, :k, None] * self.dhat[(n[:, None] - n) % self.tr.M]
-        A[np.arange(k), np.arange(k)] += self.lin[r, :k]
-        return A
+        """The block J L of A on fiber r, unpadded, from
+        ``ModelSpec.generator_factors`` with (f'(u_c))^_{n - m} as the
+        convolution; built on first use, then kept."""
+        if self._blocks[r] is None:
+            n = self.fib.modes[r][self.fib.mask[r]]
+            J, L = self.model.generator_factors(
+                self.model.kappa * (n / self.tr.q), self.c,
+                self.dhat[(n[:, None] - n) % self.tr.M])
+            self._blocks[r] = J[:, None] * L
+        return self._blocks[r]
 
     def remainder(self, x: np.ndarray, t: float) -> np.ndarray:
         """G on a fiber stack (G does not depend on t)."""

@@ -19,12 +19,13 @@ H^1 norm of exp(t L D) exactly, up to round-off, for the real-symmetric L
 that even real waves produce.
 
 ``fiber_norms`` propagates a field on the Bloch fibers of the split
-stepper's generator (``evolve._FiberGenerator``), with one expm per occupied
-fiber and no eigenbasis: the fiber k = 0 is defective.  The propagator
-norms, probes, Riesz projections, trichotomy counts and fiber norms run inside
-``_blas.serial``: on one BLAS thread for matrices up to n = 513, where two
-threads are slower and would make the output bits depend on the machine's
-default thread count.
+stepper's generator (``evolve._FiberGenerator``), whose blocks A = J L come
+from ``ModelSpec.generator_factors`` as the Bloch matrices do, with one
+expm per occupied fiber and no eigenbasis: the fiber k = 0 is defective.
+The propagator norms, probes, Riesz projections, trichotomy counts and fiber
+norms run inside ``_blas.serial``: on one BLAS thread for matrices up to
+n = 513, where two threads are slower and would make the output bits depend
+on the machine's default thread count.
 """
 
 from __future__ import annotations

@@ -224,10 +224,13 @@ class ModelSpec:
         if not self.kappa > 0:
             raise DomainError("kappa must be positive")
 
-    # The linearization at a wave of speed c is A = J L with the skew
-    # multiplier J = j_symbol(xi) and the self-adjoint
-    # L = diag(energy_diag(xi, c)[0]) + nl_sign * f'(u_c); the full
-    # equation reads dU/dt = J (E U + nl_sign f(U)), E = energy_diag(xi, c)[0].
+    def generator_factors(self, xi, c: float, conv):
+        """(J, L) of A = J L at a wave u_c of speed c, on the modes of
+        frequencies xi: the skew J = j_symbol(xi) and the self-adjoint
+        L = nl_sign conv + diag(energy_diag(xi, c)[0]), where conv is the
+        matrix of multiplication by f'(u_c) on those modes."""
+        return self.j_symbol(xi), \
+            self.nl_sign * conv + np.diag(self.energy_diag(xi, c)[0])
 
     def j_symbol(self, xi):
         """J: i xi (kdv_type) or i xi / (1 + xi^2) (bbm)."""

@@ -18,14 +18,15 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg
 
 from ._blas import serial
 from .errors import (BadDataError, ContinuationStallError,
                      DegenerateJacobianError, DivergenceError, DomainError,
                      InsufficientDataError)
 from .fields import (PeriodicField, cosine_coefficients, cosine_field,
-                     dealiased_product, l2_norm, pointwise_image, save_field,
-                     load_field, _lift_eigenfunction)
+                     pointwise_image, save_field, load_field,
+                     _lift_eigenfunction)
 from .symbols import ModelSpec, NonlinearitySpec, evaluate_symbol, parse_symbol
 
 NEWTON_TOL_UPDATE = 1e-12
@@ -67,32 +68,20 @@ def residual_norm(model: ModelSpec, u: PeriodicField, c: float,
     return float(np.max(np.abs(r.values(4 * u.N))))
 
 
-def apply_energy_operator(model: ModelSpec, wave: TravelingWave,
-                          v: PeriodicField, k: float = 0.0) -> PeriodicField:
-    """Apply L_k = diag(energy_diag) + nl_sign f'(u_c) (see ``ModelSpec``) to v."""
-    dfu = pointwise_image(wave.profile, model.nonlinearity.df,
-                          pad=model.nonlinearity.pad)
-    dfu = resample(dfu, v.N)
-    prod = dealiased_product(dfu, v)
-    lin, _ = model.energy_diag(model.kappa * (v.xi() + k), wave.c)
-    coef = lin * v.coef + model.nl_sign * prod.coef
-    return PeriodicField(v.q, v.N, coef, real=v.real and k == 0.0)
-
-
 def resample(f: PeriodicField, N: int) -> PeriodicField:
     """Re-truncate or zero-extend f to N modes on its own torus."""
     return PeriodicField(f.q, N, _lift_eigenfunction(f, 0, 1, N), real=f.real)
 
 
 def kernel_defect(model: ModelSpec, wave: TravelingWave) -> float:
-    """Relative size of L (d/dz u_c): vanishes for exact traveling waves."""
-    du = PeriodicField(wave.profile.q, wave.profile.N,
-                       wave.profile.coef * (1j * wave.profile.modes()), real=True)
-    ldu = apply_energy_operator(model, wave, du)
-    nrm = l2_norm(du)
-    if nrm == 0.0:
-        return 0.0
-    return l2_norm(ldu) / nrm
+    """Relative size of L (d/dz u_c), with L at k = 0 as
+    ``bloch.assemble_bloch`` builds it: vanishes for exact traveling waves."""
+    u = wave.profile
+    du = u.coef * (1j * u.modes())
+    _, L = model.generator_factors(model.kappa * u.xi(), wave.c,
+                                   _df_toeplitz(model, u, u.N))
+    nrm = np.linalg.norm(du)
+    return float(np.linalg.norm(L @ du) / nrm) if nrm > 0.0 else 0.0
 
 
 # -- small-amplitude seeds -----------------------------------------------------
@@ -182,6 +171,12 @@ def _df_fourier_coeffs(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray
     return w.coef[half - N:half + N + 1]
 
 
+def _df_toeplitz(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray:
+    """Toeplitz(f'(u)) on the modes |n| <= N/2: T[i, j] = (f'(u))^_{n_i - n_j}."""
+    w = _df_fourier_coeffs(model, u, N)
+    return scipy.linalg.toeplitz(w[N:], w[N::-1])
+
+
 def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
                    N: int):
     """Residual vector and Jacobian of the bordered cosine-space system."""
@@ -191,15 +186,15 @@ def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,
     dcos = cosine_coefficients(res_f)
     R = dcos[:J + 1]
 
-    lin, dlin_dc = model.energy_diag(model.kappa * np.arange(J + 1), c)
-    dRdc = dlin_dc * d[:J + 1]
+    xi = model.kappa * np.arange(J + 1)
+    dRdc = model.energy_diag(xi, c)[1] * d[:J + 1]
 
     w = _df_fourier_coeffs(model, u, N)[N:].real   # w_m, m >= 0; w_{-m} = w_m
     # Toeplitz plus Hankel; column 0 is 2 w_j, row 0 the mean row w_l
     j = np.arange(J + 1)
     B = w[np.abs(j[:, None] - j)] + w[j[:, None] + j]
     B[0] = w[:J + 1]
-    A = np.diag(lin) + model.nl_sign * B
+    _, A = model.generator_factors(xi, c, B)
     return R, A, dRdc
 
 
@@ -215,8 +210,8 @@ def refine_newton(model: ModelSpec, guess: TravelingWave,
     The first constraint pins the amplitude (cos z coefficient) or the
     speed c; the second pins the integration constant (default, taken from
     the guess) or, with fix_mean, the profile mean while a_const floats.
-    The bordered Jacobian is the cosine-space L of ``ModelSpec``
-    (diag(energy_diag) + nl_sign times the f'(u_c) multiplication block),
+    The bordered Jacobian is the L of ``ModelSpec.generator_factors`` in
+    cosine space (its f'(u_c) multiplication a Toeplitz plus Hankel block),
     with two border rows for the constraints.
     """
     if (fix_amplitude is None) == (fix_speed is None):

@@ -314,6 +314,16 @@ def test_report_subcommand(tmp_path, capsys):
     assert "w.json" in out
 
 
+@pytest.mark.parametrize("text", ['{"lambda0": "abc"}',
+                                  '{"regression": {"slope": 1}}',
+                                  'null', '3.5'])
+def test_report_refuses_a_malformed_report(tmp_path, capsys, text):
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
+    (tmp_path / "bad.json").write_text(text)
+    assert main(["report", path]) == EXIT_BAD_DATA
+    assert str(tmp_path / "bad.json") in capsys.readouterr().err
+
+
 def test_wave_zero_amplitude_whitham(tmp_path):
     cfg_text = """\
 [model]

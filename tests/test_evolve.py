@@ -16,6 +16,7 @@ from modulon.evolve import (ConservedLedger, Evolver, SplitEvolver,
                             build_approximate_solution, conserved_quantities,
                             field_rows, lift_wave, orbital_distance,
                             rows_field, stable_dt)
+from modulon.experiments import _monitor_run, plan_steps
 from modulon.fields import hermitian_full
 
 TWO_PI = 2.0 * np.pi
@@ -154,9 +155,10 @@ def test_linearized_zero(whitham_model, whitham_wave, propagate):
     assert l2_norm(f) == 0.0
 
 
-@pytest.mark.slow
 def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
     # delta = 1e-6 perturbation grows at Re lambda within 1% over t in [0, 5]
+    # e-folds, on the escape runs' path: the split stepper at the step a
+    # pilot from u_c + theta0 u1 picks for intervals of 80
     p, q = 1, 8
     lam, v = unstable_eigenfunction(bbm2_model, bbm2_wave, p / q, N=64)
     N_big = q * 64
@@ -166,13 +168,15 @@ def test_nonlinear_matches_linearized_growth(bbm2_model, bbm2_wave):
     uc = lift_wave(bbm2_wave, q, N_big)
     delta = 1e-6
     dt = 0.02
-    u0 = uc + delta * u1
-    ev = make_evolver(bbm2_model, bbm2_wave, u0, dt)
     t_end = 5.0 / max(lam.real, 1e-3)
     t_end = min(t_end, 5.0 / lam.real)
-    n = int(round(t_end / dt))
-    f, t = run_steps(ev, u0, n)
-    growth = np.log(l2_norm(f - uc) / delta) / t
+    theta0 = 0.05 * l2_norm(uc)
+    plan = plan_steps(bbm2_model, bbm2_wave, uc, dt, 4000, theta0, u1)
+    assert isinstance(plan.ev, SplitEvolver)
+    run = _monitor_run(bbm2_model, bbm2_wave, uc + delta * u1, uc, dt, t_end,
+                       4000 * dt, theta0, "l2", plan)
+    assert not run.escaped
+    growth = np.log(run.pert_norm[-1] / delta) / run.times[-1]
     assert growth == pytest.approx(lam.real, rel=0.01)
 
 

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
-                     cosine_field, l2_norm, model_for_symbol, zero_field)
+                     assemble_bloch, cosine_field, kernel_defect, l2_norm,
+                     model_for_symbol, zero_field)
 from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
                             _phi_tables, advance, lift_wave)
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
@@ -58,6 +59,32 @@ def test_fiber_operator_is_the_stepper_linearization(name, request):
     got = gen.fib.half(gen.apply(gen.fib.stack(ws)))
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("name", ["bbm2", "whitham_k2", "gkdv3"])
+def test_fiber_blocks_are_the_bloch_matrices(name, request):
+    # the stepper and the spectrum share one operator: block r of the
+    # generator on T_{2 pi q} is A at k = r/q on that fiber's modes q m + r
+    model = request.getfixturevalue(name + "_model")
+    wave = request.getfixturevalue(name + "_wave")
+    q, N = 8, 48
+    gen = _FiberGenerator(model, wave.c, lift_wave(wave, q, q * N))
+    for r in range(q // 2 + 1):
+        m = (gen.fib.modes[r][gen.fib.mask[r]] - r) // q
+        A = assemble_bloch(model, wave, r / q, N).A_mat
+        ref = A[np.ix_(m + N // 2, m + N // 2)]
+        assert np.max(np.abs(gen.block(r) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["bbm2", "whitham_k2", "gkdv3"])
+def test_kernel_defect_is_the_bloch_L_at_k_zero(name, request):
+    model = request.getfixturevalue(name + "_model")
+    wave = request.getfixturevalue(name + "_wave")
+    u = wave.profile
+    du = u.coef * (1j * u.modes())
+    L0 = assemble_bloch(model, wave, 0.0, u.N).L_mat
+    want = np.linalg.norm(L0 @ du) / np.linalg.norm(du)
+    assert kernel_defect(model, wave) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_fibers_round_trip_and_pad():
