@@ -347,13 +347,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
         print(f"no reports found in {d}")
         return EXIT_OK
     for fn in names:
-        with open(os.path.join(d, fn)) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError:
-                continue
+        path = os.path.join(d, fn)
         line = [fn]
         try:
+            with open(path) as fh:
+                obj = json.load(fh)     # JSONDecodeError is a ValueError
             for key in ("lambda0", "boundary", "reference_rate"):
                 if obj.get(key) is not None:
                     line.append(f"{key}={obj[key]:.6g}")
@@ -362,8 +360,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             if obj.get("regression"):
                 line.append(f"r2={obj['regression']['r2']:.4f}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise BadDataError(
-                f"malformed report {os.path.join(d, fn)}: {exc!r}") from exc
+            raise BadDataError(f"malformed report {path}: {exc!r}") from exc
         print("  ".join(line))
     return EXIT_OK
 

@@ -21,10 +21,15 @@ instability estimates: e^{hA} of the full linearization is exact on each
 Bloch fiber k = r/q of T_{2 pi q} (Hochbruck & Ostermann), so the step is
 set by accuracy rather than by the wave coupling.  Its phi-function tables
 come from Taylor sums, by Paterson-Stockmeyer, and scaling and modified
-squaring (Skaflestad & Wright).  The escape runs step the perturbation
-w = u - u_c with the generator's remainder as G, at the step their pilot
-chooses, and at up to 8 times that step while the perturbation is small;
-the approximate-solution cascade steps its forced linear solves with the
+squaring (Skaflestad & Wright).  Functions of a banded matrix decay away
+from its band (Benzi & Razouk): where every entry of the tables above
+2^-53 of its table's largest lies within a half-bandwidth b with
+2b + 1 <= n / 2 on fibers of n modes, the tables are kept in LAPACK band
+storage and applied by BLAS zgbmv (b = 8 of 96 modes on the escape
+wave).  The escape runs step the perturbation w = u - u_c with the
+generator's remainder as G, at the step their pilot chooses, and at up to
+8 times that step while the perturbation is small; the
+approximate-solution cascade steps its forced linear solves with the
 Taylor forcing as G.  ``modulon evolve`` and criterion 14's dt-halving
 check use ``Evolver``.
 
@@ -50,6 +55,7 @@ from math import factorial
 import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
+from scipy.linalg.blas import zgbmv as _zgbmv
 
 from ._blas import serial
 from .errors import BlowupError, DomainError, GridMismatchError
@@ -61,9 +67,11 @@ _TWO_PI = 2.0 * np.pi
 _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 # largest fiber stack (fibers x modes^2) the split stepper tabulates, a
 # memory bound: on localized escape runs (fibers of 50 modes, Q = 52 .. 832)
-# a split interval ran 2.3-4x faster than a diagonal one at every size, but
-# the split run's peak RSS rose by 71 bytes an entry over the diagonal
-# run's, 37 MB at this cap (142 against 105 MB at Q = 416)
+# a split interval ran 2.3-4x faster than a diagonal one at every size.  The
+# split run's peak RSS over the diagonal run's is 71 bytes an entry with
+# dense tables, 37 MB at this cap (BBM m=2 at Q = 416: 142 against 105 MB),
+# and 21 bytes an entry with band tables, 11 MB (the same run at b = 8-9:
+# 115.5 against 104.8 MB)
 SPLIT_MAX_ENTRIES = 2 ** 19
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
 _TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18; 5 blocks of Paterson-Stockmeyer
@@ -410,26 +418,35 @@ class SplitEvolver:
     ``_FiberGenerator`` (Hochbruck & Ostermann): E = e^{hA}, E2 = e^{hA/2},
     Q = (h/2) phi_1(hA/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
     2 f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), all at hA, one
-    dense block per fiber, and only G, called on fiber stacks at t, t + h/2,
+    block per fiber, and only G, called on fiber stacks at t, t + h/2,
     t + h/2 and t + h, is explicit; E x is E2 (E2 x).  States are fiber
     stacks, possibly with leading axes; ``rows``/``field`` map a field u to
     the stack of w = u - u_c and back, the state of the escape runs, whose
-    G is ``gen.remainder``.  Only the step tables are kept, 5 n^2 complex
-    entries per fiber of n modes.
+    G is ``gen.remainder``.  Only the step tables are kept (``tabulate``):
+    5 (2b + 1) n complex entries per fiber of n modes in band form, 5 n^2
+    in dense form.
     """
 
     def __init__(self, gen: _FiberGenerator, h: float, G):
-        F, size = gen.fib.mask.shape
         self.gen = gen
         self.G = G
-        self.E2 = np.zeros((F, size, size), dtype=np.complex128)
-        self.Q = np.zeros_like(self.E2)
-        self.W = np.zeros((F, size, 3 * size), dtype=np.complex128)
         self.tabulate(h)
 
     def tabulate(self, h: float):
-        """Fill the tables E2, Q and W = [f1 | 2 f2 | f3] for the step h in
-        place, fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.
+        """Build the tables E2, Q, f1, 2 f2, f3 for the step h, fiber by
+        fiber from ``_phi_tables``; E = E2 E2 is not kept.
+
+        A function of a banded matrix decays away from the band (Benzi &
+        Razouk), so each table is kept to the half-bandwidth ``band``, the
+        least b beyond which every entry of every fiber's tables is at most
+        2^-53 of that table's largest.  While 2b + 1 <= n / 2, for n the
+        stack's fiber size, the tables are kept only in band form: the rows
+        of LAPACK band storage of the transposed block-diagonal stack
+        (``_band_rows``), widened as the fibers come in and applied by
+        ``_band_matvec``.  On a wider band (``band`` None) E2, Q and
+        W = [f1 | 2 f2 | f3] are dense stacks applied by ``_matvec``, and
+        the fibers tabulated before the band outgrew the bound are
+        tabulated again.  The old tables are dropped first.
 
         The row of A for the mode n = 0 is exactly zero, so the Taylor sums
         and doublings give that mode the rows of phi_k(0) I exactly; with
@@ -438,9 +455,36 @@ class SplitEvolver:
         if h <= 0:
             raise DomainError("the step must be positive")
         self.dt = float(h)
-        size = self.gen.fib.size
-        for r in range(len(self.W)):
-            E2, Q, *fs = _phi_tables(self.dt, self.gen.block(r))
+        self.E2 = self.Q = self.W = None
+        F, size = self.gen.fib.mask.shape
+        widest = (size - 2) // 4           # 2b + 1 <= size / 2
+        band, tab = 0, np.zeros((5, F * size, 1), dtype=np.complex128)
+        for r in range(F):
+            tables = _phi_tables(self.dt, self.gen.block(r))
+            b = max(map(_half_bandwidth, tables))
+            if b > widest:
+                self._tabulate_dense(r, tables)
+                return
+            if b > band:        # only the rows filled so far are copied
+                wider = np.zeros((5, F * size, 2 * b + 1), dtype=np.complex128)
+                wider[:, :r * size, b - band:b + band + 1] = tab[:, :r * size]
+                band, tab = b, wider
+            k = len(tables[0])
+            tab[:, r * size:r * size + k, band - b:band + b + 1] = \
+                _band_rows(np.array(tables), b)
+        self.band = band
+        self.E2, self.Q, *self.W = tab
+
+    def _tabulate_dense(self, first: int, tables: tuple):
+        """The dense tables, with fiber ``first`` from its ``tables``."""
+        F, size = self.gen.fib.mask.shape
+        self.band = None
+        self.E2 = np.zeros((F, size, size), dtype=np.complex128)
+        self.Q = np.zeros_like(self.E2)
+        self.W = np.zeros((F, size, 3 * size), dtype=np.complex128)
+        for r in range(F):
+            E2, Q, *fs = tables if r == first else \
+                _phi_tables(self.dt, self.gen.block(r))
             k = len(E2)
             self.E2[r, :k, :k], self.Q[r, :k, :k] = E2, Q
             for j, T in enumerate(fs):
@@ -458,22 +502,62 @@ class SplitEvolver:
     def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
         G, h = self.G, self.dt
         E2, Q = self.E2, self.Q
+        mv = _matvec if self.band is None else _band_matvec
         # a blow-up overflows quietly; callers check the result is finite
         with np.errstate(invalid="ignore", over="ignore"):
             n0 = G(x, t)
-            e2u = _matvec(E2, x)
-            a = e2u + _matvec(Q, n0)
+            e2u = mv(E2, x)
+            a = e2u + mv(Q, n0)
             na = G(a, t + h / 2.0)
-            b = e2u + _matvec(Q, na)
+            b = e2u + mv(Q, na)
             nb = G(b, t + h / 2.0)
-            c = _matvec(E2, a) + _matvec(Q, 2.0 * nb - n0)
+            c = mv(E2, a) + mv(Q, 2.0 * nb - n0)
             nc = G(c, t + h)
-            return _matvec(E2, e2u) + _matvec(
-                self.W, np.concatenate((n0, na + nb, nc), axis=-1))
+            if self.band is None:
+                return _matvec(E2, e2u) + _matvec(
+                    self.W, np.concatenate((n0, na + nb, nc), axis=-1))
+            out = _band_matvec(E2, e2u)
+            for T, v in zip(self.W, (n0, na + nb, nc)):
+                _band_matvec(T, v, out)
+            return out
 
 
 def _matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (T @ x[..., None])[..., 0]
+
+
+def _half_bandwidth(T: np.ndarray) -> int:
+    """The least b with |T_ij| <= 2^-53 max|T| wherever |i - j| > b."""
+    mag = np.abs(T)
+    i, j = np.nonzero(mag > 2.0 ** -53 * np.max(mag))
+    return int(np.max(np.abs(i - j))) if len(i) else 0
+
+
+def _band_rows(T: np.ndarray, b: int) -> np.ndarray:
+    """Row i of each square matrix T at the columns i - b .. i + b, zero
+    outside T.  For T^T these rows, in C order, are the columns of LAPACK
+    band storage with kl = ku = b."""
+    k = T.shape[-1]
+    cols = np.arange(k)[:, None] + np.arange(-b, b + 1)
+    inside = (cols >= 0) & (cols < k)
+    return np.where(inside, T[..., np.arange(k)[:, None],
+                              np.clip(cols, 0, k - 1)], 0.0)
+
+
+def _band_matvec(T: np.ndarray, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """T x for a fiber stack x and a table stack T in band rows
+    (``_band_rows`` of the block-diagonal stack), added into ``out`` when
+    given: one transposed zgbmv per leading row of x.  Each entry of T x is
+    one dot product over its band row, so the bits do not depend on the
+    BLAS thread count."""
+    n, b = T.shape[0], T.shape[1] // 2
+    if out is None:
+        out = np.zeros(x.shape, dtype=np.complex128)
+    for xr, yr in zip(x.reshape(-1, n), out.reshape(-1, n)):
+        _zgbmv(n, n, b, b, 1.0, T.T, xr, beta=1.0, y=yr, trans=1,
+               overwrite_y=1)
+    return out
 
 
 # -- states and conserved quantities ------------------------------------------------

@@ -211,7 +211,7 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
     ``PILOT_TRIES``.  The smallest n within both budgets wins: a try within
     the drift budget, finer than every try that failed its check, is
     checked from its kept w if the tries left it unchecked.  The tries
-    refill one set of step tables.
+    retabulate one stepper.
     """
     if per < 2:
         return None
@@ -290,8 +290,8 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     allows at the interval's start (the h^4 ||w|| law of the ROADMAP
     Baseline).  An interval on a coarse level whose relative energy change
     exceeds ``COARSE_DRIFT_BUDGET`` is redone one level finer, and the run
-    then never coarsens again.  The plan's tables are retabulated in place
-    and restored to its step on return.
+    then never coarsens again.  The plan's stepper is retabulated for a
+    level and restored to its step on return.
     """
     if plan is None:
         plan = plan_steps(model, wave, ref, dt,

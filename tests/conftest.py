@@ -10,6 +10,7 @@ import scipy.linalg
 
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec,
                      model_for_symbol, refine_newton, small_amplitude_wave)
+from modulon._blas import thread_controls
 from modulon.bloch import fit_band, scan_bloch
 from modulon.evolve import (SplitEvolver, _FiberGenerator, advance,
                             field_rows, lift_wave, rows_field)
@@ -75,6 +76,18 @@ def gkdv3_model():
 def gkdv3_wave(gkdv3_model):
     seed = small_amplitude_wave(gkdv3_model, a=0.1, N=64)
     return refine_newton(gkdv3_model, seed, fix_amplitude=0.1, fix_a_const=0.0)
+
+
+@pytest.fixture
+def two_threads():
+    """Both bundled OpenBLAS libraries at two threads for the test, so a
+    restore or a thread-count dependence shows on any machine."""
+    saved = [get() for _, get, _ in thread_controls()]
+    for _, _, set_ in thread_controls():
+        set_(2)
+    yield
+    for (_, _, set_), count in zip(thread_controls(), saved):
+        set_(count)
 
 
 @pytest.fixture(scope="session")

@@ -10,17 +10,6 @@ def counts():
     return [get() for _, get, _ in thread_controls()]
 
 
-@pytest.fixture
-def two_threads():
-    """Both libraries at two threads, so a restore shows on any machine."""
-    saved = counts()
-    for _, _, set_ in thread_controls():
-        set_(2)
-    yield
-    for (_, _, set_), count in zip(thread_controls(), saved):
-        set_(count)
-
-
 def test_both_openblas_libraries_found():
     # a numpy or scipy upgrade that renames the symbols must fail here, not
     # silently run the dense kernels on the default thread count

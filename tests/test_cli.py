@@ -316,7 +316,7 @@ def test_report_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ['{"lambda0": "abc"}',
                                   '{"regression": {"slope": 1}}',
-                                  'null', '3.5'])
+                                  'null', '3.5', '{"lambda0": 1.5'])
 def test_report_refuses_a_malformed_report(tmp_path, capsys, text):
     path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
     (tmp_path / "bad.json").write_text(text)

@@ -13,6 +13,7 @@ from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
 from modulon import experiments
+from modulon._blas import serial
 from modulon.fields import PeriodicField, _lift_eigenfunction, hermitian_full
 
 
@@ -98,16 +99,19 @@ def test_fibers_round_trip_and_pad():
 
 
 def test_stacked_states_step_row_by_row(bbm2_model, bbm2_wave):
-    # leading axes of a state (the cascade's U_2, U_3) step independently
-    gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
-                          lift_wave(bbm2_wave, 8, 8 * 24))
-    ev = SplitEvolver(gen, 0.5, lambda x, t: np.sin(t) * x * x)
-    ws = np.array([random_half(8 * 24, seed, 1e-2) for seed in (5, 6)])
-    x = gen.fib.stack(ws)
-    assert np.array_equal(gen.fib.half(x), ws)
-    both = ev.step_coef(x, 0.3)
-    for row, xr in zip(both, x):
-        assert np.array_equal(row, ev.step_coef(xr, 0.3))
+    # leading axes of a state (the cascade's U_2, U_3) step independently,
+    # in the dense form (fibers of 24 modes, b = 7) and the band form (48)
+    for modes, banded in ((24, False), (48, True)):
+        gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
+                              lift_wave(bbm2_wave, 8, 8 * modes))
+        ev = SplitEvolver(gen, 0.5, lambda x, t: np.sin(t) * x * x)
+        assert (ev.band is not None) == banded
+        ws = np.array([random_half(8 * modes, seed, 1e-2) for seed in (5, 6)])
+        x = gen.fib.stack(ws)
+        assert np.array_equal(gen.fib.half(x), ws)
+        both = ev.step_coef(x, 0.3)
+        for row, xr in zip(both, x):
+            assert np.array_equal(row, ev.step_coef(xr, 0.3))
 
 
 @pytest.mark.parametrize("h", [0.3, 2.0, 4.0])   # scaling exponents 0, 2, 3
@@ -179,6 +183,71 @@ def escape_run(escape_case, plan, delta, t_max=2000.0):
     model, wave, uc, u1, theta0, dt, per = escape_case
     return _monitor_run(model, wave, uc + delta * u1, uc, dt, t_max, per * dt,
                         theta0, "orbital", plan)
+
+
+def band_tables(ev):
+    """Each fiber's five tables of ``ev`` in band form, back as dense
+    (fibers, 5, size, size) arrays."""
+    F, size = ev.gen.fib.mask.shape
+    b = ev.band
+    tab = np.array([ev.E2, ev.Q, *ev.W]).reshape(5, F, size, 2 * b + 1)
+    i = np.arange(size)[:, None]
+    cols = i + np.arange(-b, b + 1)
+    inside = (cols >= 0) & (cols < size)
+    out = np.zeros((F, 5, size, size), dtype=np.complex128)
+    for r in range(F):
+        out[r][:, np.broadcast_to(i, cols.shape)[inside], cols[inside]] = \
+            tab[:, r][:, inside]
+    return out
+
+
+def test_escape_tables_take_the_band_form(escape_case, escape_plan):
+    # every entry left out is at most 2^-53 of its fiber table's largest
+    ev = escape_plan.ev
+    F, size = ev.gen.fib.mask.shape
+    assert ev.band is not None and 2 * ev.band + 1 <= size / 2
+    assert ev.E2.shape == (F * size, 2 * ev.band + 1)
+    kept = band_tables(ev)
+    for r in range(F):
+        for T, K in zip(_phi_tables(ev.dt, ev.gen.block(r)), kept[r]):
+            k = len(T)
+            assert np.all(K[k:] == 0.0) and np.all(K[:, k:] == 0.0)
+            assert np.max(np.abs(T - K[:k, :k])) <= 2.0 ** -53 * np.max(np.abs(T))
+
+
+def test_band_interval_matches_the_dense_tables(escape_case, escape_plan):
+    # one escape interval from u_c + theta0 u1 in band form and on dense
+    # _phi_tables applied by _matvec
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    plan = escape_plan
+    start = uc + u1 * (theta0 / l2_norm(u1))
+    dense = SplitEvolver(plan.ev.gen, plan.ev.dt, plan.ev.G)
+    dense._tabulate_dense(0, _phi_tables(dense.dt, dense.gen.block(0)))
+    assert dense.band is None and plan.ev.band is not None
+    ends = [advance(ev, ev.rows(start), plan.n, plan.n, lambda t, rows: False)
+            for ev in (plan.ev, dense)]
+    assert np.linalg.norm(ends[0] - ends[1]) <= 1e-13 * np.linalg.norm(ends[1])
+
+
+def test_band_product_does_not_depend_on_blas_threads(escape_case,
+                                                      escape_plan, two_threads):
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    ev, n = escape_plan.ev, escape_plan.n
+    x = ev.rows(uc + u1 * (theta0 / l2_norm(u1)))
+    threaded = advance(ev, x, n, n, lambda t, rows: False)
+    with serial(ev.gen.fib.size):
+        one = advance(ev, x, n, n, lambda t, rows: False)
+    assert np.array_equal(threaded, one)
+
+
+def test_whitham_tables_keep_the_dense_form(whitham_k2_model, whitham_k2_wave):
+    # the band of the Whitham kappa = 2 tables at q = 7 is too wide to pay
+    gen = _FiberGenerator(whitham_k2_model, whitham_k2_wave.c,
+                          lift_wave(whitham_k2_wave, 7, 7 * 96))
+    ev = SplitEvolver(gen, 0.5, gen.remainder)
+    F, size = gen.fib.mask.shape
+    assert ev.band is None
+    assert (ev.E2.shape, ev.W.shape) == ((F, size, size), (F, size, 3 * size))
 
 
 def test_escape_time_converges_under_step_halving(escape_case, escape_plan):
