@@ -22,16 +22,15 @@ Bloch fiber k = r/q of T_{2 pi q} (Hochbruck & Ostermann), so the step is
 set by accuracy rather than by the wave coupling.  Its phi-function tables
 come from Taylor sums, by Paterson-Stockmeyer, and scaling and modified
 squaring (Skaflestad & Wright).  Functions of a banded matrix decay away
-from its band (Benzi & Razouk): where every entry of the tables above
-2^-53 of its table's largest lies within a half-bandwidth b with
-2b + 1 <= n / 2 on fibers of n modes, the tables are kept in LAPACK band
-storage and applied by BLAS zgbmv (b = 8 of 96 modes on the escape
-wave).  The escape runs step the perturbation w = u - u_c with the
-generator's remainder as G, at the step their pilot chooses, and at up to
-8 times that step while the perturbation is small; the
-approximate-solution cascade steps its forced linear solves with the
-Taylor forcing as G.  ``modulon evolve`` and criterion 14's dt-halving
-check use ``Evolver``.
+from its band (Benzi & Razouk), so the tables are kept in LAPACK band
+storage to the least half-bandwidth b beyond which every entry is at most
+2^-53 of its table's largest, and applied by BLAS zgbmv (b = 8 of 96
+modes on the escape wave, 30-35 on the Whitham kappa = 2 wave).  The
+escape runs step the perturbation w = u - u_c with the generator's
+remainder as G, at the step their pilot chooses, and at up to 8 times
+that step while the perturbation is small; the approximate-solution
+cascade steps its forced linear solves with the Taylor forcing as G.
+``modulon evolve`` and criterion 14's dt-halving check use ``Evolver``.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -68,10 +67,11 @@ _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 # largest fiber stack (fibers x modes^2) the split stepper tabulates, a
 # memory bound: on localized escape runs (fibers of 50 modes, Q = 52 .. 832)
 # a split interval ran 2.3-4x faster than a diagonal one at every size.  The
-# split run's peak RSS over the diagonal run's is 71 bytes an entry with
-# dense tables, 37 MB at this cap (BBM m=2 at Q = 416: 142 against 105 MB),
-# and 21 bytes an entry with band tables, 11 MB (the same run at b = 8-9:
-# 115.5 against 104.8 MB)
+# split run's peak RSS over the diagonal run's was 71 bytes an entry with
+# dense n^2 tables, 37 MB at this cap (BBM m=2 at Q = 416: 142 against
+# 105 MB); the band tables of half-bandwidth b take (2b + 1) / n of that
+# memory, and that run, at b = 8-9, peaks 21 bytes an entry over the
+# diagonal run, 11 MB (115.5 against 104.8 MB)
 SPLIT_MAX_ENTRIES = 2 ** 19
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
 _TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18; 5 blocks of Paterson-Stockmeyer
@@ -422,9 +422,9 @@ class SplitEvolver:
     t + h/2 and t + h, is explicit; E x is E2 (E2 x).  States are fiber
     stacks, possibly with leading axes; ``rows``/``field`` map a field u to
     the stack of w = u - u_c and back, the state of the escape runs, whose
-    G is ``gen.remainder``.  Only the step tables are kept (``tabulate``):
-    5 (2b + 1) n complex entries per fiber of n modes in band form, 5 n^2
-    in dense form.
+    G is ``gen.remainder``.  Only the step tables are kept (``tabulate``),
+    5 (2b + 1) n complex entries per fiber of n modes for the tables'
+    half-bandwidth b.
     """
 
     def __init__(self, gen: _FiberGenerator, h: float, G):
@@ -433,20 +433,20 @@ class SplitEvolver:
         self.tabulate(h)
 
     def tabulate(self, h: float):
-        """Build the tables E2, Q, f1, 2 f2, f3 for the step h, fiber by
-        fiber from ``_phi_tables``; E = E2 E2 is not kept.
+        """Build the tables E2, Q and W = (f1, 2 f2, f3) for the step h,
+        fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.
 
         A function of a banded matrix decays away from the band (Benzi &
-        Razouk), so each table is kept to the half-bandwidth ``band``, the
+        Razouk), so the tables are kept to the half-bandwidth ``band``, the
         least b beyond which every entry of every fiber's tables is at most
-        2^-53 of that table's largest.  While 2b + 1 <= n / 2, for n the
-        stack's fiber size, the tables are kept only in band form: the rows
-        of LAPACK band storage of the transposed block-diagonal stack
-        (``_band_rows``), widened as the fibers come in and applied by
-        ``_band_matvec``.  On a wider band (``band`` None) E2, Q and
-        W = [f1 | 2 f2 | f3] are dense stacks applied by ``_matvec``, and
-        the fibers tabulated before the band outgrew the bound are
-        tabulated again.  The old tables are dropped first.
+        2^-53 of that table's largest.  Each table is the rows of LAPACK
+        band storage of the transposed block-diagonal stack
+        (``_band_rows``), applied by ``_band_matvec``: 2 band + 1 columns,
+        each fiber's rows at its own b centred in them.  The array widens
+        as a fiber with a wider band comes in, copying only the rows
+        filled so far, so the tables are not held twice over (np.zeros
+        commits no page of the rows still to come).  The old tables are
+        dropped first.
 
         The row of A for the mode n = 0 is exactly zero, so the Taylor sums
         and doublings give that mode the rows of phi_k(0) I exactly; with
@@ -457,14 +457,10 @@ class SplitEvolver:
         self.dt = float(h)
         self.E2 = self.Q = self.W = None
         F, size = self.gen.fib.mask.shape
-        widest = (size - 2) // 4           # 2b + 1 <= size / 2
         band, tab = 0, np.zeros((5, F * size, 1), dtype=np.complex128)
         for r in range(F):
             tables = _phi_tables(self.dt, self.gen.block(r))
             b = max(map(_half_bandwidth, tables))
-            if b > widest:
-                self._tabulate_dense(r, tables)
-                return
             if b > band:        # only the rows filled so far are copied
                 wider = np.zeros((5, F * size, 2 * b + 1), dtype=np.complex128)
                 wider[:, :r * size, b - band:b + band + 1] = tab[:, :r * size]
@@ -474,21 +470,6 @@ class SplitEvolver:
                 _band_rows(np.array(tables), b)
         self.band = band
         self.E2, self.Q, *self.W = tab
-
-    def _tabulate_dense(self, first: int, tables: tuple):
-        """The dense tables, with fiber ``first`` from its ``tables``."""
-        F, size = self.gen.fib.mask.shape
-        self.band = None
-        self.E2 = np.zeros((F, size, size), dtype=np.complex128)
-        self.Q = np.zeros_like(self.E2)
-        self.W = np.zeros((F, size, 3 * size), dtype=np.complex128)
-        for r in range(F):
-            E2, Q, *fs = tables if r == first else \
-                _phi_tables(self.dt, self.gen.block(r))
-            k = len(E2)
-            self.E2[r, :k, :k], self.Q[r, :k, :k] = E2, Q
-            for j, T in enumerate(fs):
-                self.W[r, :k, j * size:j * size + k] = T
 
     def rows(self, f: PeriodicField) -> np.ndarray:
         """The state of the real field ``f``: the fiber stack of f - u_c."""
@@ -502,20 +483,16 @@ class SplitEvolver:
     def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
         G, h = self.G, self.dt
         E2, Q = self.E2, self.Q
-        mv = _matvec if self.band is None else _band_matvec
         # a blow-up overflows quietly; callers check the result is finite
         with np.errstate(invalid="ignore", over="ignore"):
             n0 = G(x, t)
-            e2u = mv(E2, x)
-            a = e2u + mv(Q, n0)
+            e2u = _band_matvec(E2, x)
+            a = e2u + _band_matvec(Q, n0)
             na = G(a, t + h / 2.0)
-            b = e2u + mv(Q, na)
+            b = e2u + _band_matvec(Q, na)
             nb = G(b, t + h / 2.0)
-            c = mv(E2, a) + mv(Q, 2.0 * nb - n0)
+            c = _band_matvec(E2, a) + _band_matvec(Q, 2.0 * nb - n0)
             nc = G(c, t + h)
-            if self.band is None:
-                return _matvec(E2, e2u) + _matvec(
-                    self.W, np.concatenate((n0, na + nb, nc), axis=-1))
             out = _band_matvec(E2, e2u)
             for T, v in zip(self.W, (n0, na + nb, nc)):
                 _band_matvec(T, v, out)

@@ -9,7 +9,7 @@ from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
                      assemble_bloch, cosine_field, kernel_defect, l2_norm,
                      model_for_symbol, zero_field)
 from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
-                            _phi_tables, advance, lift_wave)
+                            _matvec, _phi_tables, advance, lift_wave)
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
 from modulon import experiments
@@ -99,19 +99,16 @@ def test_fibers_round_trip_and_pad():
 
 
 def test_stacked_states_step_row_by_row(bbm2_model, bbm2_wave):
-    # leading axes of a state (the cascade's U_2, U_3) step independently,
-    # in the dense form (fibers of 24 modes, b = 7) and the band form (48)
-    for modes, banded in ((24, False), (48, True)):
-        gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
-                              lift_wave(bbm2_wave, 8, 8 * modes))
-        ev = SplitEvolver(gen, 0.5, lambda x, t: np.sin(t) * x * x)
-        assert (ev.band is not None) == banded
-        ws = np.array([random_half(8 * modes, seed, 1e-2) for seed in (5, 6)])
-        x = gen.fib.stack(ws)
-        assert np.array_equal(gen.fib.half(x), ws)
-        both = ev.step_coef(x, 0.3)
-        for row, xr in zip(both, x):
-            assert np.array_equal(row, ev.step_coef(xr, 0.3))
+    # leading axes of a state (the cascade's U_2, U_3) step independently
+    gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
+                          lift_wave(bbm2_wave, 8, 8 * 24))
+    ev = SplitEvolver(gen, 0.5, lambda x, t: np.sin(t) * x * x)
+    ws = np.array([random_half(8 * 24, seed, 1e-2) for seed in (5, 6)])
+    x = gen.fib.stack(ws)
+    assert np.array_equal(gen.fib.half(x), ws)
+    both = ev.step_coef(x, 0.3)
+    for row, xr in zip(both, x):
+        assert np.array_equal(row, ev.step_coef(xr, 0.3))
 
 
 @pytest.mark.parametrize("h", [0.3, 2.0, 4.0])   # scaling exponents 0, 2, 3
@@ -201,11 +198,9 @@ def band_tables(ev):
     return out
 
 
-def test_escape_tables_take_the_band_form(escape_case, escape_plan):
+def assert_band_drops_only_round_off(ev):
     # every entry left out is at most 2^-53 of its fiber table's largest
-    ev = escape_plan.ev
     F, size = ev.gen.fib.mask.shape
-    assert ev.band is not None and 2 * ev.band + 1 <= size / 2
     assert ev.E2.shape == (F * size, 2 * ev.band + 1)
     kept = band_tables(ev)
     for r in range(F):
@@ -215,18 +210,63 @@ def test_escape_tables_take_the_band_form(escape_case, escape_plan):
             assert np.max(np.abs(T - K[:k, :k])) <= 2.0 ** -53 * np.max(np.abs(T))
 
 
-def test_band_interval_matches_the_dense_tables(escape_case, escape_plan):
-    # one escape interval from u_c + theta0 u1 in band form and on dense
-    # _phi_tables applied by _matvec
-    model, wave, uc, u1, theta0, dt, per = escape_case
-    plan = escape_plan
-    start = uc + u1 * (theta0 / l2_norm(u1))
-    dense = SplitEvolver(plan.ev.gen, plan.ev.dt, plan.ev.G)
-    dense._tabulate_dense(0, _phi_tables(dense.dt, dense.gen.block(0)))
-    assert dense.band is None and plan.ev.band is not None
-    ends = [advance(ev, ev.rows(start), plan.n, plan.n, lambda t, rows: False)
-            for ev in (plan.ev, dense)]
+class DenseSplit:
+    """The split step of ``ev`` on dense tables from ``_phi_tables``,
+    applied by ``_matvec``: the reference for the band form."""
+
+    def __init__(self, ev):
+        F, size = ev.gen.fib.mask.shape
+        self.G, self.dt = ev.G, ev.dt
+        self.tables = np.zeros((5, F, size, size), dtype=np.complex128)
+        for r in range(F):
+            for T, D in zip(_phi_tables(ev.dt, ev.gen.block(r)),
+                            self.tables[:, r]):
+                D[:len(T), :len(T)] = T
+
+    def step_coef(self, x, t):
+        (E2, Q, f1, f2, f3), G, h = self.tables, self.G, self.dt
+        n0 = G(x, t)
+        e2u = _matvec(E2, x)
+        a = e2u + _matvec(Q, n0)
+        na = G(a, t + h / 2.0)
+        b = e2u + _matvec(Q, na)
+        nb = G(b, t + h / 2.0)
+        c = _matvec(E2, a) + _matvec(Q, 2.0 * nb - n0)
+        nc = G(c, t + h)
+        return (_matvec(E2, e2u) + _matvec(f1, n0) + _matvec(f2, na + nb)
+                + _matvec(f3, nc))
+
+
+def assert_band_steps_match_dense(ev, x, n):
+    ends = [advance(e, x, n, n, lambda t, rows: False)
+            for e in (ev, DenseSplit(ev))]
     assert np.linalg.norm(ends[0] - ends[1]) <= 1e-13 * np.linalg.norm(ends[1])
+
+
+def test_escape_tables_take_a_narrow_band(escape_case, escape_plan):
+    ev = escape_plan.ev
+    assert 2 * ev.band + 1 <= ev.gen.fib.size / 2       # b = 8 of 96 modes
+    assert_band_drops_only_round_off(ev)
+
+
+def test_band_interval_matches_the_dense_tables(escape_case, escape_plan):
+    # one escape interval from u_c + theta0 u1
+    model, wave, uc, u1, theta0, dt, per = escape_case
+    ev = escape_plan.ev
+    start = uc + u1 * (theta0 / l2_norm(u1))
+    assert_band_steps_match_dense(ev, ev.rows(start), escape_plan.n)
+
+
+def test_whitham_tables_take_a_wide_band(whitham_k2_model, whitham_k2_wave):
+    # Whitham kappa = 2 at q = 7: b = 30 of 96 modes, and 20 steps still
+    # match the dense tables
+    gen = _FiberGenerator(whitham_k2_model, whitham_k2_wave.c,
+                          lift_wave(whitham_k2_wave, 7, 7 * 96))
+    ev = SplitEvolver(gen, 0.5, gen.remainder)
+    assert 4 * ev.band > gen.fib.size
+    assert_band_drops_only_round_off(ev)
+    assert_band_steps_match_dense(
+        ev, gen.fib.stack(random_half(7 * 96, 3, 1e-4)), 20)
 
 
 def test_band_product_does_not_depend_on_blas_threads(escape_case,
@@ -238,16 +278,6 @@ def test_band_product_does_not_depend_on_blas_threads(escape_case,
     with serial(ev.gen.fib.size):
         one = advance(ev, x, n, n, lambda t, rows: False)
     assert np.array_equal(threaded, one)
-
-
-def test_whitham_tables_keep_the_dense_form(whitham_k2_model, whitham_k2_wave):
-    # the band of the Whitham kappa = 2 tables at q = 7 is too wide to pay
-    gen = _FiberGenerator(whitham_k2_model, whitham_k2_wave.c,
-                          lift_wave(whitham_k2_wave, 7, 7 * 96))
-    ev = SplitEvolver(gen, 0.5, gen.remainder)
-    F, size = gen.fib.mask.shape
-    assert ev.band is None
-    assert (ev.E2.shape, ev.W.shape) == ((F, size, size), (F, size, 3 * size))
 
 
 def test_escape_time_converges_under_step_halving(escape_case, escape_plan):
