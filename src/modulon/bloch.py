@@ -1,5 +1,5 @@
-"""Truncated Bloch operators, spectra over k in [0, 1], band location,
-band-edge fits, and unstable eigenfunctions.
+"""Truncated Bloch operators, spectra over k in [0, 1] solved on [0, 1/2],
+band location, band-edge fits, and unstable eigenfunctions.
 
 Conventions: in the Fourier basis {e^{inx}}, |n| <= N/2, the generator at
 Bloch parameter k is A = D_k L_k with xi = kappa (n+k),
@@ -19,6 +19,12 @@ the eigenpairs (mu, v) of S L_k: both solve in real arithmetic
 exactly.  When A has a real part above round-off (a translated, non-even
 wave) the solve falls back to complex arithmetic.  Scans and eigenfunctions
 run on one BLAS thread (``_blas.serial``).
+
+Scans fold k onto [0, 1/2].  The frequencies at 1 - k are minus those at k
+up to one mode, J is odd and imaginary, E even and f'(u_c) real, so the
+operator at 1 - k is the complex conjugate of the one at k, truncated on a
+window shifted by one boundary mode.  ``scan_bloch`` solves at k <= 1/2 and
+takes each sample to 1 - k by conjugation.
 """
 
 from __future__ import annotations
@@ -74,9 +80,16 @@ def assemble_bloch(model: ModelSpec, wave: TravelingWave, k: float,
         raise DomainError(f"Bloch parameter must lie in [0, 1], got {k}")
     if N % 2 != 0:
         raise DomainError("truncation N must be even")
+    return _bloch_operator(model, wave, k, N,
+                           _df_toeplitz(model, wave.profile, N))
+
+
+def _bloch_operator(model: ModelSpec, wave: TravelingWave, k: float, N: int,
+                    conv: np.ndarray) -> BlochOperator:
+    """``assemble_bloch`` on an even N and k in [0, 1], given the
+    k-independent ``conv`` = Toeplitz(f'(u_c)), which a scan builds once."""
     xi = model.kappa * (np.arange(-(N // 2), N // 2 + 1) + k)
-    D, L = model.generator_factors(xi, wave.c,
-                                   _df_toeplitz(model, wave.profile, N))
+    D, L = model.generator_factors(xi, wave.c, conv)
     A = D[:, None] * L
     return BlochOperator(k=float(k), N=N, xi=xi, D_diag=D, L_mat=L, A_mat=A)
 
@@ -173,24 +186,44 @@ class BlochSpectrum:
 
 def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
                N: int) -> BlochSpectrum:
-    """Scan k in [0, 1]: uniform grid, trisection refinement of local maxima,
-    then a small uniform fill around the global maximum for band fitting."""
+    """Scan k in [0, 1] with eigensolves at k <= 1/2 only.
+
+    The spectrum at 1 - k is the complex conjugate of the one at k, so the
+    scan solves on the lower half of a uniform grid of ``k_count`` points
+    (with 1/2 exactly on it when ``k_count`` is odd) and refines its local
+    maxima by trisection, a probe above 1/2 being solved at 1 - k.  Then
+    every sample k < 1/2 is taken to 1 - k by conjugation, and a small
+    uniform fill around the global maximum, for band fitting, is solved at
+    the folded k and not mirrored.  Bands are located on the lower half
+    and mirrored, so a band through 1/2 has lo == 1 - hi.
+    """
     if k_count < 16:
         raise DomainError("k_count must be at least 16")
+    if N % 2 != 0:
+        raise DomainError("truncation N must be even")
+    conv = _df_toeplitz(model, wave.profile, N)
     samples = {}
 
     def r_of(k):
         if k not in samples:
-            with serial(N + 1):
-                samples[k] = bloch_eigvals(assemble_bloch(model, wave, k, N))
+            k = 1.0 - k if k > 0.5 else k
+            if k not in samples:
+                with serial(N + 1):
+                    samples[k] = bloch_eigvals(
+                        _bloch_operator(model, wave, k, N, conv))
         return float(np.max(samples[k].real))
 
-    grid = list(np.linspace(0.0, 1.0, k_count))
-    rvals = [r_of(k) for k in grid]
-    # local maxima on the uniform grid (interior only); refine anything that
-    # could plausibly clear the instability threshold at its true peak
+    lower = list(np.linspace(0.0, 1.0, k_count)[:(k_count + 1) // 2])
+    if k_count % 2:
+        lower[-1] = 0.5    # linspace misses it by an ulp at some odd counts
+    upper = [k for k in reversed(lower) if k < 0.5]
+    grid = lower + [1.0 - k for k in upper]
+    rvals = [r_of(k) for k in lower + upper]
+    # local maxima at k <= 1/2 on the uniform grid (interior only); refine
+    # anything that could plausibly clear the instability threshold at its
+    # true peak
     refine_floor = max(UNSTABLE_THRESHOLD / 100.0, 1e-12)
-    maxima = [i for i in range(1, len(grid) - 1)
+    maxima = [i for i in range(1, len(lower))
               if rvals[i] >= rvals[i - 1] and rvals[i] >= rvals[i + 1]
               and rvals[i] > refine_floor]
     for i in maxima:
@@ -207,6 +240,8 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
             else:
                 a, c = m1, m2
             b = best
+    for k in [k for k in samples if k < 0.5]:
+        samples[1.0 - k] = _mirror(samples[k])
 
     _, _, k0, lambda0 = _peak(samples)
     if lambda0 > UNSTABLE_THRESHOLD:
@@ -216,20 +251,38 @@ def scan_bloch(model: ModelSpec, wave: TravelingWave, k_count: int,
             r_of(float(kk))
 
     all_k, rs, k0, lambda0 = _peak(samples)
-    bands = _bands_from_samples(all_k, rs, UNSTABLE_THRESHOLD)
+    half = all_k <= 0.5
+    bands = _bands_from_samples(all_k[half], rs[half], UNSTABLE_THRESHOLD)
+    mirrored = [(1.0 - hi, 1.0 - lo) for lo, hi in reversed(bands)]
+    if rs[half][-1] > UNSTABLE_THRESHOLD:    # the last band runs through 1/2
+        hi = 1.0 - bands.pop()[0]
+        mirrored[0] = (1.0 - hi, hi)    # exact both ways: lo == 1 - hi
     return BlochSpectrum(k_grid=all_k,
                          eigenvalues=[samples[k] for k in all_k],
-                         lambda0=max(lambda0, 0.0), k0=k0, bands=bands,
+                         lambda0=max(lambda0, 0.0), k0=k0,
+                         bands=bands + mirrored,
                          threshold=UNSTABLE_THRESHOLD,
                          grid_spacing=1.0 / (k_count - 1))
+
+
+def _mirror(vals: np.ndarray) -> np.ndarray:
+    """The spectrum at 1 - k from the one at k: conj(vals), read-only like
+    ``bloch_eigvals``, with no negative zeros."""
+    out = np.empty_like(vals)
+    out.real = vals.real
+    out.imag = 0.0 - vals.imag
+    out.flags.writeable = False
+    return out
 
 
 def _peak(samples: dict):
     """Sorted sample k, their max Re lambda, and the peak (k0, lambda0).
 
-    k0 is the smallest k within ``PEAK_TIE_RTOL`` of the maximum: for a real
-    wave the spectrum at 1 - k mirrors the one at k, and round-off must not
-    choose between the two peaks.
+    k0 is the smallest k within ``PEAK_TIE_RTOL`` of the maximum.  In a
+    scan the samples above 1/2 mirror those below exactly, so the mirror
+    peak at 1 - k0 ties exactly and k0 <= 1/2; the tolerance keeps
+    round-off from choosing between peaks that agree in exact arithmetic
+    but come from separate solves.
     """
     ks = np.array(sorted(samples))
     rs = np.array([float(np.max(samples[k].real)) for k in ks])

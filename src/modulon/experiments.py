@@ -556,14 +556,9 @@ def build_band_packet(model: ModelSpec, wave: TravelingWave,
         # nodes (clipped to the band below) so the algebraic decay is visible
         n_nodes = max(10, int(round(eta_cap * Q)))
     band = None
-    for lo, hi in spectrum.bands:
+    for lo, hi in spectrum.bands:    # a scan mirrors each band to 1 - k
         if lo - 1e-9 <= k0 <= hi + 1e-9:
             band = (lo, hi)
-    if band is None:
-        mirrored = [(1.0 - hi, 1.0 - lo) for lo, hi in spectrum.bands]
-        for lo, hi in mirrored:
-            if lo - 1e-9 <= k0 <= hi + 1e-9:
-                band = (lo, hi)
     if band is None:
         raise DomainError("k0 does not sit inside a detected unstable band")
     j_hi = int(round(k0 * Q))

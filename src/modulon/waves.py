@@ -410,7 +410,8 @@ def save_wave(wave: TravelingWave, basepath: str) -> dict:
 
 def load_wave(basepath: str) -> TravelingWave:
     """Read a wave written by ``save_wave``; BadDataError when either file is
-    missing or malformed, or the profile is not on T_{2 pi} (q = 1)."""
+    missing or malformed, or the profile is not a real field on T_{2 pi}
+    (q = 1): the Bloch scan's k <-> 1 - k fold holds only for real waves."""
     try:
         with open(str(basepath) + ".json") as fh:
             sidecar = json.load(fh)
@@ -425,4 +426,7 @@ def load_wave(basepath: str) -> TravelingWave:
     if profile.q != 1:
         raise BadDataError(f"cannot load wave {basepath}: the profile lives "
                            f"on T_(2 pi q) with q = {profile.q}, not q = 1")
+    if not profile.real:
+        raise BadDataError(f"cannot load wave {basepath}: the profile is "
+                           f"marked complex, a wave is a real field")
     return TravelingWave(model, profile, *params, converged=converged)

@@ -44,8 +44,8 @@ def _constant_wave(model, c=0.9, N=128):
 @pytest.fixture(scope="module")
 def bbm_acceptance(bbm2_model, bbm2_wave):
     """BBM m=2 a=0.05 spectrum at N=256 plus the escape-time experiment
-    (deltas over four decades), timed for criterion 11.  It takes about
-    25 s, so every test that uses it is marked slow."""
+    (deltas over four decades), timed for criterion 11.  It takes 6-9 s,
+    so every test that uses it is marked slow."""
     t0 = time.time()
     sp = scan_bloch(bbm2_model, bbm2_wave, k_count=64, N=256)
     rep = run_multiperiodic(bbm2_model, bbm2_wave, sp,
@@ -114,7 +114,6 @@ def test_acceptance_04_fractional_threshold():
            f"{elapsed:.0f}s at N=256")
 
 
-@pytest.mark.slow
 def test_acceptance_05_bbm_threshold():
     res = threshold_sweep("bbm", [1.6, 1.9], a=0.02, N=128, k_count=64,
                           bisect_tol=5e-3)

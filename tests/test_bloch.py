@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from modulon import (PeriodicField, SymbolSpec, TravelingWave,
-                     cosine_field, l2_norm, model_for_symbol, refine_newton,
-                     small_amplitude_wave, zero_field)
+                     catalog_symbols, cosine_field, l2_norm, model_for_symbol,
+                     refine_newton, small_amplitude_wave, zero_field)
+from modulon import bloch
+from modulon._blas import serial
 from modulon.bloch import (BlochOperator, _peak, assemble_bloch,
                            bloch_eigvals, eigens, fit_band, rational_k0,
                            scan_bloch, unstable_eigenfunction,
@@ -220,7 +223,7 @@ def test_scan_bbm_stable_below_threshold():
 
 
 def test_scan_bbm_k0_in_lower_half(bbm2_spectrum):
-    # the mirror peak at 1 - k0 ties to round-off and never wins
+    # the mirror peak at 1 - k0 ties exactly and never wins
     assert bbm2_spectrum.k0 <= 0.5
 
 
@@ -247,6 +250,109 @@ def test_conjugation_symmetry_in_k(bbm2_model, bbm2_wave):
         assert len(resolved) >= 25
         for lam in resolved:
             assert np.min(np.abs(v2 - np.conj(lam))) < 1e-8
+
+
+def _spy_solves(monkeypatch):
+    """k of every Bloch operator built and solved during a scan."""
+    built, solved = [], []
+    build, solve = bloch._bloch_operator, bloch.bloch_eigvals
+
+    def build_spy(model, wave, k, N, conv):
+        built.append(k)
+        return build(model, wave, k, N, conv)
+
+    def solve_spy(op):
+        solved.append(op.k)
+        return solve(op)
+
+    monkeypatch.setattr(bloch, "_bloch_operator", build_spy)
+    monkeypatch.setattr(bloch, "bloch_eigvals", solve_spy)
+    monkeypatch.setattr(bloch, "assemble_bloch", None)    # a scan builds its own
+    return built, solved
+
+
+def test_scan_solves_only_at_k_up_to_one_half(bbm2_model, bbm2_wave,
+                                              monkeypatch):
+    built, solved = _spy_solves(monkeypatch)
+    sp = scan_bloch(bbm2_model, bbm2_wave, k_count=16, N=48)
+    assert built == solved
+    assert len(solved) == 26 and max(solved) <= 0.5
+    assert len(sp.k_grid) == 40       # as many samples as solving both halves
+
+
+def _lower_mirrors(sp):
+    """Each sample above 1/2 with the sample below 1/2 it mirrors."""
+    lower = {1.0 - k: i for i, k in enumerate(sp.k_grid) if k < 0.5}
+    return [(i, lower[k]) for i, k in enumerate(sp.k_grid) if k > 0.5]
+
+
+def test_scan_upper_half_is_the_conjugate_of_the_lower(bbm2_spectrum):
+    pairs = _lower_mirrors(bbm2_spectrum)    # KeyError if a mirror is missing
+    assert len(pairs) >= 24
+    for i, j in pairs:
+        assert np.array_equal(bbm2_spectrum.eigenvalues[i],
+                              np.conj(bbm2_spectrum.eigenvalues[j]))
+
+
+@pytest.mark.parametrize("k_count", [17, 99])
+def test_scan_odd_count_puts_one_half_on_the_grid(bbm2_model, bbm2_wave,
+                                                  k_count, monkeypatch):
+    # np.linspace(0, 1, 99) misses 1/2 by an ulp; the scan does not
+    built, _ = _spy_solves(monkeypatch)
+    sp = scan_bloch(bbm2_model, bbm2_wave, k_count=k_count, N=32)
+    assert 0.5 in built and max(built) == 0.5
+    assert np.sum(np.abs(sp.k_grid - 0.5) < 1e-12) == 1
+    assert len(_lower_mirrors(sp)) >= k_count // 2
+    assert sp.k0 <= 0.5
+
+
+def test_scan_band_through_one_half_is_symmetric(bbm2_spectrum):
+    # the BBM m=2 a=0.05 wave has a second band around 1/2; solving both
+    # halves located it at (0.4681, 0.5213)
+    assert bbm2_spectrum.k0 < 0.2
+    middle = [(lo, hi) for lo, hi in bbm2_spectrum.bands if lo < 0.5 < hi]
+    assert len(middle) == 1
+    lo, hi = middle[0]
+    assert lo == 1.0 - hi and hi == 1.0 - lo
+    assert 0.47 < lo < 0.49
+    outer = np.array([b for b in bbm2_spectrum.bands if b not in middle])
+    assert len(outer) == 2
+    assert np.allclose(1.0 - outer[::-1, ::-1], outer, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(xi=st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=12),
+       c=st.floats(0.2, 2.0))
+def test_fold_premise_symbols_odd_and_even(xi, c):
+    # J(-xi) = -J(xi) and the energy diagonal is even, exactly: with a real
+    # f'(u_c) the generator at 1 - k is then the conjugate of the one at k
+    xi = np.array(xi)
+    for sym in catalog_symbols():
+        model = model_for_symbol(sym)
+        assert np.array_equal(model.j_symbol(-xi), -model.j_symbol(xi))
+        for left, right in zip(model.energy_diag(-xi, c),
+                               model.energy_diag(xi, c)):
+            assert np.array_equal(left, right)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(sym=st.sampled_from(catalog_symbols()), kappa=st.sampled_from([1.0, 2.0]),
+       a=st.floats(0.01, 0.08), k=st.floats(0.01, 0.49))
+def test_fold_premise_direct_solves_at_k_and_one_minus_k(sym, kappa, a, k):
+    # the two truncation windows differ by one boundary mode, so only the
+    # resolved eigenpairs, those with no weight on the outer two modes at
+    # either end, pair up under conjugation (Whitham's mix the most)
+    model = model_for_symbol(sym, kappa=kappa)
+    wave = small_amplitude_wave(model, a=a, N=32)
+    with serial(33):
+        v1, vecs = eigens(assemble_bloch(model, wave, k, 32),
+                          check_residual=False)
+        v2 = bloch_eigvals(assemble_bloch(model, wave, 1.0 - k, 32))
+    edge = np.max(np.abs(vecs[[0, 1, -2, -1]]), axis=0)
+    resolved = v1[edge <= 1e-6]
+    assert len(resolved) >= 4
+    for lam in resolved:
+        assert np.min(np.abs(v2 - np.conj(lam))) < 1e-8
 
 
 def test_truncation_convergence_lambda0(bbm2_model, bbm2_wave):

@@ -113,7 +113,8 @@ def test_missing_wave_is_bad_data(tmp_path):
 
 
 @pytest.mark.parametrize("defect", ["bad_magic", "short_header", "negative_N",
-                                    "short_payload", "unknown_symbol"])
+                                    "short_payload", "unknown_symbol",
+                                    "complex_profile"])
 def test_bad_wave_file_is_bad_data(tmp_path, defect):
     base = tmp_path / "w"
     save_field(zero_field(1, 16), str(base) + ".fld")
@@ -121,7 +122,9 @@ def test_bad_wave_file_is_bad_data(tmp_path, defect):
     fld = {"bad_magic": b"NOTAFLD!" + good[8:],
            "short_header": good[:20],
            "negative_N": good[:8] + struct.pack("<qqq", 1, -1, 1),
-           "short_payload": good[:-16]}
+           "short_payload": good[:-16],
+           "complex_profile": good[:8] + struct.pack("<qqq", 1, 16, 0)
+           + good[32:]}
     (tmp_path / "w.fld").write_bytes(fld.get(defect, good))
     model = {"family": "bbm", "symbol": "bbm", "symbol_shift": 0.0,
              "nonlinearity": "power", "p": 2.0, "kappa": 2.0}
@@ -427,7 +430,6 @@ def _run_cli_pipeline(tmp_path, threads):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.slow
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     one = _run_cli_pipeline(tmp_path, 1)
     two = _run_cli_pipeline(tmp_path, 2)
