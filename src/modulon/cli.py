@@ -31,15 +31,15 @@ import numpy as np
 from . import __version__
 from .errors import BadDataError, ConfigError, DomainError, ModulonError
 from .symbols import ModelSpec, NonlinearitySpec, model_for_symbol, parse_symbol
-from .waves import load_wave, refine_newton, save_wave, small_amplitude_wave
+from .waves import load_wave, save_wave, small_amplitude_solution
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
 from .evolve import lift_wave, stable_dt
 from .fields import write_csv
-from .experiments import (eigenfunction_seed, export_run_csv, run_localized,
-                          run_multiperiodic, threshold_sweep, _monitor_run,
-                          _pick_rational_k0, SWEEP_FAMILIES)
+from .experiments import (check_deltas, eigenfunction_seed, export_run_csv,
+                          run_localized, run_multiperiodic, threshold_sweep,
+                          _monitor_run, _pick_rational_k0, SWEEP_FAMILIES)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -136,6 +136,11 @@ def parse_config(path: str) -> RunConfig:
                     f"key [{section}] {key} = {val} outside [{rng[0]}, {rng[1]}]")
             if key == "N" and val % 2:          # every truncation is even
                 raise ConfigError(f"key [{section}] {key} = {val} is not even")
+            if key == "deltas":     # strictly decreasing, before any work
+                try:
+                    check_deltas(val)
+                except DomainError as exc:
+                    raise ConfigError(f"key [{section}] {key}: {exc}") from exc
             values[section][key] = val
     return RunConfig(values, text)
 
@@ -181,12 +186,7 @@ def cmd_wave(cfg: RunConfig, args) -> int:
     a = cfg.require("wave", "a")
     b = cfg.get("wave", "b", 0.0)
     N = cfg.get("numerics", "N", 128)
-    seed = small_amplitude_wave(model, a=a, b=b, N=N)
-    if b != 0.0 and model.symbol.kind != "whitham":
-        wave = refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
-    else:
-        wave = refine_newton(model, seed, fix_amplitude=a,
-                             fix_a_const=seed.a_const)
+    wave = small_amplitude_solution(model, a, b, N)
     base = os.path.join(out_dir(cfg), args.name)
     _write_json(save_wave(wave, base), base + ".json", cfg)
     print(f"wave converged: c = {wave.c:.12g}, residual = {wave.residual:.3e} "

@@ -56,7 +56,7 @@ from .fields import PeriodicField, l2_norm, \
     midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
-from .waves import TravelingWave, refine_newton, resample, small_amplitude_wave, \
+from .waves import TravelingWave, resample, small_amplitude_solution, \
     model_to_dict
 
 DEFAULT_THETA_FRACTION = 0.05
@@ -133,7 +133,6 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        out["deltas"] = list(self.deltas)
         out["runs"] = [{
             "delta": r.delta,
             "escape_time": r.escape_time,
@@ -406,24 +405,44 @@ def _linregress(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), r2
 
 
-def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
-                 uc_big: PeriodicField, deltas, theta0: float, rate: float,
-                 dt: float, snap_dt: float, t_max: float | None,
-                 escape_metric: str):
-    """Nonlinear runs from uc_big + delta * u1 for each delta, then the
-    regression of the escape times on |ln delta| (None below two escapes).
-    The step plan is made once, for every delta."""
-    if not deltas:
-        return [], None
-    plan = plan_steps(model, wave, uc_big, dt,
-                      max(1, int(round(snap_dt / dt))), theta0, u1)
-    runs = []
+def check_deltas(deltas) -> list:
+    """The deltas as a list; DomainError unless they strictly decrease."""
+    deltas = list(deltas)
+    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        raise DomainError("delta list must be strictly decreasing")
+    return deltas
+
+
+def _escape_reference(wave: TravelingWave, u1: PeriodicField,
+                      theta0: float | None):
+    """u_c lifted to the torus of u1, and theta0, by default
+    ``DEFAULT_THETA_FRACTION`` ||u_c|| there."""
+    uc_big = lift_wave(wave, u1.q, u1.N)
+    return uc_big, float(DEFAULT_THETA_FRACTION * l2_norm(uc_big)
+                         if theta0 is None else theta0)
+
+
+def _escape_runs(kind: str, model: ModelSpec, wave: TravelingWave,
+                 u1: PeriodicField, uc_big: PeriodicField, deltas: list,
+                 theta0: float, rate: float, t_max: float | None,
+                 escape_metric: str, **head) -> ExperimentReport:
+    """The report of an experiment of either kind: its runs from
+    uc_big + delta * u1 for each delta, and the regression of the escape
+    times on |ln delta| (None below two escapes).  The runs step
+    ``stable_dt`` for |u| up to twice the wave's amplitude (at least 0.1),
+    are observed every max(0.05 / rate, 20 dt) on one step plan, and end
+    at t_max, by default 1.6 times the |ln delta| prediction of the escape
+    time plus 50 / rate.  ``head`` holds the driver's own fields."""
+    runs, regression = [], None
+    if deltas:
+        dt = stable_dt(model, u1.q, u1.N,
+                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
+        snap_dt = max(0.05 / rate, 20 * dt)
+        plan = plan_steps(model, wave, uc_big, dt,
+                          max(1, int(round(snap_dt / dt))), theta0, u1)
     for d in deltas:
-        if t_max is None:
-            t_pred = np.log(max(theta0 / d, 10.0)) / rate
-            run_tmax = 1.6 * t_pred + 50.0 / rate
-        else:
-            run_tmax = t_max
+        run_tmax = t_max if t_max is not None else \
+            1.6 * (np.log(max(theta0 / d, 10.0)) / rate) + 50.0 / rate
         run = _monitor_run(model, wave, uc_big + d * u1, uc_big, dt, run_tmax,
                            snap_dt, theta0, escape_metric, plan)
         run.delta = d
@@ -433,14 +452,17 @@ def _escape_runs(model: ModelSpec, wave: TravelingWave, u1: PeriodicField,
         runs.append(run)
 
     escaped = [r for r in runs if r.escaped]
-    regression = None
     if len(escaped) >= 2:
         x = np.array([abs(np.log(r.delta)) for r in escaped])
         y = np.array([r.escape_time for r in escaped])
         slope, intercept, r2 = _linregress(x, y)
         regression = {"slope": slope, "intercept": intercept, "r2": r2,
                       "slope_times_rate": slope * rate}
-    return runs, regression
+    return ExperimentReport(
+        kind=kind, model=model_to_dict(model),
+        wave={"amplitude": wave.amplitude, "c": wave.c, "residual": wave.residual},
+        theta0=theta0, reference_rate=rate, deltas=deltas, runs=runs,
+        regression=regression, **head)
 
 
 def _pick_rational_k0(spectrum: BlochSpectrum, curve: GrowthCurve,
@@ -484,36 +506,24 @@ def eigenfunction_seed(model: ModelSpec, wave: TravelingWave,
 def run_multiperiodic(model: ModelSpec, wave: TravelingWave,
                       spectrum: BlochSpectrum, deltas, theta0: float | None = None,
                       q_max: int = 8, N_op: int | None = None,
-                      N_ev: int | None = None, dt: float | None = None,
-                      snap_dt: float | None = None,
+                      N_ev: int | None = None,
                       t_max: float | None = None) -> ExperimentReport:
-    """Escape-time experiment for eigenfunction-seeded periodic perturbations."""
-    deltas = list(deltas)
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise DomainError("delta list must be strictly decreasing")
+    """Escape-time experiment for eigenfunction-seeded periodic perturbations.
+
+    The deltas must strictly decrease (``check_deltas``); the runs escape in
+    the orbital distance and are set up by ``_escape_runs``, at the rate
+    Re lambda of the rational k0 = p/q.  ``t_max`` caps each escape run.
+    """
+    deltas = check_deltas(deltas)
     if spectrum.lambda0 <= spectrum.threshold:
         raise DomainError("the wave is spectrally stable; nothing to escape from")
     N_op = N_op or wave.profile.N
     p, q, lam, u1 = eigenfunction_seed(model, wave, spectrum, q_max, N_op,
                                        N_ev or min(N_op, 96))
-    rate = float(lam.real)
-    uc_big = lift_wave(wave, q, u1.N)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA_FRACTION * l2_norm(uc_big)
-
-    if dt is None:
-        dt = stable_dt(model, q, u1.N,
-                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
-    if snap_dt is None:
-        snap_dt = max(0.05 / rate, 20 * dt)
-    runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
-                                    rate, dt, snap_dt, t_max, "orbital")
-
-    report = ExperimentReport(
-        kind="multiperiodic", model=model_to_dict(model),
-        wave={"amplitude": wave.amplitude, "c": wave.c, "residual": wave.residual},
-        theta0=float(theta0), reference_rate=rate, lambda0=spectrum.lambda0,
-        k0=p / q, deltas=deltas, runs=runs, p=p, q=q, regression=regression)
+    uc_big, theta0 = _escape_reference(wave, u1, theta0)
+    report = _escape_runs("multiperiodic", model, wave, u1, uc_big, deltas,
+                          theta0, float(lam.real), t_max, "orbital",
+                          lambda0=spectrum.lambda0, k0=p / q, p=p, q=q)
     report.passes = _multiperiodic_passes(report)
     return report
 
@@ -604,28 +614,27 @@ def packet_domain_check(packet, rates, Q: int, t_end: float):
 def run_localized(model: ModelSpec, wave: TravelingWave,
                   spectrum: BlochSpectrum, curve: GrowthCurve, Q: int, deltas,
                   theta0: float | None = None, n_nodes: int | None = None,
-                  N_op: int | None = None, dt: float | None = None,
-                  t_max: float | None = None,
+                  N_op: int | None = None, t_max: float | None = None,
                   enforce_envelope: bool = True) -> ExperimentReport:
     """Wave-packet instability: linear packet-law fit plus nonlinear escape.
 
-    The linear phase is exact Bloch-fiber dynamics on the torus: the packet's
-    norms come from ``fiber_norms``, one expm per occupied conjugate pair of
-    fibers, at 401 even times up to t_linear.  So the envelope-separation
-    guard applies only to the nonlinear escape runs;
+    The deltas must strictly decrease (``check_deltas``).  The linear phase
+    is exact Bloch-fiber dynamics on the torus: the packet's norms come
+    from ``fiber_norms``, one expm per occupied conjugate pair of fibers, at
+    401 even times up to t_linear.  So the envelope-separation guard
+    applies only to the nonlinear escape runs, up to 1.6 times the |ln
+    delta| prediction of the smallest delta's escape time;
     ``enforce_envelope=False`` runs them anyway (accepting periodization
-    error) instead of raising with a suggested Q.  ``t_max`` caps each
-    escape run, as in ``run_multiperiodic``.
+    error) instead of raising with a suggested Q.  The escape runs, in the
+    plain L2 distance at the rate lambda0, are set up by ``_escape_runs``;
+    ``t_max`` caps each of them.
     """
-    deltas = list(deltas)
+    deltas = check_deltas(deltas)
     packet, rates, freqs = build_band_packet(model, wave, spectrum, curve, Q,
                                              n_nodes=n_nodes, N_op=N_op)
     u1 = synthesize_packet(packet, Q)
     u1 = u1 * (1.0 / l2_norm(u1))
-    N_big = u1.N
-    uc_big = lift_wave(wave, Q, N_big)
-    if theta0 is None:
-        theta0 = DEFAULT_THETA_FRACTION * l2_norm(uc_big)
+    uc_big, theta0 = _escape_reference(wave, u1, theta0)
     lambda0 = spectrum.lambda0
 
     # fit window: the band must be resolved (Gaussian narrower than the
@@ -636,12 +645,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
     t2 = (Q / 3.0) ** curve.l / a_fit
     t_linear = 1.05 * t2
 
-    env_t_end = 0.0
-    if deltas:
-        d_min = min(deltas)
-        env_t_end = 1.6 * np.log(max(theta0 / d_min, 10.0)) / lambda0
     if enforce_envelope and deltas:
-        packet_width = packet_domain_check(packet, rates, Q, env_t_end)
+        t_end = 1.6 * np.log(max(theta0 / deltas[-1], 10.0)) / lambda0
+        packet_width = packet_domain_check(packet, rates, Q, t_end)
     else:
         packet_width = 2.0 * np.pi / max(packet.width(), 1e-9)
 
@@ -684,19 +690,9 @@ def run_localized(model: ModelSpec, wave: TravelingWave,
         "envelope_width": float(packet_width),
     }
 
-    if dt is None:
-        dt = stable_dt(model, Q, N_big,
-                       u_inf=2.0 * max(abs(wave.amplitude), 0.05))
-    runs, regression = _escape_runs(model, wave, u1, uc_big, deltas, theta0,
-                                    lambda0, dt, max(0.05 / lambda0, 20 * dt),
-                                    t_max, "plain")
-
-    report = ExperimentReport(
-        kind="localized", model=model_to_dict(model),
-        wave={"amplitude": wave.amplitude, "c": wave.c, "residual": wave.residual},
-        theta0=float(theta0), reference_rate=lambda0, lambda0=lambda0,
-        k0=float(freqs[-1]), deltas=deltas, runs=runs,
-        regression=regression, packet=packet_info)
+    report = _escape_runs("localized", model, wave, u1, uc_big, deltas,
+                          theta0, lambda0, t_max, "plain", lambda0=lambda0,
+                          k0=float(freqs[-1]), packet=packet_info)
     report.passes = {
         "inv_l_within_20pct": abs(inv_l_fit - 1.0 / curve.l) <= 0.2 / curve.l,
         "lambda_within_5pct": abs(lam_fit - lambda0) <= 0.05 * lambda0,
@@ -731,7 +727,7 @@ class SweepResult:
 @dataclass(frozen=True)
 class SweepFamily:
     """How one model family is swept: ``build(value, m_exp)`` is the model
-    at a swept value, the default mean level is b = ``b_per_a`` * a, and
+    at a swept value, the mean level is b = ``b_per_a`` * a, and
     ``full_scan`` adds a full Bloch scan to the low-k ladder.
 
     Fractional sweeps use b = 5a, where the long-wave index is
@@ -763,16 +759,11 @@ _LOWK_LADDER = (5e-4, 1e-3, 2e-3, 3.5e-3, 5e-3, 7e-3, 1e-2, 1.5e-2,
 
 
 def _sweep_lambda0(fam: SweepFamily, value: float, m_exp: float, a: float,
-                   N: int, k_count: int, b: float):
+                   N: int, k_count: int):
     """Growth rate of the small-amplitude wave at one sweep point."""
     model = fam.build(value, m_exp)
-    seed = small_amplitude_wave(model, a=a, b=b, N=N)
     with serial(N + 1):
-        if b == 0.0:
-            wave = refine_newton(model, seed, fix_amplitude=a,
-                                 fix_a_const=seed.a_const)
-        else:
-            wave = refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
+        wave = small_amplitude_solution(model, a, fam.b_per_a * a, N)
         lam0 = 0.0
         for k in _LOWK_LADDER:
             vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
@@ -785,27 +776,25 @@ def _sweep_lambda0(fam: SweepFamily, value: float, m_exp: float, a: float,
 
 def threshold_sweep(family: str, grid, a: float = 0.02, m_exp: float = 2.0,
                     N: int = 128, k_count: int = 64,
-                    threshold: float = UNSTABLE_THRESHOLD,
-                    bisect_tol: float = 5e-3, max_bisect: int = 12,
-                    b: float | None = None) -> SweepResult:
+                    bisect_tol: float = 5e-3,
+                    max_bisect: int = 12) -> SweepResult:
     """Mark grid points stable/unstable at small amplitude and bisect the
     boundary in the swept parameter of ``SWEEP_FAMILIES[family]`` (m for
-    bbm, p for fractional).  The mean level b defaults to the family's
-    ``b_per_a`` times a.  An unknown family raises DomainError before any
-    point is solved.
+    bbm, p for fractional).  A point is unstable when its growth rate
+    exceeds ``UNSTABLE_THRESHOLD``; its wave has the mean level b =
+    ``b_per_a`` times a of the family.  An unknown family raises
+    DomainError before any point is solved.
     """
     fam = SWEEP_FAMILIES.get(family)
     if fam is None:
         raise DomainError(f"unknown sweep family {family!r}")
-    if b is None:
-        b = fam.b_per_a * a
 
     def classify(v):
         try:
-            lam0 = _sweep_lambda0(fam, v, m_exp, a, N, k_count, b)
+            lam0 = _sweep_lambda0(fam, v, m_exp, a, N, k_count)
         except ModulonError:
             return float("nan"), "indeterminate"
-        return lam0, "unstable" if lam0 > threshold else "stable"
+        return lam0, "unstable" if lam0 > UNSTABLE_THRESHOLD else "stable"
 
     points = [(float(v), *classify(float(v))) for v in grid]
     bracket = None

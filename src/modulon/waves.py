@@ -124,7 +124,7 @@ def small_amplitude_wave(model: ModelSpec, a: float, b: float = 0.0,
         d[2] = 0.5 * a * a / (m1 - m2)
         c = c0 + a * a * (1.0 / (m1 - 1.0) + 0.5 / (m1 - m2))
         a_const = None   # computed from the seed below
-    elif model.family == "kdv_type":
+    else:
         # two-harmonic balance around the mean level b
         fpb = float(nl.df(b))
         c = evaluate_symbol(sym, kap) + fpb
@@ -140,8 +140,6 @@ def small_amplitude_wave(model: ModelSpec, a: float, b: float = 0.0,
             if abs(den0) > 1e-12:
                 d[0] = b - fppb * a * a / (4.0 * den0)
         a_const = 0.0 if b == 0.0 else None
-    else:
-        raise DomainError(f"no expansion available for this model")
 
     profile = cosine_field(1, N, d)
     if a_const is None:
@@ -307,6 +305,16 @@ def refine_newton(model: ModelSpec, guess: TravelingWave,
     raise DivergenceError(
         f"Newton failed to reach residual {tol_residual:g} in {max_iter} "
         f"iterations (last residual {history[-1]:.3e})", residual=history[-1])
+
+
+def small_amplitude_solution(model: ModelSpec, a: float, b: float = 0.0,
+                             N: int = 128) -> TravelingWave:
+    """``small_amplitude_wave`` refined by Newton at amplitude a, pinning the
+    mean at b != 0 (but Whitham's seed carries b) or else the seed's a_const."""
+    seed = small_amplitude_wave(model, a=a, b=b, N=N)
+    if b != 0.0 and model.symbol.kind != "whitham":
+        return refine_newton(model, seed, fix_amplitude=a, fix_mean=b)
+    return refine_newton(model, seed, fix_amplitude=a, fix_a_const=seed.a_const)
 
 
 def continue_in_amplitude(model: ModelSpec, wave: TravelingWave,

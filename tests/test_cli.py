@@ -82,6 +82,8 @@ def test_parse_config_out_of_range(tmp_path):
     ("experiment", "[experiment]\nt_max = 0\n"),
     ("experiment", "[experiment]\nt_max = -5\n"),
     ("experiment", "[numerics]\nQ = 64\n"),
+    ("experiment", "[experiment]\ndeltas = 1e-4,1e-3\n"),
+    ("experiment", "[experiment]\nkind = localized\ndeltas = 1e-3,1e-3\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
         "delta_negative", "grid_empty_entry", "unknown_symbol",
         "unknown_nonlinearity", "symbol_parameter_out_of_domain",
@@ -89,7 +91,8 @@ def test_parse_config_out_of_range(tmp_path):
         "sweep_N_out_of_range", "sweep_a_out_of_range",
         "sweep_k_count_out_of_range", "experiment_Q_zero", "experiment_Q_one",
         "experiment_Q_negative", "n_nodes_zero", "n_nodes_negative",
-        "t_max_zero", "t_max_negative", "numerics_Q_unknown"])
+        "t_max_zero", "t_max_negative", "numerics_Q_unknown",
+        "deltas_increasing", "localized_deltas_repeated"])
 def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
                                                text):
     monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))

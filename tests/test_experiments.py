@@ -63,11 +63,23 @@ def test_theta0_zero_degenerate(whitham_k2_model, whitham_k2_wave,
     assert rep.runs[0].escape_time == 0.0
 
 
-def test_deltas_must_decrease(whitham_k2_model, whitham_k2_wave,
-                              whitham_k2_spectrum):
-    with pytest.raises(DomainError):
-        run_multiperiodic(whitham_k2_model, whitham_k2_wave,
-                          whitham_k2_spectrum, deltas=[1e-4, 1e-3])
+@pytest.mark.parametrize("kind", ["multiperiodic", "localized"])
+def test_deltas_must_decrease(monkeypatch, whitham_k2_model, whitham_k2_wave,
+                              whitham_k2_spectrum, whitham_k2_curve, kind):
+    import modulon.experiments as experiments
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a perturbation was built")
+
+    monkeypatch.setattr(experiments, "eigenfunction_seed", solve)
+    monkeypatch.setattr(experiments, "build_band_packet", solve)
+    args = (whitham_k2_model, whitham_k2_wave, whitham_k2_spectrum)
+    with pytest.raises(DomainError, match="strictly decreasing"):
+        if kind == "multiperiodic":
+            run_multiperiodic(*args, deltas=[1e-4, 1e-3])
+        else:
+            run_localized(*args, whitham_k2_curve, Q=96, deltas=[1e-4, 1e-3],
+                          N_op=96)
 
 
 def test_multiperiodic_requires_instability(whitham_model, whitham_wave):
