@@ -468,10 +468,11 @@ def unstable_eigenfunction(model: ModelSpec, wave: TravelingWave, k: float,
 def export_spectrum_dump(spectrum: BlochSpectrum, path, top: int = 20,
                          header: str = ""):
     """CSV rows k, re_lambda, im_lambda for the top eigenvalues by Re at each k,
-    after an optional ``header`` line block."""
+    after an optional ``header`` line block.  Ties go to the least |Im|, not
+    the truncation's edge, then the larger Im: 1 - k lists k's conjugates."""
     rows = ((k, lam.real, lam.imag)
             for k, ev in zip(spectrum.k_grid, spectrum.eigenvalues)
-            for lam in ev[np.lexsort((-ev.imag, -ev.real))][:top])
+            for lam in ev[np.lexsort((-ev.imag, np.abs(ev.imag), -ev.real))][:top])
     write_csv(path, header, ("k", "re_lambda", "im_lambda"), rows)
 
 

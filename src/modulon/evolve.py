@@ -10,27 +10,27 @@ with the operator pieces of ``ModelSpec``.  Its linearization at u_c (from
 assembled Bloch generator at k = 0 (and at k = p/q on the 2 pi q torus).
 Converged waves are fixed points of the stepper to round-off.
 
-Every model is integrated with the fourth-order exponential time
-differencing of Cox & Matthews (ETDRK4), in one of two splittings.
-``Evolver`` propagates the diagonal J E exactly, with phi-functions from a
-16-point unit-circle contour mean (Kassam & Trefethen), and treats the
-whole nonlinearity explicitly.  ``SplitEvolver`` steps the linearized
-flow at the wave exactly and an explicit term G(x, t) by ETDRK4, as in the
-Duhamel form w(t) = e^{tA} w0 + int e^{(t-s)A} G(s) ds of the nonlinear
-instability estimates: e^{hA} of the full linearization is exact on each
-Bloch fiber k = r/q of T_{2 pi q} (Hochbruck & Ostermann), so the step is
-set by accuracy rather than by the wave coupling.  Its phi-function tables
-come from Taylor sums, by Paterson-Stockmeyer, and scaling and modified
-squaring (Skaflestad & Wright).  Functions of a banded matrix decay away
-from its band (Benzi & Razouk), so the tables are kept in LAPACK band
-storage to the least half-bandwidth b beyond which every entry is at most
-2^-53 of its table's largest, and applied by BLAS zgbmv (b = 8 of 96
-modes on the escape wave, 30-35 on the Whitham kappa = 2 wave).  The
-escape runs step the perturbation w = u - u_c with the generator's
-remainder as G, at the step their pilot chooses, and at up to 8 times
-that step while the perturbation is small; the approximate-solution
-cascade steps its forced linear solves with the Taylor forcing as G.
-``modulon evolve`` and criterion 14's dt-halving check use ``Evolver``.
+Every model is integrated by one stepper, ``SplitEvolver``: the
+fourth-order exponential time differencing of Cox & Matthews (ETDRK4) with
+the linearization A at a base state stepped exactly and only a term
+G(x, t) explicit, as in the Duhamel form
+w(t) = e^{tA} w0 + int e^{(t-s)A} G(s) ds of the nonlinear instability
+estimates.  At a wave, e^{hA} is exact on each Bloch fiber k = r/q of
+T_{2 pi q} (Hochbruck & Ostermann), so the step is set by accuracy rather
+than by the wave coupling.  The phi-function tables come from Taylor sums,
+by Paterson-Stockmeyer, and scaling and modified squaring (Skaflestad &
+Wright).  Functions of a banded matrix decay away from its band (Benzi &
+Razouk), so the tables are kept in LAPACK band storage to the least
+half-bandwidth b beyond which every entry is at most 2^-53 of its table's
+largest, and applied by BLAS zgbmv (b = 8 of 96 modes on the escape wave,
+30-35 on the Whitham kappa = 2 wave).  At the zero field A is the diagonal
+J E and G the whole term push P[f(U)]; there the tables are exact
+exponentials and 16-point unit-circle contour means (Kassam & Trefethen),
+applied elementwise.  The escape runs step w = u - u_c with the
+generator's remainder as G, at the step their pilot chooses, and at up to
+8 times that step while w is small; the approximate-solution cascade steps
+its forced linear solves with the Taylor forcing as G; ``modulon evolve``
+and criterion 14's dt-halving check step at the zero field.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
@@ -41,9 +41,9 @@ centered array is rebuilt (``fields.hermitian_full``) only where a
 ``PeriodicField`` is needed.  A complex field is rejected.
 
 ``advance`` is the one time loop: the escape runs, the approximate-solution
-cascade and ``modulon evolve`` step through it with either stepper,
-observing every ``per`` steps and after the last step (the escape runs
-call it once per observation interval).
+cascade and ``modulon evolve`` step through it, observing every ``per``
+steps and after the last step (the escape runs call it once per
+observation interval).
 """
 
 from __future__ import annotations
@@ -121,65 +121,6 @@ def _half_symbols(model: ModelSpec, c: float, q: int, N: int) -> tuple:
     lin = jop * model.energy_diag(xi, c)[0]
     lin[-1] = 0.0
     return lin, model.nl_sign * jop
-
-
-class Evolver:
-    """ETDRK4 stepper for one (model, grid, dt) combination.
-
-    States are the modes n = 0 .. N/2 of real fields, and may be stacked
-    along leading axes.
-    """
-
-    def __init__(self, model: ModelSpec, c: float, q: int, N: int, dt: float):
-        if dt <= 0:
-            raise DomainError("dt must be positive")
-        self.model = model
-        self.c = float(c)
-        self.q, self.N, self.dt = q, N, float(dt)
-        self.lin, self.push = _half_symbols(model, c, q, N)
-        self.tr = _Transform(q, N, model.nonlinearity.pad)
-        self.nl_f = model.nonlinearity.f   # bound once, not per call
-        self._etdrk4_tables()
-
-    def rows(self, f: PeriodicField) -> np.ndarray:
-        """The state of the real field ``f`` (``field_rows``)."""
-        return field_rows(f)
-
-    def field(self, rows: np.ndarray) -> PeriodicField:
-        """The real field of the state ``rows`` (``rows_field``)."""
-        return rows_field(self.q, self.N, rows)
-
-    def nonlinear(self, half: np.ndarray) -> np.ndarray:
-        return self.push * self.tr.coef(self.nl_f(self.tr.values(half)))
-
-    def _etdrk4_tables(self):
-        h, n_pts = self.dt, _CONTOUR_POINTS
-        L = self.lin.astype(np.complex128)
-        self.E = np.exp(h * L)
-        self.E2 = np.exp(0.5 * h * L)
-        roots = np.exp(1j * np.pi * (np.arange(n_pts) + 0.5) / n_pts * 2.0)
-        lr = h * L[:, None] + roots[None, :]
-        lr2, lr3 = lr * lr, lr ** 3
-        elr = np.exp(lr)
-        self.Q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
-        self.f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3, axis=1)
-        self.f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr3, axis=1)
-        self.f3 = h * np.mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
-        self.f2x2 = 2.0 * self.f2     # 2.0 * f2 * (na + nb) rounds left to right
-
-    def step_coef(self, u: np.ndarray, t: float) -> np.ndarray:
-        # a blow-up overflows quietly; callers check the result is finite
-        with np.errstate(invalid="ignore", over="ignore"):
-            n0 = self.nonlinear(u)
-            e2u = self.E2 * u
-            a = e2u + self.Q * n0
-            na = self.nonlinear(a)
-            b = e2u + self.Q * na
-            nb = self.nonlinear(b)
-            cst = self.E2 * a + self.Q * (2.0 * nb - n0)
-            nc = self.nonlinear(cst)
-            return (self.E * u + self.f1 * n0 + self.f2x2 * (na + nb)
-                    + self.f3 * nc)
 
 
 def stable_dt(model: ModelSpec, q: int, N: int, u_inf: float = 1.0) -> float:
@@ -270,6 +211,16 @@ def _with_conj(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x, np.conj(x), zero), axis=-1)
 
 
+class _HalfSpectrum:
+    """The layout of a generator at the zero field: a real field's modes
+    n = 0 .. N/2 as they are, one row without a fiber axis.  The Nyquist
+    mode is its pad; A and G are zero there, so it keeps its value."""
+
+    def __init__(self, N: int):
+        self.size = N // 2 + 1
+        self.stack = self.half = lambda x: x
+
+
 def _phi_tables(h: float, A: np.ndarray) -> tuple:
     """(E2, Q, f1, 2 f2, f3) of ETDRK4 step h for the matrix A: the first
     block row e^Z, phi_1(Z), phi_2(Z), phi_3(Z) of the augmented exponential
@@ -341,6 +292,23 @@ def _phi_tables(h: float, A: np.ndarray) -> tuple:
     return E2, Q, p1, p2, f3
 
 
+def _contour_tables(h: float, lam: np.ndarray) -> tuple:
+    """(E, E2, Q, f1, 2 f2, f3) of ETDRK4 step h for the diagonal lam: exact
+    exponentials, and phi-functions as means over a unit circle around each
+    h lam (Kassam & Trefethen).  O(n) where ``_phi_tables`` is O(n^3), and
+    E2 is 5e-17 off at h lam = 1e5 i, where ``_phi_tables`` is 2.8e-12 off."""
+    n_pts = _CONTOUR_POINTS
+    roots = np.exp(1j * np.pi * (np.arange(n_pts) + 0.5) / n_pts * 2.0)
+    lr = h * lam[:, None] + roots[None, :]
+    lr2, lr3 = lr * lr, lr ** 3
+    elr = np.exp(lr)
+    Q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+    f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3, axis=1)
+    f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr3, axis=1)
+    f3 = h * np.mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
+    return np.exp(h * lam), np.exp(0.5 * h * lam), Q, f1, 2.0 * f2, f3
+
+
 class _FiberGenerator:
     """The linearization A of the ETDRK4 right-hand side at a base state
     u_c on T_{2 pi q}, one kept block per fiber (``_Fibers``, ``block``), and
@@ -354,27 +322,35 @@ class _FiberGenerator:
     product couples two fibers.  An integer p sums the remainder as
     sum_{j>=2} f^(j)(u_c) w^j / j!, so nothing cancels; a non-integer p takes
     the difference.  The mode n = 0 has J = 0, so neither A nor G moves it.
-    """
+
+    At a zero base f(0) = f'(0) = 0 (every f = sign u^p has p > 1): A is the
+    diagonal J E on ``_HalfSpectrum``, G is push P[f(w)], and no coupling
+    can alias, so the transform length is not rounded to a multiple of q."""
 
     def __init__(self, model: ModelSpec, c: float, base: PeriodicField):
         q, N = base.q, base.N
         nl = model.nonlinearity
+        self.model, self.c, self.f = model, c, nl.f
+        if not np.any(base.coef):
+            self.fib, self.tr = _HalfSpectrum(N), _Transform(q, N, nl.pad)
+            self.base, self.R = np.zeros(N // 2 + 1, dtype=np.complex128), None
+            self.diagonal, self.push = _half_symbols(model, c, q, N)
+            return
+        self.diagonal = None
         self.fib = _Fibers(q, N)
         self.tr = _Transform(q, N, nl.pad, multiple=q)
         self.base = base.coef[N // 2:].copy()
         uc = self.tr.values(self.base)
-        # R, in the arithmetic of Evolver.step_coef's right-hand side
+        # R, in the arithmetic of the right-hand side
         lin, push = _half_symbols(model, c, q, N)
         self.R = self.fib.stack(lin * self.base + push * self.tr.coef(nl.f(uc)))
         self.push = self.fib.stack(push)
         if nl.degree is None:
-            self.f_uc, self.df_uc, self.f = nl.f(uc), nl.df(uc), nl.f
-            self.uc = uc
+            self.f_uc, self.df_uc, self.uc = nl.f(uc), nl.df(uc), uc
             self.taylor = None
         else:
             self.taylor = [nl._power_rule(uc, j) / factorial(j)
                            for j in range(2, nl.degree + 1)]
-        self.model, self.c = model, c
         self.dhat = np.fft.fft(nl.df(uc)) / self.tr.M
         self._blocks = [None] * len(self.fib.modes)
 
@@ -401,6 +377,8 @@ class _FiberGenerator:
     def remainder(self, x: np.ndarray, t: float) -> np.ndarray:
         """G on a fiber stack (G does not depend on t)."""
         w = self.tr.values(self.fib.half(x))
+        if self.R is None:
+            return self.push * self.fib.stack(self.tr.coef(self.f(w)))
         if self.taylor is None:
             g = self.f(self.uc + w) - self.f_uc - self.df_uc * w
         else:
@@ -424,7 +402,8 @@ class SplitEvolver:
     the stack of w = u - u_c and back, the state of the escape runs, whose
     G is ``gen.remainder``.  Only the step tables are kept (``tabulate``),
     5 (2b + 1) n complex entries per fiber of n modes for the tables'
-    half-bandwidth b.
+    half-bandwidth b.  At a zero base (``gen.diagonal``) the tables are
+    vectors, applied elementwise, and E x is E x itself.
     """
 
     def __init__(self, gen: _FiberGenerator, h: float, G):
@@ -434,7 +413,8 @@ class SplitEvolver:
 
     def tabulate(self, h: float):
         """Build the tables E2, Q and W = (f1, 2 f2, f3) for the step h,
-        fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.
+        fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.  At a
+        zero base they, and E, are ``_contour_tables`` vectors.
 
         A function of a banded matrix decays away from the band (Benzi &
         Razouk), so the tables are kept to the half-bandwidth ``band``, the
@@ -455,7 +435,14 @@ class SplitEvolver:
         if h <= 0:
             raise DomainError("the step must be positive")
         self.dt = float(h)
-        self.E2 = self.Q = self.W = None
+        if self.gen.diagonal is not None:
+            # E kept: 3,000 steps of 6.1e-4 keep the KdV a = 0.05 wave at
+            # N = 512 to 4.7e-18, and E2 (E2 x) to 3.7e-14
+            self.E, self.E2, self.Q, *self.W = \
+                _contour_tables(self.dt, self.gen.diagonal)
+            self.band, self._matvec = 0, _diagonal_matvec
+            return
+        self.E = self.E2 = self.Q = self.W = None
         F, size = self.gen.fib.mask.shape
         band, tab = 0, np.zeros((5, F * size, 1), dtype=np.complex128)
         for r in range(F):
@@ -468,7 +455,7 @@ class SplitEvolver:
             k = len(tables[0])
             tab[:, r * size:r * size + k, band - b:band + b + 1] = \
                 _band_rows(np.array(tables), b)
-        self.band = band
+        self.band, self._matvec = band, _band_matvec
         self.E2, self.Q, *self.W = tab
 
     def rows(self, f: PeriodicField) -> np.ndarray:
@@ -481,26 +468,32 @@ class SplitEvolver:
         return rows_field(q, N, self.gen.base + self.gen.fib.half(rows))
 
     def step_coef(self, x: np.ndarray, t: float) -> np.ndarray:
-        G, h = self.G, self.dt
+        G, h, mv = self.G, self.dt, self._matvec
         E2, Q = self.E2, self.Q
         # a blow-up overflows quietly; callers check the result is finite
         with np.errstate(invalid="ignore", over="ignore"):
             n0 = G(x, t)
-            e2u = _band_matvec(E2, x)
-            a = e2u + _band_matvec(Q, n0)
+            e2u = mv(E2, x)
+            a = e2u + mv(Q, n0)
             na = G(a, t + h / 2.0)
-            b = e2u + _band_matvec(Q, na)
+            b = e2u + mv(Q, na)
             nb = G(b, t + h / 2.0)
-            c = _band_matvec(E2, a) + _band_matvec(Q, 2.0 * nb - n0)
+            c = mv(E2, a) + mv(Q, 2.0 * nb - n0)
             nc = G(c, t + h)
-            out = _band_matvec(E2, e2u)
+            out = mv(E2, e2u) if self.E is None else mv(self.E, x)
             for T, v in zip(self.W, (n0, na + nb, nc)):
-                _band_matvec(T, v, out)
+                mv(T, v, out)
             return out
 
 
 def _matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (T @ x[..., None])[..., 0]
+
+
+def _diagonal_matvec(T: np.ndarray, x: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """T x for a diagonal table T, added into ``out`` when given."""
+    return T * x if out is None else np.add(out, T * x, out=out)
 
 
 def _half_bandwidth(T: np.ndarray) -> int:
@@ -546,7 +539,7 @@ def lift_wave(wave: TravelingWave, q: int, N: int) -> PeriodicField:
 
 
 def field_rows(f: PeriodicField) -> np.ndarray:
-    """The ``Evolver`` state of the real field ``f``: its modes
+    """The half spectrum of the real field ``f``: its modes
     n = 0 .. N/2, symmetrized.  A complex field raises DomainError."""
     if not f.real:
         raise DomainError("the steppers step real fields only")

@@ -30,9 +30,9 @@ perturbation is small: the pilot's error, scaled by the h^4 ||w|| law the
 escape wave measured, must stay within the error budget, and a coarse
 interval's energy change within ``COARSE_DRIFT_BUDGET``, or the interval is
 redone finer.  Without a pilot (``modulon evolve``), or when no split step
-coarser than dt passes, the runs take the diagonal ``evolve.Evolver`` at
-dt.  Each run records its step, the steps of its accepted intervals, the
-intervals it redid and the pilot's h against h/2 error.
+coarser than dt passes, the runs step dt split at the zero field, where A
+is J E.  Each run records its step, the steps of its accepted intervals,
+the intervals it redid and the pilot's h against h/2 error.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     UNSTABLE_THRESHOLD)
 from .errors import (BlowupError, DomainError, DomainTooSmallError,
                      ModulonError, RationalApproximationError)
-from .evolve import (SPLIT_MAX_ENTRIES, ConservedLedger, Evolver, SplitEvolver,
+from .evolve import (SPLIT_MAX_ENTRIES, ConservedLedger, SplitEvolver,
                      _FiberGenerator, _Fibers, advance, conserved_quantities,
                      lift_wave, orbital_distance, stable_dt)
-from .fields import PeriodicField, l2_norm, \
+from .fields import PeriodicField, l2_norm, zero_field, \
     midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
 from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
@@ -155,12 +155,12 @@ class ExperimentReport:
 class StepPlan:
     """How the runs of one experiment step: ``ev`` takes ``n`` steps per
     observation interval of ``per`` steps dt.  ``size`` is the largest
-    dense block of a step (0 for the diagonal stepper), ``pilot_error`` the
+    dense block of a step (0 on a zero base), ``pilot_error`` the
     relative L2 distance of the pilot's w at the chosen step from its w at
     half that step (None without a pilot, and then every interval takes n
     steps), and ``theta0`` the L2 size of the pilot's w at its start."""
 
-    ev: SplitEvolver | Evolver
+    ev: SplitEvolver
     n: int
     per: int
     size: int = 0
@@ -176,8 +176,9 @@ def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
     With a direction u1 and theta0 > 0, a pilot (``_pilot``) looks for a
     split step per * dt / n with n < per.  Otherwise (``modulon evolve``),
     where the fiber tables would pass ``SPLIT_MAX_ENTRIES``, or where the
-    pilot finds no such n, the diagonal stepper takes the steps of dt: at
-    an equal step it costs a third of a split one and builds no tables.
+    pilot finds no such n, the steps of dt are split at the zero field: at
+    an equal step that costs 0.37 of a split at the wave (86 against 230 us
+    on the escape torus) and builds no dense table.
     """
     fib = _Fibers(ref.q, ref.N)
     size_u1 = 0.0 if u1 is None else l2_norm(u1)
@@ -188,7 +189,10 @@ def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
             gen = _FiberGenerator(model, wave.c, ref)
             plan = _pilot(model, wave.c, gen, ref,
                           ref + u1 * (theta0 / size_u1), dt, per)
-    return plan or StepPlan(Evolver(model, wave.c, ref.q, ref.N, dt), per, per)
+    if plan is None:
+        gen = _FiberGenerator(model, wave.c, zero_field(ref.q, ref.N))
+        plan = StepPlan(SplitEvolver(gen, dt, gen.remainder), per, per)
+    return plan
 
 
 def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,

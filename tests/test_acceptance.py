@@ -15,10 +15,10 @@ from modulon import (ModelSpec, SymbolSpec, TravelingWave,
                      zero_field)
 from modulon.bloch import (assemble_bloch, eigens, scan_bloch,
                            unstable_eigenfunction)
-from modulon.evolve import (Evolver, advance, build_approximate_solution,
+from modulon.evolve import (advance, build_approximate_solution,
                             approximate_solution_residual, lift_wave,
                             stable_dt)
-from modulon.experiments import (run_localized, run_multiperiodic,
+from modulon.experiments import (plan_steps, run_localized, run_multiperiodic,
                                  threshold_sweep)
 from modulon.semigroup import (dual_propagator_norm, probe_growth,
                                propagator_norm, riesz_projection,
@@ -296,8 +296,8 @@ def test_acceptance_14_conservation(bbm_acceptance, whitham_k2_model,
     base_dt = 0.04
 
     def final(dt):
-        ev = Evolver(model, wave.c, 1, N, dt)
         n = int(round(4.0 / dt))
+        ev = plan_steps(model, wave, uc, dt, n).ev     # J E exact, f explicit
         last = []
         advance(ev, ev.rows(u0), n, n, lambda t, rows: last.append(rows))
         return ev.field(last[-1])

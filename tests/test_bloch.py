@@ -489,3 +489,12 @@ def test_spectrum_dump_csv(tmp_path, bbm2_spectrum):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,re_lambda,im_lambda"
     assert len(lines) == 1 + 5 * len(bbm2_spectrum.k_grid)
+    # ties at Re = 0 go to the least |Im|, so the rows listed at 1 - k are
+    # the conjugates of those at k (the fold makes the spectra conjugate)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    listed = {k: sorted(map(tuple, rows[rows[:, 0] == k, 1:]))
+              for k in bbm2_spectrum.k_grid}
+    mirrored = [k for k in listed if k < 0.5 and 1.0 - k in listed]
+    assert len(mirrored) == 35
+    for k in mirrored:
+        assert listed[k] == sorted((re, -im) for re, im in listed[1.0 - k])

@@ -8,7 +8,7 @@ import scipy.linalg
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
                      assemble_bloch, cosine_field, kernel_defect, l2_norm,
                      model_for_symbol, zero_field)
-from modulon.evolve import (Evolver, SplitEvolver, _FiberGenerator, _Fibers,
+from modulon.evolve import (SplitEvolver, _FiberGenerator, _Fibers,
                             _matvec, _phi_tables, advance, lift_wave)
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
@@ -37,6 +37,12 @@ def fractional_base():
                                      _lift_eigenfunction(base, 0, 4, 256))
 
 
+def on_zero_base(ev):
+    """Whether ``ev`` is the stepper of a plan without a pilot: split at
+    the zero field, where its generator is the diagonal J E."""
+    return isinstance(ev, SplitEvolver) and ev.gen.diagonal is not None
+
+
 def cases(request):
     out = {}
     for name, q in (("bbm2", 8), ("whitham_k2", 4)):
@@ -51,12 +57,13 @@ def cases(request):
 def test_fiber_operator_is_the_stepper_linearization(name, request):
     model, c, base = cases(request)[name]
     gen = _FiberGenerator(model, c, base)
-    ev = Evolver(model, c, base.q, base.N, 0.1)
-    assert gen.tr.M == ev.tr.M
-    # lin w + push P[f'(u_c) w], the right-hand side linearized at u_c
-    df_uc = model.nonlinearity.df(ev.tr.values(base.coef[base.N // 2:]))
+    zero = _FiberGenerator(model, c, zero_field(base.q, base.N))
+    assert gen.tr.M == zero.tr.M
+    # J E w + push P[f'(u_c) w], the right-hand side linearized at u_c: the
+    # generator at a zero base is the diagonal J E
+    df_uc = model.nonlinearity.df(zero.tr.values(base.coef[base.N // 2:]))
     ws = np.array([random_half(base.N, seed) for seed in range(3)])
-    ref = ev.lin * ws + ev.push * ev.tr.coef(df_uc * ev.tr.values(ws))
+    ref = zero.diagonal * ws + zero.push * zero.tr.coef(df_uc * zero.tr.values(ws))
     got = gen.fib.half(gen.apply(gen.fib.stack(ws)))
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
@@ -150,7 +157,8 @@ def test_split_agrees_with_diagonal_stepper_and_keeps_mode_zero(
     h, n = 0.05, 100
     gen = _FiberGenerator(bbm2_model, bbm2_wave.c, uc)
     split = SplitEvolver(gen, h, gen.remainder)
-    diag = Evolver(bbm2_model, bbm2_wave.c, q, N, h)
+    diag = plan_steps(bbm2_model, bbm2_wave, uc, h, n).ev
+    assert on_zero_base(diag)
     end = advance(split, split.rows(u0), n, n, lambda t, rows: False)
     ref = advance(diag, diag.rows(u0), n, n, lambda t, rows: False)
     assert np.all(end[split.gen.fib.modes == 0] == 0.0)   # w's mode 0
@@ -369,11 +377,11 @@ def test_run_from_theta0_uses_the_plan_step_only(escape_case, escape_plan,
 
 
 def test_plan_without_pilot_keeps_the_diagonal_stepper(bbm2_model, bbm2_wave):
-    # modulon evolve: theta0 = 0, so the step is dt and Evolver takes it
+    # modulon evolve: theta0 = 0, so the step is dt on a zero base
     uc = lift_wave(bbm2_wave, 2, 2 * 24)
     for theta0, u1 in ((0.0, cosine_field(2, 48, [0.0, 1.0])), (1e-2, None)):
         plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 4, theta0, u1)
-        assert isinstance(plan.ev, Evolver)
+        assert on_zero_base(plan.ev)
         assert (plan.n, plan.per, plan.ev.dt, plan.pilot_error) == \
             (4, 4, 0.1, None)
 
@@ -400,7 +408,7 @@ def test_large_fiber_stacks_keep_the_diagonal_stepper(bbm2_model, bbm2_wave,
     monkeypatch.setattr("modulon.experiments.SPLIT_MAX_ENTRIES", 0)
     plans.append(plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 5, 1e-2, u1))
     assert isinstance(plans[0].ev, SplitEvolver) and plans[0].n < 5
-    assert isinstance(plans[1].ev, Evolver) and plans[1].n == 5
+    assert on_zero_base(plans[1].ev) and plans[1].n == 5
     split, diag = (_monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc,
                                 0.1, 2.0, 0.5, 1e-2, "plain", p)
                    for p in plans)
@@ -415,7 +423,7 @@ def test_diagonal_plan_steps_dt_when_per_dt_over_per_rounds(bbm2_model,
     uc = lift_wave(bbm2_wave, 2, 2 * 24)
     u1 = cosine_field(2, 48, [0.0, 1.0])
     plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 3)
-    assert 3 * 0.1 / 3 != 0.1 and isinstance(plan.ev, Evolver)
+    assert 3 * 0.1 / 3 != 0.1 and on_zero_base(plan.ev)
     run = _monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc, 0.1, 1.0,
                        0.3, 0.0, "plain", plan)
     assert (run.steps, run.redone, len(run.times)) == (10, 0, 5)
@@ -429,5 +437,5 @@ def test_pilot_without_a_step_in_budget_keeps_the_diagonal_stepper():
                       amplitude=0.0, residual=0.0)
     big = cosine_field(1, 64, [0.0, 40.0])
     plan = plan_steps(m, w, zero_field(1, 64), 1.0, 50, 1e3, big)
-    assert isinstance(plan.ev, Evolver)
+    assert on_zero_base(plan.ev)
     assert (plan.n, plan.ev.dt, plan.pilot_error) == (50, 1.0, None)
