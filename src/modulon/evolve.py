@@ -34,7 +34,7 @@ and criterion 14's dt-halving check step at the zero field.
 
 Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
-SciPy's pocketfft kernels, called directly: at the escape runs' M = 1536
+SciPy's pocketfft kernels, called directly: at the escape runs' M = 1152
 the dispatch of ``scipy.fft.irfft``/``rfft`` costs about as much as the
 transform itself, and the results equal theirs bit for bit.  The full
 centered array is rebuilt (``fields.hermitian_full``) only where a
@@ -59,11 +59,16 @@ from scipy.linalg.blas import zgbmv as _zgbmv
 from ._blas import serial
 from .errors import BlowupError, DomainError, GridMismatchError
 from .fields import PeriodicField, _lift_eigenfunction, hermitian_full
-from .symbols import ModelSpec, evaluate_symbol
+from .symbols import ModelSpec, NonlinearitySpec, evaluate_symbol
 from .waves import TravelingWave
 
 _TWO_PI = 2.0 * np.pi
 _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
+# modes per block of the contour means: a block's (1024, 16) temporaries
+# take 256 kB, where NumPy starts to reuse temporaries in place, which moves
+# bits of complex products; at least that size, a block's means keep the
+# bits of the unblocked ones
+_CONTOUR_BLOCK = 1024
 # largest fiber stack (fibers x modes^2) the split stepper tabulates, a
 # memory bound: on localized escape runs (fibers of 50 modes, Q = 52 .. 832)
 # a split interval ran 2.3-4x faster than a diagonal one at every size.  The
@@ -71,8 +76,14 @@ _CONTOUR_POINTS = 16      # contour nodes for the ETDRK4 phi-functions
 # dense n^2 tables, 37 MB at this cap (BBM m=2 at Q = 416: 142 against
 # 105 MB); the band tables of half-bandwidth b take (2b + 1) / n of that
 # memory, and that run, at b = 8-9, peaks 21 bytes an entry over the
-# diagonal run, 11 MB (115.5 against 104.8 MB)
+# diagonal run, 11 MB (115.5 against 104.8 MB).  A stepper holds the tables
+# of _HELD_STEPS steps, 80 (2b + 1) bytes a mode each: 0.65 MB a set on the
+# escape wave (b = 8, 480 slots), about 16 MB a set at this cap
 SPLIT_MAX_ENTRIES = 2 ** 19
+# table sets a split stepper holds, one per step: the escape runs' pilot and
+# ladder come back to their steps, and holding two cuts the escape
+# workload's table builds from 9 to 5 (seed 0); more hold no fewer
+_HELD_STEPS = 2
 _TAYLOR_RADIUS = 2.0      # ||X||_1 bound of the scaled phi Taylor sums
 _TAYLOR_TERMS = 24        # 2^25 / 25! < 3e-18; 5 blocks of Paterson-Stockmeyer
 
@@ -84,33 +95,54 @@ class _Transform:
     ``values`` equals ``scipy.fft.irfft(half, n=M, norm="forward")`` and
     ``coef`` equals ``scipy.fft.rfft(vals, norm="forward")`` cut to the
     modes n = 0 .. N/2 with the Nyquist mode zeroed, bit for bit: both call
-    the pocketfft kernels with the arguments those functions pass.  M is
-    the fast length from max(pad N, 2N) on, rounded to a ``multiple``.  The
-    modes are written into a zero-padded buffer of M//2 + 1 entries, one
-    buffer per leading shape, so no padded copy is made per call.
+    the pocketfft kernels with the arguments those functions pass.
+
+    M is the fast length from the alias-free length on, rounded to a
+    ``multiple``.  Every product the steppers form of modes |n| < N/2 has
+    the degree p of a polynomial f, so it reaches |n| < p N/2, and on
+    (p + 1) N/2 points no alias lands on a kept mode (the 3/2 rule for
+    p = 2; Orszag): M = 1152 on the escape torus (N = 768), where 2N
+    cost 3 us more a call of G.  A non-integer power is not band-limited
+    and keeps ``pad`` N = 4N.  ``NonlinearitySpec.pad``, which Newton and
+    ``conserved_quantities`` use, keeps its floor of 2.
+
+    The modes are written into a zero-padded buffer of M//2 + 1 entries,
+    one buffer per layout and leading shape, so no padded copy is made per
+    call; a fiber stack (``_Fibers``) is written straight into it and read
+    straight out of the forward transform.
     """
 
-    def __init__(self, q: int, N: int, pad: float, multiple: int = 1):
+    def __init__(self, q: int, N: int, nl: NonlinearitySpec, multiple: int = 1):
         self.q = q
         self.N = N
-        M = max(int(np.ceil(pad * N)), 2 * N)
+        if nl.degree is None:
+            M = int(np.ceil(nl.pad * N))
+        else:
+            M = -(-(nl.degree + 1) * N // 2)
         self.M = multiple * scipy.fft.next_fast_len(-(-M // multiple))
         self._pads = {}
 
-    def values(self, half: np.ndarray) -> np.ndarray:
-        buf = self._pads.get(half.shape[:-1])
+    def values(self, x: np.ndarray, fib: _Fibers | None = None) -> np.ndarray:
+        """The values of the half spectrum x, or of the fiber stack x of
+        ``fib``, whose Nyquist mode is zero."""
+        lead = x.shape[:-1] if fib is None else x.shape[:-2]
+        buf = self._pads.get((fib is None, lead))
         if buf is None:
-            buf = np.zeros(half.shape[:-1] + (self.M // 2 + 1,), np.complex128)
-            self._pads[half.shape[:-1]] = buf
-        buf[..., :self.N // 2 + 1] = half
+            buf = np.zeros(lead + (self.M // 2 + 1,), np.complex128)
+            self._pads[fib is None, lead] = buf
+        if fib is None:
+            buf[..., :self.N // 2 + 1] = x
+        else:
+            fib.put(x, buf)
         # inverse transform, no normalization (norm="forward" for irfft)
         return _pocketfft.c2r(buf, (-1,), self.M, False, 0, None, 1)
 
-    def coef(self, vals: np.ndarray) -> np.ndarray:
+    def coef(self, vals: np.ndarray, fib: _Fibers | None = None) -> np.ndarray:
+        """The half spectrum of vals, or its fiber stack of ``fib``."""
         # forward transform, divided by M (norm="forward" for rfft)
-        out = _pocketfft.r2c(vals, (-1,), True, 2, None, 1)[..., :self.N // 2 + 1]
-        out[..., -1] = 0.0
-        return out
+        out = _pocketfft.r2c(vals, (-1,), True, 2, None, 1)
+        out[..., self.N // 2] = 0.0
+        return out[..., :self.N // 2 + 1] if fib is None else fib.pick(out)
 
 
 def _half_symbols(model: ModelSpec, c: float, q: int, N: int) -> tuple:
@@ -171,8 +203,11 @@ class _Fibers:
     Fiber r = 0 .. q/2 holds the signed modes n = q m + r with |n| < N/2;
     the fibers q - r mirror them by conjugation.  Fibers are stacked as
     rows of a common length, padded with modes that stay zero.  A real
-    field's modes n = 0 .. N/2 gather into the stack (a negative n reads
-    conj(c_{-n})), and scatter back from it; leading axes are kept.
+    field's modes n = 0 .. N/2 map into the stack by one index per slot (a
+    negative n reads conj(c_{-n})), and back by one index per mode (a mode
+    n with n mod q > q/2 reads the conjugate of the slot of -n); leading
+    axes are kept.  ``put`` and ``pick`` run these maps straight into the
+    transform's buffer and out of its output.
     """
 
     def __init__(self, q: int, N: int):
@@ -180,35 +215,66 @@ class _Fibers:
         n = np.arange(1 - half, half)
         rows = [n[n % q == r] for r in range(q // 2 + 1)]
         self.size = max(len(ns) for ns in rows)
-        count = len(rows) * self.size
         self.modes = np.zeros((len(rows), self.size), dtype=int)
         self.mask = np.zeros((len(rows), self.size), dtype=bool)
-        # gather from [half, conj(half), 0]: a pad reads the final zero
-        self._gather = np.full((len(rows), self.size), 2 * (half + 1))
-        slot = {}
         for r, ns in enumerate(rows):
             self.modes[r, :len(ns)] = ns
             self.mask[r, :len(ns)] = True
-            self._gather[r, :len(ns)] = np.where(ns >= 0, ns, half + 1 - ns)
-            slot.update((int(v), r * self.size + j) for j, v in enumerate(ns))
-        # scatter from [stack, conj(stack), 0]: mode n comes from its own
-        # slot when n mod q <= q/2, else conjugated from the slot of -n
-        self._scatter = np.array(
-            [slot[k] if k % q <= q // 2 else count + slot[-k]
-             for k in range(half)] + [2 * count])
+        # slot -> mode |n|, conjugated for n < 0; a pad reads the Nyquist mode
+        self._slot = np.where(self.mask, np.abs(self.modes), half)
+        self._slot_sign = _conj_signs(self.modes < 0)
+        self._pad = ~self.mask
+        # mode k = 0 .. N/2 - 1 -> the flat slot of k, or of -k conjugated
+        at = np.empty(2 * half - 1, dtype=int)
+        at[self.modes[self.mask] + half - 1] = np.flatnonzero(self.mask)
+        k = np.arange(half)
+        mirrored = k % q > q // 2
+        self._mode = at[np.where(mirrored, -k, k) + half - 1]
+        self._mode_sign = _conj_signs(mirrored)
 
     def stack(self, half: np.ndarray) -> np.ndarray:
-        return _with_conj(half)[..., self._gather]
+        """The fiber stack of the modes n = 0 .. N/2; pads are zero."""
+        x = self.pick(half)
+        x[..., self._pad] = 0.0
+        return x
 
     def half(self, stack: np.ndarray) -> np.ndarray:
-        flat = stack.reshape(stack.shape[:-2] + (-1,))
-        return _with_conj(flat)[..., self._scatter]
+        """The modes n = 0 .. N/2 of a fiber stack; the Nyquist mode is zero."""
+        out = np.zeros(stack.shape[:-2] + (len(self._mode) + 1,),
+                       dtype=np.complex128)
+        self.put(stack, out)
+        return out
+
+    def pick(self, spec: np.ndarray) -> np.ndarray:
+        """The fiber stack read from the modes n = 0 .. N/2 of ``spec``
+        (a longer last axis is not read).  A pad reads the Nyquist mode, so
+        it is zero only where that mode is, as in ``_Transform.coef``."""
+        return _conj_by_sign(spec.take(self._slot, axis=-1), self._slot_sign)
+
+    def put(self, stack: np.ndarray, buf: np.ndarray):
+        """Write the modes n = 0 .. N/2 - 1 of a fiber stack into ``buf``,
+        whose later entries are not written."""
+        dst = buf[..., :len(self._mode)]
+        stack.reshape(stack.shape[:-2] + (-1,)).take(
+            self._mode, axis=-1, out=dst, mode="clip")
+        _conj_by_sign(dst, self._mode_sign)
 
 
-def _with_conj(x: np.ndarray) -> np.ndarray:
-    """[x, conj(x), 0] along the last axis."""
-    zero = np.zeros(x.shape[:-1] + (1,))
-    return np.concatenate((x, np.conj(x), zero), axis=-1)
+def _conj_signs(conj: np.ndarray) -> np.ndarray:
+    """The float64 view's factors that conjugate a complex array where
+    ``conj`` is True: 1 on every real part, -1 on those imaginary parts."""
+    sign = np.ones(conj.shape + (2,))
+    sign[conj, 1] = -1.0
+    return sign.reshape(conj.shape[:-1] + (-1,))
+
+
+def _conj_by_sign(x: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """x conjugated in place by ``_conj_signs``: one dense multiply, which
+    flips the same sign bits as np.conjugate at half the cost of its
+    ``where=`` (1.0 against 2.0 us on the 384 modes of the escape torus)."""
+    v = x.view(np.float64)
+    np.multiply(v, sign, out=v)
+    return x
 
 
 class _HalfSpectrum:
@@ -296,17 +362,31 @@ def _contour_tables(h: float, lam: np.ndarray) -> tuple:
     """(E, E2, Q, f1, 2 f2, f3) of ETDRK4 step h for the diagonal lam: exact
     exponentials, and phi-functions as means over a unit circle around each
     h lam (Kassam & Trefethen).  O(n) where ``_phi_tables`` is O(n^3), and
-    E2 is 5e-17 off at h lam = 1e5 i, where ``_phi_tables`` is 2.8e-12 off."""
+    E2 is 5e-17 off at h lam = 1e5 i, where ``_phi_tables`` is 2.8e-12 off.
+
+    The means run over blocks of ``_CONTOUR_BLOCK`` modes, so the
+    (block, 16) temporaries stay small: unblocked, seven (n, 16) of them
+    took a fallback run at n = 10,501 modes from 86.7 to 104.9 MB.  Each
+    mode's mean reduces its own row, and every block, the last one too,
+    holds the whole block (the last one overlaps its neighbour), so the
+    blocks keep every bit of the unblocked means."""
     n_pts = _CONTOUR_POINTS
     roots = np.exp(1j * np.pi * (np.arange(n_pts) + 0.5) / n_pts * 2.0)
-    lr = h * lam[:, None] + roots[None, :]
-    lr2, lr3 = lr * lr, lr ** 3
-    elr = np.exp(lr)
-    Q = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
-    f1 = h * np.mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3, axis=1)
-    f2 = h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
-    return np.exp(h * lam), np.exp(0.5 * h * lam), Q, f1, 2.0 * f2, f3
+    Q, f1, f2x2, f3 = np.empty((4, len(lam)), dtype=np.complex128)
+    for i in range(0, len(lam), _CONTOUR_BLOCK):
+        part = slice(max(0, min(i, len(lam) - _CONTOUR_BLOCK)),
+                     i + _CONTOUR_BLOCK)
+        lr = h * lam[part, None] + roots[None, :]
+        lr2, lr3 = lr * lr, lr ** 3
+        elr = np.exp(lr)
+        Q[part] = h * np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1)
+        f1[part] = h * np.mean(
+            (-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3, axis=1)
+        f2x2[part] = 2.0 * (h * np.mean((2.0 + lr + elr * (lr - 2.0)) / lr3,
+                                        axis=1))
+        f3[part] = h * np.mean(
+            (-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3, axis=1)
+    return np.exp(h * lam), np.exp(0.5 * h * lam), Q, f1, f2x2, f3
 
 
 class _FiberGenerator:
@@ -332,13 +412,13 @@ class _FiberGenerator:
         nl = model.nonlinearity
         self.model, self.c, self.f = model, c, nl.f
         if not np.any(base.coef):
-            self.fib, self.tr = _HalfSpectrum(N), _Transform(q, N, nl.pad)
+            self.fib, self.tr = _HalfSpectrum(N), _Transform(q, N, nl)
             self.base, self.R = np.zeros(N // 2 + 1, dtype=np.complex128), None
             self.diagonal, self.push = _half_symbols(model, c, q, N)
             return
         self.diagonal = None
         self.fib = _Fibers(q, N)
-        self.tr = _Transform(q, N, nl.pad, multiple=q)
+        self.tr = _Transform(q, N, nl, multiple=q)
         self.base = base.coef[N // 2:].copy()
         uc = self.tr.values(self.base)
         # R, in the arithmetic of the right-hand side
@@ -349,8 +429,9 @@ class _FiberGenerator:
             self.f_uc, self.df_uc, self.uc = nl.f(uc), nl.df(uc), uc
             self.taylor = None
         else:
+            # f^(p)(u_c) / p! is the constant sign: Horner starts from a float
             self.taylor = [nl._power_rule(uc, j) / factorial(j)
-                           for j in range(2, nl.degree + 1)]
+                           for j in range(2, nl.degree)] + [nl.sign]
         self.dhat = np.fft.fft(nl.df(uc)) / self.tr.M
         self._blocks = [None] * len(self.fib.modes)
 
@@ -376,9 +457,9 @@ class _FiberGenerator:
 
     def remainder(self, x: np.ndarray, t: float) -> np.ndarray:
         """G on a fiber stack (G does not depend on t)."""
-        w = self.tr.values(self.fib.half(x))
         if self.R is None:
-            return self.push * self.fib.stack(self.tr.coef(self.f(w)))
+            return self.push * self.tr.coef(self.f(self.tr.values(x)))
+        w = self.tr.values(x, self.fib)
         if self.taylor is None:
             g = self.f(self.uc + w) - self.f_uc - self.df_uc * w
         else:
@@ -386,7 +467,7 @@ class _FiberGenerator:
             for cj in self.taylor[-2::-1]:
                 g = cj + w * g
             g = g * w * w
-        return self.push * self.fib.stack(self.tr.coef(g)) + self.R
+        return self.push * self.tr.coef(g, self.fib) + self.R
 
 
 class SplitEvolver:
@@ -402,19 +483,47 @@ class SplitEvolver:
     the stack of w = u - u_c and back, the state of the escape runs, whose
     G is ``gen.remainder``.  Only the step tables are kept (``tabulate``),
     5 (2b + 1) n complex entries per fiber of n modes for the tables'
-    half-bandwidth b.  At a zero base (``gen.diagonal``) the tables are
-    vectors, applied elementwise, and E x is E x itself.
+    half-bandwidth b, for each of the ``_HELD_STEPS`` steps last used.  At a
+    zero base (``gen.diagonal``) the tables are vectors, applied
+    elementwise, and E x is E x itself.
+
+    On the escape wave (5 fibers of 96 modes, b = 8, M = 1152, one BLAS
+    thread) a step takes about 165 us: 9 band products by zgbmv, about
+    7 us each, 4 calls of G, about 20 us each, two transforms and the
+    fiber maps in each, and the elementwise sums.
     """
 
     def __init__(self, gen: _FiberGenerator, h: float, G):
         self.gen = gen
         self.G = G
+        self._held = {}         # step -> tables, least recently used first
         self.tabulate(h)
 
     def tabulate(self, h: float):
-        """Build the tables E2, Q and W = (f1, 2 f2, f3) for the step h,
-        fiber by fiber from ``_phi_tables``; E = E2 E2 is not kept.  At a
-        zero base they, and E, are ``_contour_tables`` vectors.
+        """Step by h: E2, Q and W = (f1, 2 f2, f3) of ``_tables``.
+
+        The tables of the ``_HELD_STEPS`` most recently used steps are held,
+        and a held step is not tabulated again: the pilot's h vs h/2 check
+        and the runs' ladder levels come back to the steps they left.  The
+        least recently used tables are dropped before a new step is
+        tabulated, so at most ``_HELD_STEPS`` sets are held at once (2 sets
+        of 0.65 MB on the escape wave).
+        """
+        if h <= 0:
+            raise DomainError("the step must be positive")
+        self.dt = float(h)
+        tables = self._held.pop(self.dt, None)
+        if tables is None:
+            if len(self._held) == _HELD_STEPS:
+                del self._held[next(iter(self._held))]
+            tables = self._tables(self.dt)
+        self._held[self.dt] = tables
+        self.E, self.E2, self.Q, self.W, self.band, self._matvec = tables
+
+    def _tables(self, h: float) -> tuple:
+        """(E, E2, Q, W, band, matvec) of the step h, built fiber by fiber
+        from ``_phi_tables``; E = E2 E2 is not kept (None).  At a zero base
+        they, and E, are ``_contour_tables`` vectors.
 
         A function of a banded matrix decays away from the band (Benzi &
         Razouk), so the tables are kept to the half-bandwidth ``band``, the
@@ -425,28 +534,21 @@ class SplitEvolver:
         each fiber's rows at its own b centred in them.  The array widens
         as a fiber with a wider band comes in, copying only the rows
         filled so far, so the tables are not held twice over (np.zeros
-        commits no page of the rows still to come).  The old tables are
-        dropped first.
+        commits no page of the rows still to come).
 
         The row of A for the mode n = 0 is exactly zero, so the Taylor sums
         and doublings give that mode the rows of phi_k(0) I exactly; with
         G = 0 there, it keeps its value to the bit.
         """
-        if h <= 0:
-            raise DomainError("the step must be positive")
-        self.dt = float(h)
         if self.gen.diagonal is not None:
             # E kept: 3,000 steps of 6.1e-4 keep the KdV a = 0.05 wave at
             # N = 512 to 4.7e-18, and E2 (E2 x) to 3.7e-14
-            self.E, self.E2, self.Q, *self.W = \
-                _contour_tables(self.dt, self.gen.diagonal)
-            self.band, self._matvec = 0, _diagonal_matvec
-            return
-        self.E = self.E2 = self.Q = self.W = None
+            E, E2, Q, *W = _contour_tables(h, self.gen.diagonal)
+            return E, E2, Q, W, 0, _diagonal_matvec
         F, size = self.gen.fib.mask.shape
         band, tab = 0, np.zeros((5, F * size, 1), dtype=np.complex128)
         for r in range(F):
-            tables = _phi_tables(self.dt, self.gen.block(r))
+            tables = _phi_tables(h, self.gen.block(r))
             b = max(map(_half_bandwidth, tables))
             if b > band:        # only the rows filled so far are copied
                 wider = np.zeros((5, F * size, 2 * b + 1), dtype=np.complex128)
@@ -455,8 +557,8 @@ class SplitEvolver:
             k = len(tables[0])
             tab[:, r * size:r * size + k, band - b:band + b + 1] = \
                 _band_rows(np.array(tables), b)
-        self.band, self._matvec = band, _band_matvec
-        self.E2, self.Q, *self.W = tab
+        E2, Q, *W = tab
+        return None, E2, Q, W, band, _band_matvec
 
     def rows(self, f: PeriodicField) -> np.ndarray:
         """The state of the real field ``f``: the fiber stack of f - u_c."""
@@ -518,10 +620,17 @@ def _band_matvec(T: np.ndarray, x: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """T x for a fiber stack x and a table stack T in band rows
     (``_band_rows`` of the block-diagonal stack), added into ``out`` when
-    given: one transposed zgbmv per leading row of x.  Each entry of T x is
-    one dot product over its band row, so the bits do not depend on the
-    BLAS thread count."""
+    given: one transposed zgbmv per leading row of x, called directly on a
+    stack without leading axes.  Each entry of T x is one dot product over
+    its band row, so the bits do not depend on the BLAS thread count."""
     n, b = T.shape[0], T.shape[1] // 2
+    if x.ndim == 2:
+        if out is None:
+            return _zgbmv(n, n, b, b, 1.0, T.T, x.ravel(),
+                          trans=1).reshape(x.shape)
+        _zgbmv(n, n, b, b, 1.0, T.T, x.ravel(), beta=1.0, y=out.ravel(),
+               trans=1, overwrite_y=1)
+        return out
     if out is None:
         out = np.zeros(x.shape, dtype=np.complex128)
     for xr, yr in zip(x.reshape(-1, n), out.reshape(-1, n)):
@@ -732,9 +841,9 @@ def _cascade_forcing(gen: _FiberGenerator, sol: ApproxSolution):
         u1 = gen.tr.values(sol.U1(t)[half:])
         g = [c2 * u1 * u1]
         if len(x) > 1:
-            u2 = gen.tr.values(gen.fib.half(x[0]))
+            u2 = gen.tr.values(x[0], gen.fib)
             g.append(2.0 * c2 * u1 * u2 + c3 * u1 ** 3)
-        return gen.push * gen.fib.stack(gen.tr.coef(np.stack(g)))
+        return gen.push * gen.tr.coef(np.stack(g), gen.fib)
 
     return forcing
 

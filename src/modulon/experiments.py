@@ -177,8 +177,8 @@ def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
     split step per * dt / n with n < per.  Otherwise (``modulon evolve``),
     where the fiber tables would pass ``SPLIT_MAX_ENTRIES``, or where the
     pilot finds no such n, the steps of dt are split at the zero field: at
-    an equal step that costs 0.37 of a split at the wave (86 against 230 us
-    on the escape torus) and builds no dense table.
+    an equal step that costs about half a split at the wave (80 against
+    165 us on the escape torus) and builds no dense table.
     """
     fib = _Fibers(ref.q, ref.N)
     size_u1 = 0.0 if u1 is None else l2_norm(u1)
@@ -225,8 +225,7 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
 
     def end(m):
         """w after m steps over the interval, None on a blow-up."""
-        if ev.dt != T_obs / m:
-            ev.tabulate(T_obs / m)
+        ev.tabulate(T_obs / m)
         try:
             rows = advance(ev, ev.rows(start), m, m, lambda t, rows: False)
         except BlowupError:
@@ -266,8 +265,7 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
                   if err is not None and err > PILOT_ERROR_BUDGET), default=0)
     for n in sorted(tried):
         if n > failed and tried[n][0] <= 1.0 and error(n) <= PILOT_ERROR_BUDGET:
-            if ev.dt != T_obs / n:
-                ev.tabulate(T_obs / n)
+            ev.tabulate(T_obs / n)
             return StepPlan(ev, n, per, gen.fib.size, tried[n][2],
                             l2_norm(start - ref))
     return None
@@ -329,8 +327,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         return escape_time is not None
 
     def interval(rows, m, t0, h):
-        if ev.dt != h:
-            ev.tabulate(h)
+        ev.tabulate(h)
         return advance(ev, rows, m, m, lambda t, rows: False, t0=t0)
 
     ladder = [n]        # n_j = ceil(n / 2^j) while it still shrinks
@@ -371,8 +368,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
                 steps += m
                 observe(t0 + m * ev.dt, *measure(rows))
         finally:
-            if ev.dt != step:
-                ev.tabulate(step)
+            ev.tabulate(step)
     if theta0 == 0.0:
         escape_time = 0.0
 

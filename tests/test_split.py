@@ -3,13 +3,18 @@ and ETDRK4 for the remainder only."""
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec, TravelingWave,
                      assemble_bloch, cosine_field, kernel_defect, l2_norm,
                      model_for_symbol, zero_field)
-from modulon.evolve import (SplitEvolver, _FiberGenerator, _Fibers,
-                            _matvec, _phi_tables, advance, lift_wave)
+from modulon import evolve
+from modulon.evolve import (SplitEvolver, _FiberGenerator, _Fibers, _Transform,
+                            _matvec, _phi_tables, advance, field_rows,
+                            lift_wave, rows_field)
+from modulon.semigroup import fiber_norms
 from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
                                  eigenfunction_seed, plan_steps, StepPlan)
 from modulon import experiments
@@ -69,6 +74,49 @@ def test_fiber_operator_is_the_stepper_linearization(name, request):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
+def flat_stack(fib, seed, scale):
+    """A random fiber stack with a flat spectrum, so aliasing shows."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(fib.mask.shape) + 1j * rng.standard_normal(
+        fib.mask.shape)
+    return np.where(fib.mask, scale * x, 0.0)
+
+
+@pytest.mark.parametrize("name, p", [("bbm2", 2), ("gkdv3", 3)])
+def test_remainder_is_alias_free_at_the_short_length(name, p, request,
+                                                      monkeypatch):
+    # a degree-p product of modes |n| < N/2 reaches |n| < p N/2, so on
+    # M >= (p + 1) N/2 points no alias lands on a kept mode: G equals G on
+    # 2N and 3N points (the 2N floor is gone) to round-off, and aliases on
+    # fewer points
+    model = request.getfixturevalue(name + "_model")
+    wave = request.getfixturevalue(name + "_wave")
+    q, N = 8, 8 * 48
+    base = lift_wave(wave, q, N)
+    gen = _FiberGenerator(model, wave.c, base)
+    assert gen.tr.M == q * scipy.fft.next_fast_len(-(-(p + 1) * N // (2 * q)))
+    xs = [flat_stack(gen.fib, seed, 2e-2) for seed in (1, 2)]
+    short = [gen.remainder(x, 0.0) for x in xs]
+
+    def remainders(M):
+        def fixed_length(q, N, nl, multiple=1):
+            tr = _Transform(q, N, nl, multiple)
+            tr.M = M
+            return tr
+
+        monkeypatch.setattr(evolve, "_Transform", fixed_length)
+        other = _FiberGenerator(model, wave.c, base)
+        assert other.tr.M == M
+        return [other.remainder(x, 0.0) for x in xs]
+
+    for M in (2 * N, 3 * N):
+        for g, ref in zip(short, remainders(M)):
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+    aliased = remainders(gen.tr.M - 2 * q)
+    assert max(np.max(np.abs(g - a)) / np.max(np.abs(g))
+               for g, a in zip(short, aliased)) > 1e-8
+
+
 @pytest.mark.parametrize("name", ["bbm2", "whitham_k2", "gkdv3"])
 def test_fiber_blocks_are_the_bloch_matrices(name, request):
     # the stepper and the spectrum share one operator: block r of the
@@ -105,6 +153,69 @@ def test_fibers_round_trip_and_pad():
     assert np.sum(fib.mask[1:4]) * 2 + np.sum(fib.mask[[0, 4]]) == 95
 
 
+def concatenate_and_index_maps(q, N):
+    """The fiber maps as they were: one gather array and one scatter array
+    into the concatenation [x, conj(x), 0], where a pad reads the zero."""
+    half = N // 2
+    n = np.arange(1 - half, half)
+    rows = [n[n % q == r] for r in range(q // 2 + 1)]
+    size = max(len(ns) for ns in rows)
+    count = len(rows) * size
+    gather = np.full((len(rows), size), 2 * (half + 1))
+    slot = {}
+    for r, ns in enumerate(rows):
+        gather[r, :len(ns)] = np.where(ns >= 0, ns, half + 1 - ns)
+        slot.update((int(v), r * size + j) for j, v in enumerate(ns))
+    scatter = np.array([slot[k] if k % q <= q // 2 else count + slot[-k]
+                        for k in range(half)] + [2 * count])
+
+    def with_conj(x):
+        zero = np.zeros(x.shape[:-1] + (1,))
+        return np.concatenate((x, np.conj(x), zero), axis=-1)
+
+    def stack(half_modes):
+        return with_conj(half_modes)[..., gather]
+
+    def to_half(x):
+        return with_conj(x.reshape(x.shape[:-2] + (-1,)))[..., scatter]
+
+    return stack, to_half
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(1, 16), half=st.integers(2, 40),
+       lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fiber_maps_equal_the_concatenate_and_index_form(q, half, lead, seed):
+    N = 2 * half
+    fib = _Fibers(q, N)
+    stack, to_half = concatenate_and_index_maps(q, N)
+    rng = np.random.default_rng(seed)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # any input: a complex mode 0, a nonzero Nyquist mode, filled pads
+    w = noise(lead + (half + 1,))
+    x = noise(lead + fib.mask.shape)
+    assert np.array_equal(fib.stack(w), stack(w))
+    assert np.all(fib.stack(w)[..., ~fib.mask] == 0.0)
+    assert np.array_equal(fib.half(x), to_half(x))
+    w[..., -1] = 0.0
+    assert np.array_equal(fib.half(fib.stack(w)), w)
+    # the transform buffer: the stack written straight in, read straight out
+    tr = _Transform(q, N, NonlinearitySpec("quadratic"), multiple=q)
+    tr.values(noise(lead + (half + 1,)))     # a half write with a Nyquist mode
+    buf = np.zeros(lead + (tr.M // 2 + 1,), dtype=np.complex128)
+    buf[..., :half + 1] = to_half(x)
+    vals = tr.values(x, fib)
+    assert np.array_equal(vals, tr.values(to_half(x)))
+    assert np.array_equal(tr._pads[False, lead], buf)
+    got = tr.coef(vals * vals, fib)
+    assert np.array_equal(got, stack(tr.coef(vals * vals)))
+    assert np.all(got[..., ~fib.mask] == 0.0)
+
+
 def test_stacked_states_step_row_by_row(bbm2_model, bbm2_wave):
     # leading axes of a state (the cascade's U_2, U_3) step independently
     gen = _FiberGenerator(bbm2_model, bbm2_wave.c,
@@ -116,6 +227,57 @@ def test_stacked_states_step_row_by_row(bbm2_model, bbm2_wave):
     both = ev.step_coef(x, 0.3)
     for row, xr in zip(both, x):
         assert np.array_equal(row, ev.step_coef(xr, 0.3))
+
+
+def linear_norms(ev, u, n):
+    """L2 norms of u after 0 .. n steps of ``ev``, and the states."""
+    x = ev.gen.fib.stack(field_rows(u))
+    states = [x]
+    for _ in range(n):
+        states.append(ev.step_coef(states[-1], 0.0))
+    q, N = u.q, u.N
+    return (np.array([l2_norm(rows_field(q, N, ev.gen.fib.half(s)))
+                      for s in states]), states)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 999),
+       steps=st.sampled_from([(0.5, 1.5, 2.0), (1.0, 0.25, 3.0),
+                              (2.0, 1.0, 0.5)]))
+def test_split_stepper_without_G_keeps_fiber_norms(seed, steps, bbm2_model,
+                                                   bbm2_wave):
+    # with G = 0 a step is e^{hA} on each fiber; h -> h' -> h reuses the
+    # held tables of h, and a third step drops the least recently used
+    h, h2, h3 = steps
+    q, N, n = 8, 8 * 24, 6
+    u = rows_field(q, N, random_half(N, seed, 1e-3))
+    gen = _FiberGenerator(bbm2_model, bbm2_wave.c, lift_wave(bbm2_wave, q, N))
+    ev = SplitEvolver(gen, h, lambda x, t: np.zeros_like(x))
+    for step in (h, h2):
+        ev.tabulate(step)
+        got, states = linear_norms(ev, u, n)
+        want = fiber_norms(bbm2_model, bbm2_wave, u, step, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        if step == h:
+            first = states
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _phi_tables(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_phi_tables", counted)
+        ev.tabulate(h)
+        assert calls == []
+        _, again = linear_norms(ev, u, n)
+        fresh = SplitEvolver(gen, h, ev.G)
+        assert len(calls) == len(gen.fib.modes)
+        _, new = linear_norms(fresh, u, n)
+        for a, b, c in zip(first, again, new):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        ev.tabulate(h3)
+    assert list(ev._held) == [h, h3]
 
 
 @pytest.mark.parametrize("h", [0.3, 2.0, 4.0])   # scaling exponents 0, 2, 3
