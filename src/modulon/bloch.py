@@ -332,10 +332,13 @@ class GrowthCurve:
 def fit_band(spectrum: BlochSpectrum, window: float | None = None) -> GrowthCurve:
     """Fit the local band-edge model over |k - k0| <= window.
 
-    Tries l in {2, 4, 6}, adjusting the peak location within one sample
-    spacing, and keeps the order with the smallest relative residual.  The
-    default window is 1.6 coarse-grid spacings, matching the fill samples
-    the scan lays down around the maximum.
+    Tries l in {2, 4, 6} and keeps the order with the smallest relative
+    residual among those with a > 0.  Each order's peak kc is the
+    least-squares one on [k_i0 - h, k_i0 + h], with k_i0 the best sample
+    and h the largest sample spacing, found by a closed form (l = 2) or a
+    bracketed root (l = 4, 6), with no optimizer's path (``_peak_fit``).
+    The default window is 1.6 coarse-grid spacings, matching the fill
+    samples the scan lays down around the maximum.
     """
     if spectrum.lambda0 <= 0.0:
         raise BandFitError("band fit requires a positive growth rate")
@@ -357,23 +360,10 @@ def fit_band(spectrum: BlochSpectrum, window: float | None = None) -> GrowthCurv
     if rng <= 0.0:
         raise BandFitError("flat band: nothing to fit")
 
-    from scipy.optimize import minimize_scalar
-
-    def fit_for(l):
-        def misfit(kc):
-            X = np.column_stack([np.ones_like(ks), -np.abs(ks - kc) ** l])
-            sol, *_ = np.linalg.lstsq(X, rs, rcond=None)
-            res = float(np.linalg.norm(X @ sol - rs))
-            return res, sol
-
-        opt = minimize_scalar(lambda kc: misfit(kc)[0],
-                              bounds=(ks[i0] - h, ks[i0] + h), method="bounded")
-        res, sol = misfit(float(opt.x))
-        return res / (np.sqrt(len(ks)) * rng), float(opt.x), sol
-
     best = None
     for l in (2, 4, 6):
-        rel, kc, (lam, a) = fit_for(l)
+        res, kc, lam, a = _peak_fit(ks, rs, l, float(ks[i0]), float(h))
+        rel = res / (np.sqrt(len(ks)) * rng)
         if a > 0 and (best is None or rel < best[0]):
             best = (rel, l, kc, lam, a)
     if best is None or best[0] > 0.20:
@@ -384,6 +374,86 @@ def fit_band(spectrum: BlochSpectrum, window: float | None = None) -> GrowthCurv
     return GrowthCurve(k_samples=ks, re_lambda=rs, lambda0=float(lam),
                        k0=float(kc), l=int(l), a_fit=float(a),
                        rel_residual=float(rel))
+
+
+def _fit_at(ks, rs, l, kc):
+    """Least-squares (lambda, a) of rs ~ lambda - a (ks - kc)^l at a fixed
+    peak kc, from the centred 2-parameter normal equations.
+
+    Returns the residual norm, lambda, a and g = a sum res_i (k_i - kc)^(l-1)
+    with res = rs - model.  By variable projection (Golub & Pereyra, 1973)
+    g is -dS/dkc / 2l for S(kc), the residual sum of squares at the best
+    (lambda, a) for each kc: their own derivatives drop out at the optimum.
+    """
+    n = len(rs)
+    x = ks - kc
+    p = x ** (l - 1)
+    phi = p * x
+    phi_mean = float(phi.sum()) / n
+    r_mean = float(rs.sum()) / n
+    dphi = phi - phi_mean
+    r_c = rs - r_mean
+    a = -float(dphi @ r_c) / float(dphi @ dphi)
+    res = r_c + a * dphi
+    return (float(np.sqrt(res @ res)), r_mean + a * phi_mean, a,
+            a * float(res @ p))
+
+
+def _peak_fit(ks, rs, l, k_mid, h):
+    """(residual, kc, lambda, a) of the order-l band-edge fit whose kc in
+    [k_mid - h, k_mid + h] has the least residual.
+
+    For l = 2, lambda - a (k - kc)^2 ranges over every quadratic with
+    a != 0, so one linear fit, centred at k_mid, gives the unconstrained
+    peak; S(kc) has no other local minimum, so when that peak lies outside
+    the interval an endpoint is best.  For l = 4 and 6 the candidates are
+    the endpoints and, when g (``_fit_at``) changes sign between them, its
+    root, since an interior minimum of S is a zero of g.
+    """
+    lo, hi = k_mid - h, k_mid + h
+    if l == 2:
+        x = ks - k_mid
+        _, c1, c2 = np.linalg.lstsq(np.column_stack([np.ones_like(x), x, x * x]),
+                                    rs, rcond=None)[0]
+        kc = k_mid - float(c1) / (2.0 * float(c2)) if c2 != 0.0 else np.inf
+        candidates = [kc] if lo <= kc <= hi else [lo, hi]
+        fits = [(_fit_at(ks, rs, l, kc), kc) for kc in candidates]
+    else:
+        fits = [(_fit_at(ks, rs, l, kc), kc) for kc in (lo, hi)]
+        g_lo, g_hi = fits[0][0][3], fits[1][0][3]
+        if (g_lo < 0.0) != (g_hi < 0.0):
+            kc = _bracketed_root(lambda kc: _fit_at(ks, rs, l, kc)[3],
+                                 lo, hi, g_lo, g_hi,
+                                 tol=2.0 * np.finfo(float).eps * (abs(k_mid) + h))
+            fits.append((_fit_at(ks, rs, l, kc), kc))
+    (res, lam, a, _), kc = min(fits, key=lambda fit: fit[0][0])
+    return res, kc, lam, a
+
+
+def _bracketed_root(g, lo, hi, g_lo, g_hi, tol):
+    """A root of g in [lo, hi], where g(lo) and g(hi) differ in sign, to a
+    bracket no wider than 2 ``tol``: false position with the Illinois
+    halving of an end kept twice (Dowell & Jarratt, 1971), each point kept
+    ``tol`` inside the bracket, so that a point next to the root is followed
+    by one across it and the bracket closes."""
+    kept = 0
+    while hi - lo > 2.0 * tol:
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        x = min(max(x, lo + tol), hi - tol)
+        g_x = g(x)
+        if g_x == 0.0:
+            return x
+        if (g_x < 0.0) == (g_lo < 0.0):
+            lo, g_lo = x, g_x
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = x, g_x
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)
 
 
 def rational_k0(k0: float, q_max: int, tol: float):

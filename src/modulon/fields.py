@@ -364,7 +364,8 @@ def save_field(f: PeriodicField, path):
 
 def load_field(path) -> PeriodicField:
     """Read a snapshot written by ``save_field``; BadDataError on a wrong
-    magic, a short header, an invalid grid or a payload of the wrong size."""
+    magic, a short header, an invalid grid, a realness flag other than 0
+    or 1, a payload of the wrong size or a non-finite coefficient."""
     n_head = len(_MAGIC) + 24
     with open(path, "rb") as fh:
         head = fh.read(n_head)
@@ -375,12 +376,17 @@ def load_field(path) -> PeriodicField:
         q, N, realness = struct.unpack("<qqq", head[len(_MAGIC):])
         if q < 1 or N < 2 or N % 2 != 0:
             raise BadDataError(f"invalid grid q = {q}, N = {N} in {path}")
+        if realness not in (0, 1):
+            raise BadDataError(f"realness flag {realness} is not 0 or 1 "
+                               f"in {path}")
         # sized from the file, so a corrupt N never sizes a read
         payload = os.fstat(fh.fileno()).st_size - n_head
         if payload != 16 * (N + 1):
             raise BadDataError(f"{path} holds {payload} payload bytes, "
                                f"N = {N} needs {16 * (N + 1)}")
         raw = np.frombuffer(fh.read(payload), dtype="<f8").reshape(N + 1, 2)
+        if not np.all(np.isfinite(raw)):
+            raise BadDataError(f"non-finite coefficient in {path}")
         coef = raw[:, 0] + 1j * raw[:, 1]
         return PeriodicField(int(q), int(N), coef.copy(), real=bool(realness))
 

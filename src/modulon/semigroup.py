@@ -18,6 +18,10 @@ identity (A = DL, L Hermitian, D skew) makes ||e^{tA}||_{H^{-1}} equal to the
 H^1 norm of exp(t L D) exactly, up to round-off, for the real-symmetric L
 that even real waves produce.
 
+``riesz_projection`` gives the spectral projector for the eigenvalues inside
+a circle exactly, with no contour quadrature: an ordered complex Schur form
+and one triangular Sylvester solve (Bartels & Stewart, 1972).
+
 ``fiber_norms`` propagates a field on the Bloch fibers of the split
 stepper's generator (``evolve._FiberGenerator``), whose blocks A = J L come
 from ``ModelSpec.generator_factors`` as the Bloch matrices do, with one
@@ -46,9 +50,7 @@ from .waves import TravelingWave
 
 _LOG_OVERFLOW = 600.0   # cap on lambda0 * t before expm overflows
 DUALITY_TOL = 1e-8      # relative H^1/H^-1 duality defect allowed
-RIESZ_QUAD_POINTS = 64  # starting trapezoidal nodes on the Riesz contour
-RIESZ_MAX_POINTS = 2048
-RIESZ_IDEM_TOL = 1e-8   # idempotence defect that ends the node doubling
+RIESZ_IDEM_TOL = 1e-8   # idempotence defect allowed in a Riesz projector
 TRICHOTOMY_THRESHOLD = 1e-8   # |Re lambda| below this counts as center
 
 
@@ -160,38 +162,42 @@ def probe_growth(op: BlochOperator, s: float, t_min: float = 5.0,
 
 def riesz_projection(M: np.ndarray, center: complex,
                      radius: float) -> np.ndarray:
-    """Spectral projector (1/2 pi i) contour integral of (zI - M)^{-1}.
+    """Spectral projector (1/2 pi i) contour integral of (zI - M)^{-1} over
+    the circle |z - center| = radius, computed exactly rather than by
+    quadrature.
 
-    Trapezoidal quadrature on the circle, with the point count doubled until
-    the idempotence defect drops below ``RIESZ_IDEM_TOL``.  The contour must
-    keep clear of the spectrum (distance > radius/100).
+    An ordered complex Schur form M = Z T Z^H puts the s enclosed
+    eigenvalues first, T = [[T11, T12], [0, T22]].  The Sylvester equation
+    T11 X - X T22 = T12, triangular and solved by ``ztrsyl`` (Bartels &
+    Stewart, 1972), block-diagonalizes T, and P = Z [[I, X], [0, 0]] Z^H
+    (zero for s = 0, Z Z^H for s = n).  The contour must keep clear of the
+    spectrum (distance > radius/100), P must be idempotent to
+    ``RIESZ_IDEM_TOL`` (a large X, from enclosed and outside eigenvalues
+    too close for their conditioning, fails it), and its trace must equal
+    the enclosed count.
     """
     with serial(M.shape[0]):
-        vals = np.linalg.eigvals(M)
+        T, Z, s = scipy.linalg.schur(M, output="complex",
+                                     sort=lambda z: abs(z - center) < radius)
+        vals = np.diag(T)
         dist = np.abs(np.abs(vals - center) - radius)
         if np.min(dist) <= radius / 100.0:
             raise ContourError(
                 f"eigenvalue within {np.min(dist):.3e} of the contour "
                 f"(center {center}, radius {radius}); move the circle")
         n_enclosed = int(np.sum(np.abs(vals - center) < radius))
-        I = np.eye(M.shape[0], dtype=complex)
-        n = RIESZ_QUAD_POINTS
-        while True:
-            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            z = center + radius * np.exp(1j * theta)
-            P = np.zeros_like(I)
-            for zj in z:
-                P += np.linalg.solve(zj * I - M, I) \
-                    * np.exp(1j * np.angle(zj - center))
-            P *= radius / n
-            defect = np.linalg.norm(P @ P - P, 2)
-            if defect < RIESZ_IDEM_TOL:
-                break
-            n *= 2
-            if n > RIESZ_MAX_POINTS:
-                raise ContourError(
-                    f"projector defect {defect:.2e} did not reach "
-                    f"{RIESZ_IDEM_TOL:g} with {RIESZ_MAX_POINTS} quadrature points")
+        rows = Z[:, :s].conj().T
+        if 0 < s < len(vals):
+            X, scale, _ = scipy.linalg.lapack.ztrsyl(
+                T[:s, :s], T[s:, s:], T[:s, s:], isgn=-1)
+            rows = rows + (X / scale) @ Z[:, s:].conj().T
+        P = Z[:, :s] @ rows
+        defect = np.linalg.norm(P @ P - P, 2)
+        if defect >= RIESZ_IDEM_TOL:
+            raise ContourError(
+                f"projector defect {defect:.2e} is not below "
+                f"{RIESZ_IDEM_TOL:g}: the enclosed eigenvalues are too "
+                f"ill-conditioned to separate")
         rank = int(round(np.trace(P).real))
         if rank != n_enclosed:
             raise ContourError(

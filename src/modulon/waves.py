@@ -418,8 +418,9 @@ def save_wave(wave: TravelingWave, basepath: str) -> dict:
 
 def load_wave(basepath: str) -> TravelingWave:
     """Read a wave written by ``save_wave``; BadDataError when either file is
-    missing or malformed, or the profile is not a real field on T_{2 pi}
-    (q = 1): the Bloch scan's k <-> 1 - k fold holds only for real waves."""
+    missing or malformed, a sidecar number is not finite, or the profile is
+    not a real field on T_{2 pi} (q = 1): the Bloch scan's k <-> 1 - k fold
+    holds only for real waves."""
     try:
         with open(str(basepath) + ".json") as fh:
             sidecar = json.load(fh)
@@ -431,6 +432,10 @@ def load_wave(basepath: str) -> TravelingWave:
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             DomainError) as exc:
         raise BadDataError(f"cannot load wave {basepath}: {exc}") from exc
+    if not np.all(np.isfinite(params)):
+        raise BadDataError(f"cannot load wave {basepath}: c, a_const, "
+                           f"amplitude and residual must be finite, got "
+                           f"{params}")
     if profile.q != 1:
         raise BadDataError(f"cannot load wave {basepath}: the profile lives "
                            f"on T_(2 pi q) with q = {profile.q}, not q = 1")

@@ -383,8 +383,8 @@ def test_fit_band_synthetic_quadratic():
                        grid_spacing=0.05)
     gc = fit_band(sp, window=0.1)
     assert gc.l == 2
-    assert abs(gc.a_fit - 1.0) < 1e-4
-    assert abs(gc.k0 - 0.3) < 1e-5
+    assert abs(gc.a_fit - 1.0) < 1e-9
+    assert abs(gc.k0 - 0.3) < 1e-10
     assert gc.rel_residual < 0.05
 
 
@@ -398,7 +398,108 @@ def test_fit_band_synthetic_quartic():
                        grid_spacing=0.05)
     gc = fit_band(sp, window=0.1)
     assert gc.l == 4
-    assert abs(gc.a_fit - 1.0) < 1e-4
+    assert abs(gc.a_fit - 1.0) < 1e-9
+    assert abs(gc.k0 - 0.3) < 1e-10
+
+
+def synthetic_band(rs_of_k, ks=np.linspace(0.2, 0.4, 41)):
+    """A one-eigenvalue spectrum Re lambda(k) = rs_of_k(k) on the grid ks."""
+    from modulon.bloch import BlochSpectrum
+    rs = rs_of_k(ks)
+    i0 = int(np.argmax(rs))
+    return BlochSpectrum(k_grid=ks, eigenvalues=[np.array([r + 0j]) for r in rs],
+                         lambda0=float(rs[i0]), k0=float(ks[i0]),
+                         bands=[(float(ks[0]), float(ks[-1]))],
+                         grid_spacing=0.05)
+
+
+@pytest.mark.parametrize("l", [2, 4, 6])
+@pytest.mark.parametrize("offset", [0.37, -0.21])
+def test_fit_band_recovers_an_off_grid_peak(l, offset):
+    # k0 sits between samples (spacing 0.005), so the fit must move the peak
+    k0, a = 0.3 + offset * 0.005, 1.7
+    sp = synthetic_band(lambda ks: 0.01 - a * (ks - k0) ** l)
+    gc = fit_band(sp, window=0.1)
+    assert gc.l == l
+    assert abs(gc.k0 - k0) <= 1e-10
+    assert abs(gc.a_fit / a - 1.0) <= 1e-9
+    assert abs(gc.lambda0 - 0.01) <= 1e-12
+
+
+@pytest.mark.parametrize("l", [2, 4, 6])
+def test_peak_fit_takes_the_better_endpoint_for_a_peak_outside(l):
+    # the interval is one spacing about k_mid = 0.3; the data peak at 0.33,
+    # so the least residual on the interval is at its upper end
+    ks = np.linspace(0.2, 0.4, 41)
+    rs = 0.01 - (ks - 0.33) ** l
+    res, kc, _, _ = bloch._peak_fit(ks, rs, l, 0.3, 0.005)
+    assert kc == 0.305
+    grid = np.linspace(0.295, 0.305, 201)
+    assert res <= min(bloch._fit_at(ks, rs, l, k)[0] for k in grid)
+
+
+def mirrored(sp):
+    """The hand-made k -> 1 - k mirror of a scan: same samples, reflected."""
+    from modulon.bloch import BlochSpectrum
+    return BlochSpectrum(k_grid=1.0 - sp.k_grid[::-1],
+                         eigenvalues=[np.conj(ev) for ev in sp.eigenvalues[::-1]],
+                         lambda0=sp.lambda0, k0=1.0 - sp.k0,
+                         bands=[(1.0 - hi, 1.0 - lo) for lo, hi in sp.bands],
+                         grid_spacing=sp.grid_spacing)
+
+
+@pytest.mark.parametrize("name", ["bbm2_spectrum", "whitham_k2_spectrum"])
+def test_fit_band_is_mirror_symmetric(request, name):
+    sp = request.getfixturevalue(name)
+    gc, gm = fit_band(sp), fit_band(mirrored(sp))
+    assert gm.l == gc.l
+    assert abs(gm.a_fit / gc.a_fit - 1.0) <= 1e-12
+    assert abs((1.0 - gm.k0) - gc.k0) <= 1e-12
+    assert abs(gm.lambda0 / gc.lambda0 - 1.0) <= 1e-12
+
+
+def _mp_peak(ks, rs, l, lo, hi):
+    """The root of the variable-projection derivative g on [lo, hi] and the
+    a there, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ks = [mpmath.mpf(float(k)) for k in ks]
+        rs = [mpmath.mpf(float(r)) for r in rs]
+        n = len(ks)
+
+        def fit(kc):
+            x = [k - kc for k in ks]
+            phi = [xi ** l for xi in x]
+            phi_mean, r_mean = mpmath.fsum(phi) / n, mpmath.fsum(rs) / n
+            a = -(mpmath.fsum((p - phi_mean) * (r - r_mean) for p, r in zip(phi, rs))
+                  / mpmath.fsum((p - phi_mean) ** 2 for p in phi))
+            res = [(r - r_mean) + a * (p - phi_mean) for p, r in zip(phi, rs)]
+            return a, a * mpmath.fsum(e * xi ** (l - 1) for e, xi in zip(res, x))
+
+        kc = mpmath.findroot(lambda kc: fit(kc)[1],
+                             (mpmath.mpf(float(lo)), mpmath.mpf(float(hi))),
+                             solver="anderson")
+        return float(kc), float(fit(kc)[0])
+
+
+@pytest.mark.parametrize("case", ["bbm2", "quartic", "sextic"])
+def test_fit_band_peak_is_the_exact_root(request, case):
+    # a_fit does not depend on a solver's path: a 50-digit root of the same
+    # derivative gives the same peak and a to 1e-12
+    if case == "bbm2":
+        sp = request.getfixturevalue("bbm2_spectrum")
+    else:
+        l, a = (4, 1.3) if case == "quartic" else (6, 1.3e4)
+        sp = synthetic_band(lambda ks: 0.01 - a * (ks - 0.3013) ** l
+                            + 1e-15 * np.sin(37.0 * ks))
+    gc = fit_band(sp, window=0.1)
+    assert gc.l == {"bbm2": 2, "quartic": 4, "sextic": 6}[case]
+    ks, rs = gc.k_samples, gc.re_lambda
+    k_mid, h = ks[np.argmax(rs)], np.max(np.diff(np.sort(ks)))
+    assert k_mid - h < gc.k0 < k_mid + h
+    kc, a = _mp_peak(ks, rs, gc.l, k_mid - h, k_mid + h)
+    assert abs(gc.k0 - kc) <= 1e-12
+    assert abs(gc.a_fit / a - 1.0) <= 1e-12
 
 
 def test_fit_band_bbm_is_quadratic(bbm2_spectrum):

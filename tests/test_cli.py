@@ -117,7 +117,8 @@ def test_missing_wave_is_bad_data(tmp_path):
 
 @pytest.mark.parametrize("defect", ["bad_magic", "short_header", "negative_N",
                                     "short_payload", "unknown_symbol",
-                                    "complex_profile"])
+                                    "complex_profile", "nan_coefficient",
+                                    "realness_flag", "nan_speed"])
 def test_bad_wave_file_is_bad_data(tmp_path, defect):
     base = tmp_path / "w"
     save_field(zero_field(1, 16), str(base) + ".fld")
@@ -127,6 +128,11 @@ def test_bad_wave_file_is_bad_data(tmp_path, defect):
            "negative_N": good[:8] + struct.pack("<qqq", 1, -1, 1),
            "short_payload": good[:-16],
            "complex_profile": good[:8] + struct.pack("<qqq", 1, 16, 0)
+           + good[32:],
+           # the real part of mode n = -4, not an oddball entry
+           "nan_coefficient": good[:96] + struct.pack("<d", float("nan"))
+           + good[104:],
+           "realness_flag": good[:8] + struct.pack("<qqq", 1, 16, 7)
            + good[32:]}
     (tmp_path / "w.fld").write_bytes(fld.get(defect, good))
     model = {"family": "bbm", "symbol": "bbm", "symbol_shift": 0.0,
@@ -134,10 +140,12 @@ def test_bad_wave_file_is_bad_data(tmp_path, defect):
     if defect == "unknown_symbol":
         model["symbol"] = "nonsense"
     (tmp_path / "w.json").write_text(json.dumps(
-        {"model": model, "c": 0.2, "a_const": 0.0, "amplitude": 0.0,
-         "residual": 0.0, "converged": True}))
+        {"model": model, "c": float("nan") if defect == "nan_speed" else 0.2,
+         "a_const": 0.0, "amplitude": 0.0, "residual": 0.0,
+         "converged": True}))
     path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
-    assert main(["spectrum", path, "--wave", str(base)]) == EXIT_BAD_DATA
+    for command in ("spectrum", "verify"):
+        assert main([command, path, "--wave", str(base)]) == EXIT_BAD_DATA
 
 
 @pytest.mark.parametrize("command", ["spectrum", "evolve"])

@@ -281,3 +281,34 @@ def test_sweep_unknown_family_is_refused_before_any_point(monkeypatch):
     monkeypatch.setattr(experiments, "_sweep_lambda0", solve)
     with pytest.raises(DomainError, match="bogus"):
         threshold_sweep("bogus", [1.0, 2.0])
+
+
+def test_band_pipeline_imports_no_optimizer_or_sparse_module():
+    # scipy.optimize pulls in scipy.sparse, about 14 MB of peak RSS, and
+    # the band fit needs neither
+    import os
+    import subprocess
+    import sys
+
+    import modulon
+
+    src = os.path.dirname(os.path.dirname(modulon.__file__))
+    code = """
+import sys
+from modulon import SymbolSpec, model_for_symbol, refine_newton, small_amplitude_wave
+from modulon.bloch import fit_band, scan_bloch
+from modulon.experiments import build_band_packet, eigenfunction_seed
+model = model_for_symbol(SymbolSpec("bbm_linear"), kappa=2.0)
+wave = refine_newton(model, small_amplitude_wave(model, a=0.05, N=48),
+                     fix_amplitude=0.05, fix_a_const=0.0)
+sp = scan_bloch(model, wave, k_count=16, N=48)
+curve = fit_band(sp)
+eigenfunction_seed(model, wave, sp, q_max=16, N_op=48, N_ev=32)
+build_band_packet(model, wave, sp, curve, Q=24)
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modulon import (PeriodicField, SymbolSpec, apply_multiplier,
                      bloch_decompose, cosine_field, dealiased_product,
@@ -388,6 +389,36 @@ def test_snapshot_short_payload_is_bad_data(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(BadDataError):
         load_field(path)
+
+
+def _snapshot_mutation(good: bytes):
+    """Arbitrary bytes after the magic, a truncation, or one flipped bit of
+    the snapshot ``good``."""
+    return st.one_of(
+        st.binary(max_size=2 * len(good)).map(lambda tail: good[:8] + tail),
+        st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+        st.integers(0, 8 * len(good) - 1).map(
+            lambda bit: good[:bit // 8] + bytes([good[bit // 8] ^ (1 << bit % 8)])
+            + good[bit // 8 + 1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_snapshot_fuzz_loads_or_is_bad_data(tmp_path, data):
+    good_path = tmp_path / "good.fld"
+    if not good_path.exists():
+        save_field(random_field(2, 8, seed=19, real=False), good_path)
+    path = tmp_path / "fuzz.fld"
+    path.write_bytes(data.draw(_snapshot_mutation(good_path.read_bytes())))
+    try:
+        f = load_field(path)
+    except BadDataError:
+        return
+    assert np.all(np.isfinite(f.coef))
+    # what loads is what save_field writes: the header comes back unchanged
+    save_field(f, tmp_path / "again.fld")
+    assert (tmp_path / "again.fld").read_bytes()[:32] == path.read_bytes()[:32]
 
 
 @pytest.mark.parametrize("p,q,N_big", [(0, 1, 24), (0, 1, 96), (1, 8, 256),

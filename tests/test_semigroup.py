@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from modulon import SymbolSpec, model_for_symbol, semigroup
 from modulon.bloch import BlochOperator, assemble_bloch
@@ -211,6 +212,39 @@ def test_riesz_matches_eigendecomposition_oracle():
     assert np.linalg.norm(P - Pi, 2) < 1e-8
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       contour=st.sampled_from(["one", "cluster", "empty", "full"]))
+def test_riesz_matches_the_eigendecomposition_oracle_on_random_contours(
+        n, seed, contour):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vals, vecs = np.linalg.eig(M)
+    assume(np.linalg.cond(vecs) < 1e4)
+    spread = float(np.max(np.abs(vals))) + 1.0
+    if contour == "empty":
+        center, radius = 3.0 * spread, spread
+    elif contour == "full":
+        center, radius = 0.0, 2.0 * spread
+    else:
+        # a circle about one eigenvalue, or about a point enclosing the
+        # nearest few, clear of the rest
+        center = vals[0] if contour == "one" else complex(rng.standard_normal(2) @ [1, 1j])
+        d = np.sort(np.abs(vals - center))
+        cut = 1 if contour == "one" else int(rng.integers(1, n + 1))
+        radius = 0.5 * (d[cut - 1] + d[cut]) if cut < n else 2.0 * spread
+        assume(radius > 0.0)
+    assume(np.min(np.abs(np.abs(vals - center) - radius)) > radius / 100.0)
+    P = riesz_projection(M, center, radius)
+    inside = np.abs(vals - center) < radius
+    oracle = vecs[:, inside] @ np.linalg.inv(vecs)[inside]
+    assert np.linalg.norm(P - oracle, 2) <= 1e-8 * max(1.0, np.linalg.norm(oracle, 2))
+    if contour == "empty":
+        assert not np.any(P)
+    if contour == "full":
+        assert np.linalg.norm(P - np.eye(n), 2) <= 1e-12
+
+
 def test_riesz_idempotence_and_rank(bbm2_model, bbm2_wave):
     op = assemble_bloch(bbm2_model, bbm2_wave, 0.11, 32)
     vals = np.linalg.eigvals(op.L_mat.astype(complex))
@@ -224,6 +258,16 @@ def test_riesz_contour_near_eigenvalue_rejected():
     M = np.diag([1.0 + 0j, 5.0])
     with pytest.raises(ContourError):
         riesz_projection(M, center=0.0, radius=1.0000001)
+
+
+def test_riesz_refuses_a_projector_too_ill_conditioned_to_be_idempotent():
+    # eigenvalues 0 and 1 with eigenvectors 1e-5 apart: ||P|| ~ 1e5, and
+    # round-off of order eps ||P||^2 leaves P^2 - P far above 1e-8
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2))
+                        + 1j * np.random.default_rng(6).standard_normal((2, 2)))
+    M = Q @ np.array([[0.0, 1e5], [0.0, 1.0]]) @ Q.conj().T
+    with pytest.raises(ContourError, match="idempotent|defect"):
+        riesz_projection(M, center=0.0, radius=0.5)
 
 
 def test_projection_algebra_disjoint_contours():
