@@ -21,7 +21,7 @@ from .bloch import (BlochOperator, BlochSpectrum, GrowthCurve, assemble_bloch,
                     unstable_eigenfunction)
 from .semigroup import (PropagatorProbe, propagator_norm, dual_propagator_norm,
                         probe_growth, riesz_projection, trichotomy_split)
-from .evolve import (ConservedLedger, advance, conserved_quantities,
+from .evolve import (advance, conserved_quantities, relative_drift,
                      orbital_distance, lift_wave, stable_dt,
                      build_approximate_solution, approximate_solution_residual)
 from .experiments import (DeltaRun, ExperimentReport, SweepResult,

@@ -12,9 +12,9 @@ Configuration is sectioned key=value text, e.g.
     N = 128
     k_count = 64
 
-Unknown sections or keys are rejected.  Exit codes: 0 ok, 2 numeric
-failure, 64 usage error, 65 bad data file.  MODULON_OUT overrides the
-output directory.
+Unknown sections or keys, and non-finite numbers, are rejected.  Exit
+codes: 0 ok, 2 numeric failure, 64 usage error, 65 bad data file.
+MODULON_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from .waves import load_wave, save_wave, small_amplitude_solution
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
 from .semigroup import dual_propagator_norm, probe_growth, trichotomy_split
-from .evolve import lift_wave, stable_dt
+from .evolve import lift_wave, relative_drift, stable_dt
 from .fields import write_csv
 from .experiments import (check_deltas, eigenfunction_seed, export_run_csv,
-                          run_localized, run_multiperiodic, threshold_sweep,
-                          _monitor_run, _pick_rational_k0, SWEEP_FAMILIES)
+                          plan_steps, run_localized, run_multiperiodic,
+                          threshold_sweep, _monitor_run, _pick_rational_k0,
+                          SWEEP_FAMILIES)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -131,6 +132,8 @@ def parse_config(path: str) -> RunConfig:
                     f"key [{section}] {key} = {raw!r} is not a {typ.__name__}") from exc
             rng = _RANGES.get((section, key))
             items = val if isinstance(val, list) else [val]
+            if not all(np.isfinite(v) for v in items if isinstance(v, float)):
+                raise ConfigError(f"key [{section}] {key} = {val} is not finite")
             if rng is not None and not all(rng[0] <= v <= rng[1] for v in items):
                 raise ConfigError(
                     f"key [{section}] {key} = {val} outside [{rng[0]}, {rng[1]}]")
@@ -274,16 +277,17 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     t_end = cfg.get("evolve", "t_end", 10.0)
     snap_every = cfg.get("evolve", "snap_every", 10)
     uc_big = lift_wave(wave, u0.q, u0.N)
-    run = _monitor_run(model, wave, u0, uc_big, dt, t_end, snap_every * dt,
-                       0.0, "orbital")
+    run = _monitor_run(model, wave, u0, uc_big, t_end, 0.0, "orbital",
+                       plan_steps(model, wave, uc_big, dt, snap_every))
     d = out_dir(cfg)
     csv_path = os.path.join(d, args.name + ".csv")
-    ed = run.ledger.energy_drift()
+    ed = relative_drift(run.energy)
     write_csv(csv_path, _csv_header(cfg),
               ("t", "l2_perturbation", "orbital_distance", "mass_drift",
                "momentum_drift", "energy_drift"),
               zip(run.times, run.pert_norm, run.orbital,
-                  run.ledger.mass_drift(), run.ledger.momentum_drift(), ed))
+                  relative_drift(run.mass, 1.0), relative_drift(run.momentum),
+                  ed))
     print(f"evolved to t = {run.times[-1]:.4g}; max |energy drift| = "
           f"{float(np.max(np.abs(ed))):.2e} -> {csv_path}")
     return EXIT_OK

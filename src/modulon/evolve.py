@@ -1,5 +1,6 @@
-"""Time integration of the traveling-frame equations, conserved-quantity
-ledgers, higher-order approximate solutions, and orbital distances.
+"""Time integration of the traveling-frame equations, conserved quantities
+and their relative drifts, higher-order approximate solutions, and orbital
+distances.
 
 In the package's frequency orientation the evolved equation is
 
@@ -48,7 +49,7 @@ observation interval).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -695,38 +696,11 @@ def conserved_quantities(model: ModelSpec, f: PeriodicField, c: float):
     return mass, momentum, energy
 
 
-@dataclass
-class ConservedLedger:
-    """Append-only record of conserved quantities and their relative drifts."""
-
-    t: list = dc_field(default_factory=list)
-    mass: list = dc_field(default_factory=list)
-    momentum: list = dc_field(default_factory=list)
-    energy: list = dc_field(default_factory=list)
-
-    def append(self, t: float, mass: float, momentum: float, energy: float):
-        self.t.append(t)
-        self.mass.append(mass)
-        self.momentum.append(momentum)
-        self.energy.append(energy)
-
-    def _drift(self, series):
-        if not series:
-            return np.array([])
-        ref = series[0]
-        scale = max(abs(ref), 1e-30)
-        return np.array([(v - ref) / scale for v in series])
-
-    def mass_drift(self):
-        ref = self.mass[0] if self.mass else 0.0
-        scale = max(abs(ref), 1.0)
-        return np.array([(v - ref) / scale for v in self.mass])
-
-    def momentum_drift(self):
-        return self._drift(self.momentum)
-
-    def energy_drift(self):
-        return self._drift(self.energy)
+def relative_drift(series, floor: float = 1e-30) -> np.ndarray:
+    """(v - v_0) / max(|v_0|, floor) over a conserved quantity's series v;
+    the mass, 0 on a zero-mean wave, takes floor = 1."""
+    series = np.asarray(series, dtype=float)
+    return (series - series[0]) / max(abs(series[0]), floor)
 
 
 # -- orbital distance -----------------------------------------------------------------

@@ -19,7 +19,8 @@ of Bloch fibers, chained over an even time grid.
 
 The nonlinear runs of both kinds are observed every per = round(snap_dt /
 dt) steps of dt, at t_j = j per dt, whatever the step.  An experiment
-chooses its stepper once, for all of its deltas (``plan_steps``): a pilot
+chooses its stepper once, for all of its deltas, and passes that plan to
+each run (``plan_steps``, ``StepPlan``): a pilot
 steps one observation interval from u_c + theta0 u1 with the fiber-split
 stepper (``evolve.SplitEvolver``, which steps w = u - u_c) and keeps the
 coarsest tried step whose energy drift stays within ``PILOT_DRIFT_BUDGET``
@@ -31,7 +32,8 @@ escape wave measured, must stay within the error budget, and a coarse
 interval's energy change within ``COARSE_DRIFT_BUDGET``, or the interval is
 redone finer.  Without a pilot (``modulon evolve``), or when no split step
 coarser than dt passes, the runs step dt split at the zero field, where A
-is J E.  Each run records its step, the steps of its accepted intervals,
+is J E.  Each run (``DeltaRun``) records its observations and conserved
+quantities as arrays, and its step, the steps of its accepted intervals,
 the intervals it redid and the pilot's h against h/2 error.
 """
 
@@ -49,9 +51,9 @@ from .bloch import (BlochSpectrum, GrowthCurve, assemble_bloch, bloch_eigvals,
                     UNSTABLE_THRESHOLD)
 from .errors import (BlowupError, DomainError, DomainTooSmallError,
                      ModulonError, RationalApproximationError)
-from .evolve import (SPLIT_MAX_ENTRIES, ConservedLedger, SplitEvolver,
-                     _FiberGenerator, _Fibers, advance, conserved_quantities,
-                     lift_wave, orbital_distance, stable_dt)
+from .evolve import (SPLIT_MAX_ENTRIES, SplitEvolver, _FiberGenerator,
+                     _Fibers, advance, conserved_quantities, lift_wave,
+                     orbital_distance, relative_drift, stable_dt)
 from .fields import PeriodicField, l2_norm, zero_field, \
     midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
@@ -93,12 +95,17 @@ PACKET_PROFILE_N = 48     # modes kept per packet eigenprofile
 
 @dataclass
 class DeltaRun:
-    """Time series and fits for one perturbation size."""
+    """One perturbation size's run: its observations over ``times`` as
+    arrays, and its fits, drift peaks (``relative_drift``) and step counts
+    as the scalars a report writes."""
 
     delta: float
     times: np.ndarray
     pert_norm: np.ndarray
     orbital: np.ndarray
+    mass: np.ndarray
+    momentum: np.ndarray
+    energy: np.ndarray
     escape_time: float | None
     growth_rate: float | None
     growth_window: tuple | None
@@ -106,7 +113,6 @@ class DeltaRun:
     momentum_drift: float
     energy_drift: float
     escaped: bool
-    ledger: ConservedLedger
     step: float = np.nan
     steps: int = 0
     redone: int = 0
@@ -132,38 +138,27 @@ class ExperimentReport:
     passes: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The report's fields, and each run's fields but its arrays."""
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        out["runs"] = [{
-            "delta": r.delta,
-            "escape_time": r.escape_time,
-            "escaped": r.escaped,
-            "growth_rate": r.growth_rate,
-            "growth_window": list(r.growth_window) if r.growth_window else None,
-            "mass_drift": r.mass_drift,
-            "momentum_drift": r.momentum_drift,
-            "energy_drift": r.energy_drift,
-            "step": r.step,
-            "steps": r.steps,
-            "redone": r.redone,
-            "pilot_error": r.pilot_error,
-            "flags": r.flags,
-        } for r in self.runs]
+        out["runs"] = [{f.name: getattr(r, f.name) for f in dc_fields(r)
+                        if not isinstance(getattr(r, f.name), np.ndarray)}
+                       for r in self.runs]
         return out
 
 
 @dataclass
 class StepPlan:
     """How the runs of one experiment step: ``ev`` takes ``n`` steps per
-    observation interval of ``per`` steps dt.  ``size`` is the largest
-    dense block of a step (0 on a zero base), ``pilot_error`` the
-    relative L2 distance of the pilot's w at the chosen step from its w at
-    half that step (None without a pilot, and then every interval takes n
-    steps), and ``theta0`` the L2 size of the pilot's w at its start."""
+    observation interval of ``per`` steps of the observation step ``dt``.
+    ``pilot_error`` is the relative L2 distance of the pilot's w at the
+    chosen step from its w at half that step (None without a pilot, and
+    then every interval takes n steps), and ``theta0`` the L2 size of the
+    pilot's w at its start."""
 
     ev: SplitEvolver
     n: int
     per: int
-    size: int = 0
+    dt: float
     pilot_error: float | None = None
     theta0: float = 0.0
 
@@ -191,7 +186,7 @@ def plan_steps(model: ModelSpec, wave: TravelingWave, ref: PeriodicField,
                           ref + u1 * (theta0 / size_u1), dt, per)
     if plan is None:
         gen = _FiberGenerator(model, wave.c, zero_field(ref.q, ref.N))
-        plan = StepPlan(SplitEvolver(gen, dt, gen.remainder), per, per)
+        plan = StepPlan(SplitEvolver(gen, dt, gen.remainder), per, per, dt)
     return plan
 
 
@@ -266,23 +261,23 @@ def _pilot(model: ModelSpec, c: float, gen: _FiberGenerator,
     for n in sorted(tried):
         if n > failed and tried[n][0] <= 1.0 and error(n) <= PILOT_ERROR_BUDGET:
             ev.tabulate(T_obs / n)
-            return StepPlan(ev, n, per, gen.fib.size, tried[n][2],
+            return StepPlan(ev, n, per, dt, tried[n][2],
                             l2_norm(start - ref))
     return None
 
 
 def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
-                 ref: PeriodicField, dt: float, t_max: float,
-                 snap_dt: float, theta0: float, escape_metric: str,
-                 plan: StepPlan | None = None) -> DeltaRun:
-    """Evolve u0, recording perturbation norms (relative to ref) until the
-    escape threshold is crossed or t_max is reached; raises BlowupError on
-    non-finite coefficients.
+                 ref: PeriodicField, t_max: float, theta0: float,
+                 escape_metric: str, plan: StepPlan) -> DeltaRun:
+    """Evolve u0 on ``plan`` (``plan_steps``), recording the L2 distance
+    from ref, the escape distance and the conserved quantities until escape
+    or t_max; raises BlowupError on non-finite coefficients.
 
-    Observations fall every per = round(snap_dt / dt) steps of dt, at
-    t_j = j per dt, and the run ends at ceil(t_max / dt) dt.  ``plan`` (by
-    default ``plan_steps``) takes n steps per interval; a last partial
-    interval that n does not divide takes its own step.  A plan with a
+    Observations fall every per steps of the plan's dt, at t_j = j per dt,
+    and the run ends at ceil(t_max / dt) dt.  The plan takes n steps per
+    interval; a last partial interval that n does not divide takes its own
+    step.  BLAS is pinned by the stepper's row length (``_blas.serial``);
+    a zero base's elementwise step makes no BLAS call.  A plan with a
     pilot error steps each interval on the coarsest level j of the ladder
     ceil(n / 2^j), j <= ``LADDER_DEPTH``, that the error law
 
@@ -294,13 +289,9 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     then never coarsens again.  The plan's stepper is retabulated for a
     level and restored to its step on return.
     """
-    if plan is None:
-        plan = plan_steps(model, wave, ref, dt,
-                          max(1, int(round(snap_dt / dt))), theta0, u0 - ref)
-    ev, n, per = plan.ev, plan.n, plan.per
+    ev, n, per, dt = plan.ev, plan.n, plan.per, plan.dt
     step = ev.dt
-    times, perts, orbs = [], [], []
-    ledger = ConservedLedger()
+    times, perts, orbs, conserved = [], [], [], []
     escape_time = None
     steps = redone = 0
 
@@ -323,7 +314,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
         times.append(t)
         perts.append(pert)
         orbs.append(dist)
-        ledger.append(t, *quantities)
+        conserved.append(quantities)
         return escape_time is not None
 
     def interval(rows, m, t0, h):
@@ -338,7 +329,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     rows = ev.rows(u0)
     done = observe(0.0, *measure(rows))
     full, rest = divmod(int(np.ceil(t_max / dt)), per)
-    with serial(plan.size):
+    with serial(ev.gen.fib.size):
         try:
             for i in range(full):
                 if done:
@@ -347,7 +338,7 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
                 while level and (plan.pilot_error * 16 ** level * perts[-1]
                                  > PILOT_ERROR_BUDGET * plan.theta0):
                     level -= 1
-                start, e0 = rows, ledger.energy[-1]
+                start, e0 = rows, conserved[-1][2]
                 while True:
                     m = ladder[level]
                     rows = interval(start, m, i * n * step,
@@ -372,17 +363,18 @@ def _monitor_run(model: ModelSpec, wave: TravelingWave, u0: PeriodicField,
     if theta0 == 0.0:
         escape_time = 0.0
 
-    def peak(drift):
-        return float(np.max(np.abs(drift))) if len(drift) else 0.0
+    mass, momentum, energy = np.array(conserved).T.copy()
+
+    def peak(series, floor=1e-30):
+        return float(np.max(np.abs(relative_drift(series, floor))))
 
     return DeltaRun(
         delta=np.nan, times=np.array(times), pert_norm=np.array(perts),
-        orbital=np.array(orbs), escape_time=escape_time, growth_rate=None,
-        growth_window=None, mass_drift=peak(ledger.mass_drift()),
-        momentum_drift=peak(ledger.momentum_drift()),
-        energy_drift=peak(ledger.energy_drift()),
-        escaped=escape_time is not None, ledger=ledger, step=step,
-        steps=steps, redone=redone, pilot_error=plan.pilot_error)
+        orbital=np.array(orbs), mass=mass, momentum=momentum, energy=energy,
+        escape_time=escape_time, growth_rate=None, growth_window=None,
+        mass_drift=peak(mass, 1.0), momentum_drift=peak(momentum),
+        energy_drift=peak(energy), escaped=escape_time is not None,
+        step=step, steps=steps, redone=redone, pilot_error=plan.pilot_error)
 
 
 def _fit_growth(run: DeltaRun, lo: float, hi: float):
@@ -443,8 +435,8 @@ def _escape_runs(kind: str, model: ModelSpec, wave: TravelingWave,
     for d in deltas:
         run_tmax = t_max if t_max is not None else \
             1.6 * (np.log(max(theta0 / d, 10.0)) / rate) + 50.0 / rate
-        run = _monitor_run(model, wave, uc_big + d * u1, uc_big, dt, run_tmax,
-                           snap_dt, theta0, escape_metric, plan)
+        run = _monitor_run(model, wave, uc_big + d * u1, uc_big, run_tmax,
+                           theta0, escape_metric, plan)
         run.delta = d
         run.growth_rate, run.growth_window = _fit_growth(run, 3 * d, theta0 / 3.0)
         if not run.escaped:
@@ -713,15 +705,8 @@ class SweepResult:
     bracket: tuple | None
     history: list = dc_field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "family": self.family, "parameter": self.parameter,
-            "amplitude": self.amplitude,
-            "points": [[v, lam, s] for v, lam, s in self.points],
-            "boundary": self.boundary,
-            "bracket": list(self.bracket) if self.bracket else None,
-            "history": self.history,
-        }
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
 @dataclass(frozen=True)

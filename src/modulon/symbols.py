@@ -167,8 +167,8 @@ class NonlinearitySpec:
             object.__setattr__(self, "p", 2.0)
         if self.form not in ("power", "minus_power"):
             raise DomainError(f"unknown nonlinearity form {self.form!r}")
-        if not self.p > 1:
-            raise DomainError(f"power exponent must exceed 1, got {self.p}")
+        if not 1 < self.p < np.inf:
+            raise DomainError(f"power p must be finite and > 1, got {self.p}")
         degree = int(self.p) if float(self.p).is_integer() else None
         object.__setattr__(self, "sign", -1.0 if self.form == "minus_power" else 1.0)
         object.__setattr__(self, "degree", degree)

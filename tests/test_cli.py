@@ -1,12 +1,16 @@
 import json
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modulon import PeriodicField, load_field, save_field, zero_field
+from modulon import cli, experiments
 from modulon.cli import (EXIT_BAD_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                         main, parse_config, build_model)
+                         _SCHEMA, float_list, main, parse_config, build_model)
 from modulon.errors import ConfigError, DomainError
+from modulon.evolve import relative_drift
 
 
 BASE_CFG = """\
@@ -102,6 +106,65 @@ def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
         args += ["--wave", str(tmp_path / "w")]
     assert main(args) == EXIT_USAGE
     assert not (tmp_path / "out").exists()     # refused before any work
+
+
+_FLOAT_KEYS = [(section, key, typ is float_list)
+               for section, keys in _SCHEMA.items()
+               for key, typ in keys.items() if typ in (float, float_list)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key, is_list", _FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in _FLOAT_KEYS])
+def test_non_finite_float_is_usage_error(tmp_path, monkeypatch, section, key,
+                                         is_list, bad):
+    # a list refuses a non-finite entry after a finite one
+    monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))
+    path = write_cfg(tmp_path, f"[{section}]\n{key} = "
+                               f"{'1.0,' + bad if is_list else bad}\n")
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["sweep", path]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()     # refused before any work
+
+
+def _config_texts():
+    """Config text under the schema's sections and keys, sections and keys
+    repeated, with numbers huge, non-finite or missing from a list, and
+    arbitrary text."""
+    number = st.one_of(
+        st.floats().map(repr),
+        st.integers(-10 ** 400, 10 ** 400).map(str),
+        st.sampled_from(["", "nan", "-inf", "Infinity", "1e999", "9" * 5000]))
+    value = st.one_of(
+        number, st.lists(number, max_size=4).map(",".join),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20))
+    section = st.sampled_from(sorted(_SCHEMA)).flatmap(lambda name: st.tuples(
+        st.just(name),
+        st.lists(st.tuples(st.sampled_from(sorted(_SCHEMA[name])), value),
+                 max_size=4)))
+    return st.lists(section, max_size=4).map(lambda sections: "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items)
+        for name, items in sections))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_config_texts())
+def test_config_fuzz_parses_or_is_config_error(tmp_path, text):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text)
+    try:
+        cfg = parse_config(str(path))
+    except ConfigError:
+        return
+    for section, values in cfg.values.items():
+        for key, val in values.items():
+            typ = _SCHEMA[section][key]
+            items = val if typ is float_list else [val]
+            assert all(isinstance(v, float if typ is float_list else typ)
+                       for v in items)
+            assert all(np.isfinite(v) for v in items if isinstance(v, float))
 
 
 def test_usage_exit_code(tmp_path):
@@ -202,6 +265,28 @@ def test_evolve_rows_every_snap_every_steps_plus_last(tmp_path):
     rows = (tmp_path / "evolve.csv").read_text().splitlines()[2:]
     times = [float(r.split(",")[0]) for r in rows]
     assert times == pytest.approx([0.0, 0.4, 0.8, 1.1], abs=1e-12)
+
+
+def test_evolve_drift_columns_are_relative_drifts_of_the_run(tmp_path,
+                                                            monkeypatch):
+    runs = []
+
+    def monitored(*args, **kwargs):
+        runs.append(experiments._monitor_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_monitor_run", monitored)
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path) +
+                     "[evolve]\ndelta = 1e-3\nt_end = 2.0\n")
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    assert main(["evolve", path, "--wave", str(tmp_path / "w")]) == EXIT_OK
+    (run,) = runs
+    rows = (tmp_path / "evolve.csv").read_text().splitlines()[2:]
+    got = np.array([[float(v) for v in r.split(",")] for r in rows]).T
+    assert np.array_equal(got, [run.times, run.pert_norm, run.orbital,
+                                relative_drift(run.mass, 1.0),
+                                relative_drift(run.momentum),
+                                relative_drift(run.energy)])
 
 
 def test_evolve_blowup_is_numeric_failure(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from modulon import (SymbolSpec, TravelingWave, cosine_field,
                      model_for_symbol, synthesize_packet, zero_field)
 from modulon.errors import BlowupError, DomainError, DomainTooSmallError
-from modulon.experiments import (PILOT_ERROR_BUDGET, _monitor_run,
-                                 build_band_packet,
-                                 packet_domain_check, run_localized,
+from modulon.evolve import relative_drift
+from modulon.experiments import (PILOT_ERROR_BUDGET, DeltaRun, _monitor_run,
+                                 build_band_packet, packet_domain_check,
+                                 plan_steps, run_localized,
                                  run_multiperiodic, save_report,
                                  export_run_csv, threshold_sweep)
 from modulon.semigroup import fiber_norms
@@ -48,6 +50,26 @@ def test_multiperiodic_conservation(quick_multiperiodic):
         assert run.mass_drift < 1e-12
         assert run.momentum_drift < 1e-8
         assert run.energy_drift < 1e-8
+
+
+def test_report_runs_are_the_scalar_fields_of_their_runs(quick_multiperiodic,
+                                                          tmp_path):
+    # one flat record per run: its arrays stay out of the report, and its
+    # drift peaks are those of relative_drift over its conserved series
+    arrays = {"times", "pert_norm", "orbital", "mass", "momentum", "energy"}
+    scalars = {f.name for f in dataclasses.fields(DeltaRun)} - arrays
+    save_report(quick_multiperiodic, tmp_path / "r.json")
+    saved = json.loads((tmp_path / "r.json").read_text())["runs"]
+    entries = quick_multiperiodic.to_dict()["runs"]
+    for run, entry, written in zip(quick_multiperiodic.runs, entries, saved):
+        assert entry == {name: getattr(run, name) for name in scalars}
+        assert set(written) == scalars and "ledger" not in written
+        for name in arrays:
+            assert getattr(run, name).shape == run.times.shape
+        assert run.mass_drift == np.max(np.abs(relative_drift(run.mass, 1.0)))
+        assert run.momentum_drift == np.max(np.abs(
+            relative_drift(run.momentum)))
+        assert run.energy_drift == np.max(np.abs(relative_drift(run.energy)))
 
 
 def test_multiperiodic_rational_within_qmax(quick_multiperiodic):
@@ -227,9 +249,10 @@ def test_monitor_run_raises_on_blowup(theta0):
     w = TravelingWave(m, zero_field(1, 64), c=0.0, a_const=0.0,
                       amplitude=0.0, residual=0.0)
     big = cosine_field(1, 64, [0.0, 40.0])
+    plan = plan_steps(m, w, zero_field(1, 64), 1.0, 50, theta0, big)
     with pytest.raises(BlowupError) as err:
-        _monitor_run(m, w, big, zero_field(1, 64), dt=1.0, t_max=50.0,
-                     snap_dt=50.0, theta0=theta0, escape_metric="plain")
+        _monitor_run(m, w, big, zero_field(1, 64), t_max=50.0, theta0=theta0,
+                     escape_metric="plain", plan=plan)
     assert err.value.last_time == 50.0
 
 

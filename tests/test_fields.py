@@ -349,6 +349,36 @@ def test_synthesize_packet_accumulates_colliding_nodes():
     assert u.coef.tobytes() == _synthesize_packet_loop(pk, Q).tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packet_round_trip_puts_each_node_in_its_fiber(data):
+    # nodes j/Q with 0 < j < Q/2: the conjugate mirror of node j lands in
+    # fiber Q - j, which holds no node, and every other fiber stays zero
+    Q = data.draw(st.integers(3, 24))
+    js = data.draw(st.lists(st.integers(1, (Q - 1) // 2), min_size=1,
+                            max_size=4, unique=True))
+    Np = data.draw(st.sampled_from([4, 8, 16]))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=Np + 1, max_size=Np + 1)
+    profiles = [PeriodicField(1, Np, np.array(data.draw(parts))
+                              + 1j * np.array(data.draw(parts)), real=False)
+                for _ in js]
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 2.0),
+                                          min_size=len(js),
+                                          max_size=len(js))))
+    nodes = np.array(js) / Q
+    pk = WavePacket(k_lo=nodes.min() - 0.5 / Q, k_hi=nodes.max() + 0.5 / Q,
+                    nodes=nodes, weights=weights, profiles=profiles)
+    comps = bloch_decompose(synthesize_packet(pk, Q), 1)
+    assert [k for k, _ in comps] == [j / Q for j in range(Q)]
+    half = comps[0][1].N // 2
+    m = np.arange(-(Np // 2), Np // 2 + 1)
+    want = np.zeros((Q, 2 * half + 1), dtype=np.complex128)
+    for j, w, prof in zip(js, weights, profiles):
+        want[j, m + half] = w * prof.coef
+        want[Q - j, -m - 1 + half] = np.conj(w * prof.coef)
+    assert np.array_equal(np.array([sub.coef for _, sub in comps]), want)
+
+
 @pytest.mark.parametrize("Q, q, N", [(8, 1, 128), (6, 2, 64), (3, 3, 48),
                                      (5, 1, 10)])
 def test_bloch_decompose_matches_mode_loop(Q, q, N):

@@ -348,8 +348,8 @@ def escape_plan(escape_case):
 
 def escape_run(escape_case, plan, delta, t_max=2000.0):
     model, wave, uc, u1, theta0, dt, per = escape_case
-    return _monitor_run(model, wave, uc + delta * u1, uc, dt, t_max, per * dt,
-                        theta0, "orbital", plan)
+    return _monitor_run(model, wave, uc + delta * u1, uc, t_max, theta0,
+                        "orbital", plan)
 
 
 def band_tables(ev):
@@ -458,7 +458,7 @@ def test_escape_time_converges_under_step_halving(escape_case, escape_plan):
     assert 0.0 < plan.pilot_error <= PILOT_ERROR_BUDGET
     ev = plan.ev
     fine = StepPlan(SplitEvolver(ev.gen, ev.dt / 2, ev.G), 2 * plan.n, per,
-                    plan.size)
+                    plan.dt)
     runs = [escape_run(escape_case, p, 1e-2) for p in (plan, fine)]
     T, T_half = (r.escape_time for r in runs)
     assert abs(T - T_half) <= 1e-6 * T_half
@@ -494,7 +494,7 @@ def test_pilot_checks_only_the_step_it_keeps(escape_case, monkeypatch):
 
 def test_ladder_keeps_the_escape_time_and_the_drift(escape_case, escape_plan):
     plan = escape_plan
-    fixed = StepPlan(plan.ev, plan.n, plan.per, plan.size)  # no pilot error
+    fixed = StepPlan(plan.ev, plan.n, plan.per, plan.dt)  # no pilot error
     ladder, ref = (escape_run(escape_case, p, 1e-3, 6000.0)
                    for p in (plan, fixed))
     assert ref.steps == plan.n * (len(ref.times) - 1)
@@ -531,8 +531,8 @@ def test_run_from_theta0_uses_the_plan_step_only(escape_case, escape_plan,
                                                  monkeypatch):
     model, wave, uc, u1, theta0, dt, per = escape_case
     intervals = recorded_intervals(monkeypatch)
-    run = _monitor_run(model, wave, uc + theta0 * u1, uc, dt, 3 * per * dt,
-                       per * dt, 10 * theta0, "plain", escape_plan)
+    run = _monitor_run(model, wave, uc + theta0 * u1, uc, 3 * per * dt,
+                       10 * theta0, "plain", escape_plan)
     assert len(run.times) == 4
     assert run.steps == 3 * escape_plan.n
     assert [m for _, m in intervals[run.redone:]] == [escape_plan.n] * 3
@@ -572,7 +572,7 @@ def test_large_fiber_stacks_keep_the_diagonal_stepper(bbm2_model, bbm2_wave,
     assert isinstance(plans[0].ev, SplitEvolver) and plans[0].n < 5
     assert on_zero_base(plans[1].ev) and plans[1].n == 5
     split, diag = (_monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc,
-                                0.1, 2.0, 0.5, 1e-2, "plain", p)
+                                2.0, 1e-2, "plain", p)
                    for p in plans)
     assert np.array_equal(split.times, diag.times)
     assert (split.steps, diag.steps) == (4 * plans[0].n, 20)
@@ -586,8 +586,8 @@ def test_diagonal_plan_steps_dt_when_per_dt_over_per_rounds(bbm2_model,
     u1 = cosine_field(2, 48, [0.0, 1.0])
     plan = plan_steps(bbm2_model, bbm2_wave, uc, 0.1, 3)
     assert 3 * 0.1 / 3 != 0.1 and on_zero_base(plan.ev)
-    run = _monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc, 0.1, 1.0,
-                       0.3, 0.0, "plain", plan)
+    run = _monitor_run(bbm2_model, bbm2_wave, uc + 1e-3 * u1, uc, 1.0, 0.0,
+                       "plain", plan)
     assert (run.steps, run.redone, len(run.times)) == (10, 0, 5)
     assert run.step == plan.ev.dt == 0.1
 

@@ -215,6 +215,14 @@ def test_nonlinearity_degree_and_pad(p, degree, pad):
     assert NonlinearitySpec("quadratic") == NonlinearitySpec("power", p=2.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, float("nan"), float("inf"),
+                               float("-inf")])
+def test_nonlinearity_exponent_is_finite_and_above_one(p):
+    for form in ("power", "minus_power"):
+        with pytest.raises(DomainError):
+            NonlinearitySpec(form, p=p)
+
+
 def test_model_family_pairing():
     with pytest.raises(DomainError):
         ModelSpec("bbm", SymbolSpec("kdv"), NonlinearitySpec("quadratic"))
