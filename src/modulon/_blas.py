@@ -17,6 +17,13 @@ scopes entered from concurrent Python threads would race; modulon enters
 them from one.  The thread-count symbols are
 looked up once, on first use; where they are not found (another BLAS
 build) the scope does nothing.
+
+modulon imports ``scipy.linalg`` and ``scipy.fft`` only inside the kernels
+that call them, so the band pipeline never loads SciPy.  The libraries are
+found by their packages' install locations (``importlib.util.find_spec``),
+which imports neither package: SciPy's OpenBLAS is loaded here by path, and
+the ``scipy.linalg`` imported later inside a scope links the same loaded
+library, so a count set before SciPy loads is the count its kernels run on.
 """
 
 from __future__ import annotations
@@ -24,18 +31,16 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 from contextlib import contextmanager
-
-import numpy
-import scipy
 
 SERIAL_MAX_N = 513   # largest matrix size run on one thread
 
 # (package, get symbol, set symbol) of the OpenBLAS each package bundles
-_SYMBOLS = ((numpy, "scipy_openblas_get_num_threads64_",
+_SYMBOLS = (("numpy", "scipy_openblas_get_num_threads64_",
              "scipy_openblas_set_num_threads64_"),
-            (scipy, "scipy_openblas_get_num_threads",
+            ("scipy", "scipy_openblas_get_num_threads",
              "scipy_openblas_set_num_threads"))
 
 
@@ -45,8 +50,9 @@ def thread_controls() -> tuple:
     functions are found."""
     found = []
     for pkg, get_name, set_name in _SYMBOLS:
-        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
-                              pkg.__name__ + ".libs")
+        origin = importlib.util.find_spec(pkg).origin
+        libdir = os.path.join(os.path.dirname(os.path.dirname(origin)),
+                              pkg + ".libs")
         for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
             try:
                 lib = ctypes.CDLL(path)
@@ -56,7 +62,7 @@ def thread_controls() -> tuple:
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((pkg.__name__, get, set_))
+                found.append((pkg, get, set_))
                 break
     return tuple(found)
 

@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import serial
 from .errors import (BandFitError, DomainError, InsufficientDataError,
@@ -102,7 +101,8 @@ def _dense_eig(A: np.ndarray, vectors: bool):
     max |A|) it equals i Im(A), and the solve is eig(Im A) = (mu, V) in real
     arithmetic: lambda = i mu with the same eigenvectors, a spectrum closed
     under lambda -> -conj(lambda) exactly, and 2.5-3x less work with
-    vectors.  Otherwise A is solved in complex arithmetic.  Its callers are
+    vectors.  Otherwise A is solved in complex arithmetic by
+    ``scipy.linalg``, imported on that path only.  Its callers are
     ``bloch_eigvals`` and ``eigens``; no time propagation uses an eigenbasis.
     """
     if np.max(np.abs(A.real)) <= _REAL_PATH_RTOL * np.max(np.abs(A)):
@@ -115,6 +115,7 @@ def _dense_eig(A: np.ndarray, vectors: bool):
         vals.real = 0.0 - mu.imag    # i mu, with no negative zeros
         vals.imag = mu.real
         return vals, vecs
+    import scipy.linalg
     if vectors:
         return scipy.linalg.eig(A)
     return scipy.linalg.eigvals(A), None

@@ -67,6 +67,13 @@ _SCHEMA = {
 }
 
 _RANGES = {
+    # p > 1 is NonlinearitySpec's own bound.  Products with f are alias-free
+    # on NonlinearitySpec.pad N = ceil((p + 1) / 2) N points: at p = 16 and
+    # the largest N, 1024, that is 9,216 points a transform, times q <= 64
+    # periods on a multi-period torus.  Past it f'(u) = p u^(p - 1) at the
+    # largest amplitudes, |u| <= |a| + |b| <= 0.2, is below 5e-10, and
+    # near p = 24 below round-off, where the wave is linear to the bit.
+    ("model", "p"): (1.0, 16.0),
     ("wave", "a"): (-0.1, 0.1),
     ("wave", "b"): (-0.1, 0.1),
     ("wave", "kappa"): (1e-6, 64.0),
@@ -319,7 +326,7 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     path = os.path.join(d, args.name + ".json")
     _write_json(rep.to_dict(), path, cfg)
     for i, run in enumerate(rep.runs):
-        export_run_csv(rep, run, os.path.join(d, f"{args.name}_delta{i}.csv"),
+        export_run_csv(run, os.path.join(d, f"{args.name}_delta{i}.csv"),
                        header=_csv_header(cfg))
     print(f"experiment {kind}: passes = {rep.passes} -> {path}")
     return EXIT_OK

@@ -37,7 +37,12 @@ Evolved fields are real, so the stepper keeps only the modes n = 0 .. N/2
 (c_{-n} = conj(c_n) holds by construction) and transforms them with
 SciPy's pocketfft kernels, called directly: at the escape runs' M = 1152
 the dispatch of ``scipy.fft.irfft``/``rfft`` costs about as much as the
-transform itself, and the results equal theirs bit for bit.  The full
+transform itself, and the results equal theirs bit for bit.  SciPy is
+imported where a kernel is bound, not with the module: a ``_Transform``
+binds the pocketfft kernels when it is built, a band table build binds
+BLAS ``zgbmv`` (``_band_matvec``), and ``orbital_distance`` imports
+``scipy.fft`` when called, so a step runs no import and the band pipeline,
+which steps nothing, loads no SciPy.  The full
 centered array is rebuilt (``fields.hermitian_full``) only where a
 ``PeriodicField`` is needed.  A complex field is rejected.
 
@@ -53,9 +58,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
-from scipy.linalg.blas import zgbmv as _zgbmv
 
 from ._blas import serial
 from .errors import BlowupError, DomainError, GridMismatchError
@@ -114,6 +116,8 @@ class _Transform:
     """
 
     def __init__(self, q: int, N: int, nl: NonlinearitySpec, multiple: int = 1):
+        import scipy.fft
+        from scipy.fft._pocketfft import pypocketfft
         self.q = q
         self.N = N
         if nl.degree is None:
@@ -121,6 +125,7 @@ class _Transform:
         else:
             M = -(-(nl.degree + 1) * N // 2)
         self.M = multiple * scipy.fft.next_fast_len(-(-M // multiple))
+        self._c2r, self._r2c = pypocketfft.c2r, pypocketfft.r2c
         self._pads = {}
 
     def values(self, x: np.ndarray, fib: _Fibers | None = None) -> np.ndarray:
@@ -136,12 +141,12 @@ class _Transform:
         else:
             fib.put(x, buf)
         # inverse transform, no normalization (norm="forward" for irfft)
-        return _pocketfft.c2r(buf, (-1,), self.M, False, 0, None, 1)
+        return self._c2r(buf, (-1,), self.M, False, 0, None, 1)
 
     def coef(self, vals: np.ndarray, fib: _Fibers | None = None) -> np.ndarray:
         """The half spectrum of vals, or its fiber stack of ``fib``."""
         # forward transform, divided by M (norm="forward" for rfft)
-        out = _pocketfft.r2c(vals, (-1,), True, 2, None, 1)
+        out = self._r2c(vals, (-1,), True, 2, None, 1)
         out[..., self.N // 2] = 0.0
         return out[..., :self.N // 2 + 1] if fib is None else fib.pick(out)
 
@@ -559,7 +564,7 @@ class SplitEvolver:
             tab[:, r * size:r * size + k, band - b:band + b + 1] = \
                 _band_rows(np.array(tables), b)
         E2, Q, *W = tab
-        return None, E2, Q, W, band, _band_matvec
+        return None, E2, Q, W, band, _band_matvec()
 
     def rows(self, f: PeriodicField) -> np.ndarray:
         """The state of the real field ``f``: the fiber stack of f - u_c."""
@@ -617,27 +622,33 @@ def _band_rows(T: np.ndarray, b: int) -> np.ndarray:
                               np.clip(cols, 0, k - 1)], 0.0)
 
 
-def _band_matvec(T: np.ndarray, x: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """T x for a fiber stack x and a table stack T in band rows
-    (``_band_rows`` of the block-diagonal stack), added into ``out`` when
-    given: one transposed zgbmv per leading row of x, called directly on a
-    stack without leading axes.  Each entry of T x is one dot product over
-    its band row, so the bits do not depend on the BLAS thread count."""
-    n, b = T.shape[0], T.shape[1] // 2
-    if x.ndim == 2:
+def _band_matvec():
+    """The product of band tables, with SciPy's zgbmv bound once per table
+    build: matvec(T, x, out) is T x for a fiber stack x and a table stack T
+    in band rows (``_band_rows`` of the block-diagonal stack), added into
+    ``out`` when given: one transposed zgbmv per leading row of x, called
+    directly on a stack without leading axes.  Each entry of T x is one dot
+    product over its band row, so the bits do not depend on the BLAS thread
+    count."""
+    from scipy.linalg.blas import zgbmv
+
+    def matvec(T: np.ndarray, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        n, b = T.shape[0], T.shape[1] // 2
+        if x.ndim == 2:
+            if out is None:
+                return zgbmv(n, n, b, b, 1.0, T.T, x.ravel(),
+                             trans=1).reshape(x.shape)
+            zgbmv(n, n, b, b, 1.0, T.T, x.ravel(), beta=1.0, y=out.ravel(),
+                  trans=1, overwrite_y=1)
+            return out
         if out is None:
-            return _zgbmv(n, n, b, b, 1.0, T.T, x.ravel(),
-                          trans=1).reshape(x.shape)
-        _zgbmv(n, n, b, b, 1.0, T.T, x.ravel(), beta=1.0, y=out.ravel(),
-               trans=1, overwrite_y=1)
+            out = np.zeros(x.shape, dtype=np.complex128)
+        for xr, yr in zip(x.reshape(-1, n), out.reshape(-1, n)):
+            zgbmv(n, n, b, b, 1.0, T.T, xr, beta=1.0, y=yr, trans=1,
+                  overwrite_y=1)
         return out
-    if out is None:
-        out = np.zeros(x.shape, dtype=np.complex128)
-    for xr, yr in zip(x.reshape(-1, n), out.reshape(-1, n)):
-        _zgbmv(n, n, b, b, 1.0, T.T, xr, beta=1.0, y=yr, trans=1,
-               overwrite_y=1)
-    return out
+    return matvec
 
 
 # -- states and conserved quantities ------------------------------------------------
@@ -714,6 +725,7 @@ def orbital_distance(U: PeriodicField, u_c: PeriodicField):
     distance is assembled as a cancellation-free sum of coefficient
     differences.  Returns (distance, y).
     """
+    import scipy.fft
     if u_c.q != 1:
         raise GridMismatchError("the reference wave must live on T_{2 pi}")
     q, N = U.q, U.N

@@ -819,8 +819,7 @@ def save_report(report: ExperimentReport, path):
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
 
 
-def export_run_csv(report: ExperimentReport, run: DeltaRun, path,
-                   header: str = ""):
+def export_run_csv(run: DeltaRun, path, header: str = ""):
     """Per-run time series: t, l2_perturbation, orbital_distance, after an
     optional ``header`` line block."""
     write_csv(path, header, ("t", "l2_perturbation", "orbital_distance"),

@@ -30,6 +30,11 @@ The propagator norms, probes, Riesz projections, trichotomy counts and fiber
 norms run inside ``_blas.serial``: on one BLAS thread for matrices up to
 n = 513, where two threads are slower and would make the output bits depend
 on the machine's default thread count.
+
+``scipy.linalg`` (expm, the Schur form and ztrsyl) is imported inside the
+kernels that call it (``propagator_norm``, ``dual_propagator_norm``, the
+probes' ``_expm_chain``, ``riesz_projection`` and ``fiber_norms``), so
+importing this module loads no SciPy; ``trichotomy_split`` needs none.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import serial
 from .bloch import BlochOperator, bloch_eigvals
@@ -78,6 +82,7 @@ def _expm_chain(A: np.ndarray, x: np.ndarray, times: np.ndarray,
     One expm per distinct spacing h of the times (from t = 0), kept in
     ``steps`` (keyed by h), then x <- expm(h A) x along the grid.
     """
+    import scipy.linalg
     spacings = np.diff(times, prepend=0.0)
     if np.any(spacings < 0.0):
         raise DomainError("times must be nondecreasing from t = 0")
@@ -91,6 +96,7 @@ def _expm_chain(A: np.ndarray, x: np.ndarray, times: np.ndarray,
 
 def propagator_norm(op: BlochOperator, t: float, s: float = 0.0) -> float:
     """H^s operator norm of e^{tA} on the truncation."""
+    import scipy.linalg
     with serial(op.A_mat.shape[0]):
         _check_range(op, t, t)
         E = scipy.linalg.expm(t * op.A_mat)
@@ -104,6 +110,7 @@ def dual_propagator_norm(op: BlochOperator, t: float,
     For the real symmetric L of an even real wave the two norms agree to
     round-off; with ``check`` the identity is asserted.
     """
+    import scipy.linalg
     if t < 0:
         raise DomainError("propagator norms are probed for t >= 0")
     with serial(op.A_mat.shape[0]):
@@ -176,6 +183,7 @@ def riesz_projection(M: np.ndarray, center: complex,
     too close for their conditioning, fails it), and its trace must equal
     the enclosed count.
     """
+    import scipy.linalg
     with serial(M.shape[0]):
         T, Z, s = scipy.linalg.schur(M, output="complex",
                                      sort=lambda z: abs(z - center) < radius)
@@ -254,6 +262,7 @@ def fiber_norms(model: ModelSpec, wave: TravelingWave, u: PeriodicField,
     occupied fiber takes one expm(h A_r), by scaling and squaring, and the
     chain x <- e^{h A_r} x gives its norms.
     """
+    import scipy.linalg
     if not u.real:
         raise DomainError("fiber norms pair conjugate fibers; u must be real")
     if not h > 0 or steps < 0:

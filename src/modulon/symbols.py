@@ -143,7 +143,8 @@ def positive_shift(spec: SymbolSpec, grid_max_xi: float, samples: int = 4097):
 class NonlinearitySpec:
     """Nonlinearity f(u) = sign u^p with derivatives and antiderivative F.
 
-    ``"quadratic"`` is an alias of ``"power"`` with p = 2.  Construction
+    ``"quadratic"`` is an alias of ``"power"`` with p = 2, and refuses any
+    other p.  Construction
     settles ``sign`` (-1 for ``"minus_power"``), ``degree`` (int(p) for a
     polynomial f, None for non-integer p) and ``pad``, the transform padding
     for products with f: a degree-p polynomial is alias-free on
@@ -163,6 +164,9 @@ class NonlinearitySpec:
 
     def __post_init__(self):
         if self.form == "quadratic":
+            if self.p != 2.0:
+                raise DomainError(
+                    f"the quadratic nonlinearity has p = 2, got p = {self.p}")
             object.__setattr__(self, "form", "power")
             object.__setattr__(self, "p", 2.0)
         if self.form not in ("power", "minus_power"):

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import serial
 from .errors import (BadDataError, ContinuationStallError,
@@ -170,9 +169,11 @@ def _df_fourier_coeffs(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray
 
 
 def _df_toeplitz(model: ModelSpec, u: PeriodicField, N: int) -> np.ndarray:
-    """Toeplitz(f'(u)) on the modes |n| <= N/2: T[i, j] = (f'(u))^_{n_i - n_j}."""
+    """Toeplitz(f'(u)) on the modes |n| <= N/2: T[i, j] = (f'(u))^_{n_i - n_j},
+    gathered from the coefficients w of modes -N..N as w[N + i - j]."""
     w = _df_fourier_coeffs(model, u, N)
-    return scipy.linalg.toeplitz(w[N:], w[N::-1])
+    idx = np.arange(N + 1)
+    return w[N + idx[:, None] - idx]
 
 
 def _newton_system(model: ModelSpec, d: np.ndarray, c: float, a_const: float,

@@ -4,10 +4,15 @@ Session-scoped so the expensive Newton solves and eigensolves are paid
 once across the suite.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import modulon
 from modulon import (ModelSpec, NonlinearitySpec, SymbolSpec,
                      model_for_symbol, refine_newton, small_amplitude_wave)
 from modulon._blas import thread_controls
@@ -76,6 +81,23 @@ def gkdv3_model():
 def gkdv3_wave(gkdv3_model):
     seed = small_amplitude_wave(gkdv3_model, a=0.1, N=64)
     return refine_newton(gkdv3_model, seed, fix_amplitude=0.1, fix_a_const=0.0)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """run(code): the standard output of ``code`` run in a new interpreter
+    that imports this checkout's modulon, with no SciPy module loaded
+    beforehand."""
+    src = os.path.dirname(os.path.dirname(modulon.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("MODULON_OUT", None)
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=300).stdout
+    return run
 
 
 @pytest.fixture

@@ -556,6 +556,46 @@ def test_rational_k0_against_brute_force(seed):
         assert abs(p / q - k0) <= tol
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(k0=st.floats(0.0, 1.0), q_max=st.integers(1, 64),
+       log_tol=st.floats(-10.0, -0.5))
+def test_rational_k0_is_the_least_denominator(k0, q_max, log_tol):
+    # brute force over every p/q with q <= q_max, in rational_k0's own
+    # arithmetic |p/q - k0|
+    tol = 10.0 ** log_tol
+
+    def fits(q):
+        return any(abs(p / q - k0) <= tol for p in range(q + 1))
+
+    least = next((q for q in range(1, q_max + 1) if fits(q)), None)
+    if least is None:
+        with pytest.raises(RationalApproximationError):
+            rational_k0(k0, q_max, tol)
+        return
+    p, q = rational_k0(k0, q_max, tol)
+    assert abs(p / q - k0) <= tol
+    assert q == least
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sym=st.sampled_from(catalog_symbols()),
+       cos_coeffs=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=5),
+       c=st.floats(0.2, 2.0), k=st.floats(0.0, 1.0),
+       N=st.integers(8, 24).map(lambda n: 2 * n))
+def test_spectrum_of_an_even_wave_is_closed_under_reflection(sym, cos_coeffs,
+                                                             c, k, N):
+    # L_k is Hermitian, so the spectrum of A = J L_k is closed under
+    # lambda -> -conj(lambda); the wave is even and real, its cosine
+    # coefficients |d_j| <= 0.1 after a zero mean
+    model = model_for_symbol(sym)
+    wave = TravelingWave(model, cosine_field(1, N, [0.0] + cos_coeffs), c=c,
+                         a_const=0.0, amplitude=cos_coeffs[0], residual=0.0)
+    vals = bloch_eigvals(assemble_bloch(model, wave, k, N))
+    assert len(vals) == N + 1
+    scale = float(np.max(np.abs(vals)))
+    assert closure_defect(vals) <= 1e-10 * scale
+
+
 def test_unstable_eigenfunction_identity(bbm2_model, bbm2_wave, bbm2_spectrum):
     k = bbm2_spectrum.k0
     lam, v = unstable_eigenfunction(bbm2_model, bbm2_wave, k, N=96)

@@ -88,6 +88,11 @@ def test_parse_config_out_of_range(tmp_path):
     ("experiment", "[numerics]\nQ = 64\n"),
     ("experiment", "[experiment]\ndeltas = 1e-4,1e-3\n"),
     ("experiment", "[experiment]\nkind = localized\ndeltas = 1e-3,1e-3\n"),
+    ("wave", "[model]\nsymbol = kdv\nnonlinearity = power\np = 1e300\n"
+             "[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = kdv\nnonlinearity = power\np = 1e5\n"
+             "[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = kdv\np = 3\n[wave]\na = 0.05\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
         "delta_negative", "grid_empty_entry", "unknown_symbol",
         "unknown_nonlinearity", "symbol_parameter_out_of_domain",
@@ -96,7 +101,8 @@ def test_parse_config_out_of_range(tmp_path):
         "sweep_k_count_out_of_range", "experiment_Q_zero", "experiment_Q_one",
         "experiment_Q_negative", "n_nodes_zero", "n_nodes_negative",
         "t_max_zero", "t_max_negative", "numerics_Q_unknown",
-        "deltas_increasing", "localized_deltas_repeated"])
+        "deltas_increasing", "localized_deltas_repeated", "power_p_huge",
+        "power_p_above_range", "quadratic_p_not_two"])
 def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
                                                text):
     monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))

@@ -120,7 +120,7 @@ def test_report_serialization(tmp_path, quick_multiperiodic):
     assert len(obj["runs"]) == 2
     assert obj["regression"]["r2"] > 0.9
     csv_path = tmp_path / "run0.csv"
-    export_run_csv(quick_multiperiodic, quick_multiperiodic.runs[0], csv_path)
+    export_run_csv(quick_multiperiodic.runs[0], csv_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,l2_perturbation,orbital_distance"
 
@@ -306,17 +306,11 @@ def test_sweep_unknown_family_is_refused_before_any_point(monkeypatch):
         threshold_sweep("bogus", [1.0, 2.0])
 
 
-def test_band_pipeline_imports_no_optimizer_or_sparse_module():
+def test_band_pipeline_imports_no_optimizer_or_sparse_module(fresh_python):
     # scipy.optimize pulls in scipy.sparse, about 14 MB of peak RSS, and
-    # the band fit needs neither
-    import os
-    import subprocess
-    import sys
-
-    import modulon
-
-    src = os.path.dirname(os.path.dirname(modulon.__file__))
-    code = """
+    # the band fit needs neither; scipy.linalg and scipy.fft take most of
+    # an import's time, and the band pipeline calls neither
+    assert fresh_python("""
 import sys
 from modulon import SymbolSpec, model_for_symbol, refine_newton, small_amplitude_wave
 from modulon.bloch import fit_band, scan_bloch
@@ -328,10 +322,28 @@ sp = scan_bloch(model, wave, k_count=16, N=48)
 curve = fit_band(sp)
 eigenfunction_seed(model, wave, sp, q_max=16, N_op=48, N_ev=32)
 build_band_packet(model, wave, sp, curve, Q=24)
-print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
-"""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=300)
-    assert out.stdout.strip() == "[]"
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg",
+                         "scipy.fft") if m in sys.modules))
+""").strip() == "[]"
+
+
+def test_wave_spectrum_and_report_commands_load_no_scipy_kernels(
+        tmp_path, fresh_python):
+    # import modulon, then the wave, spectrum and report commands in one
+    # process: none of them loads scipy.linalg or scipy.fft
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[model]\nsymbol = bbm\n[wave]\nm = 2\na = 0.05\n"
+                   f"[numerics]\nN = 48\nk_count = 16\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n")
+    out = fresh_python(f"""
+import sys
+import modulon
+from modulon.cli import main
+cfg, wave = {str(cfg)!r}, {str(tmp_path / 'out' / 'wave')!r}
+codes = [main(["wave", cfg]), main(["spectrum", cfg, "--wave", wave]),
+         main(["report", cfg])]
+print(codes, sorted(m for m in ("scipy.linalg", "scipy.fft")
+                    if m in sys.modules))
+""")
+    assert out.splitlines()[-1] == "[0, 0, 0] []"
+    assert (tmp_path / "out" / "spectrum.csv").exists()

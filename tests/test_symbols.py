@@ -223,6 +223,13 @@ def test_nonlinearity_exponent_is_finite_and_above_one(p):
             NonlinearitySpec(form, p=p)
 
 
+@pytest.mark.parametrize("p", [3.0, 2.5, 1e5])
+def test_quadratic_refuses_another_exponent(p):
+    with pytest.raises(DomainError, match="quadratic"):
+        NonlinearitySpec("quadratic", p=p)
+    assert NonlinearitySpec("quadratic", p=2).p == 2.0
+
+
 def test_model_family_pairing():
     with pytest.raises(DomainError):
         ModelSpec("bbm", SymbolSpec("kdv"), NonlinearitySpec("quadratic"))
