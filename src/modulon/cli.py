@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BadDataError, ConfigError, DomainError, ModulonError
-from .symbols import ModelSpec, NonlinearitySpec, model_for_symbol, parse_symbol
+from .symbols import (ModelSpec, NonlinearitySpec, classify_symbol,
+                      model_for_symbol, parse_symbol)
 from .waves import load_wave, save_wave, small_amplitude_solution
 from .bloch import (export_spectrum_dump, fit_band, scan_bloch,
                     spectrum_summary, assemble_bloch)
@@ -53,45 +54,36 @@ def float_list(raw: str) -> list:
     return [float(x) for x in raw.split(",")]
 
 
+# section -> key -> (type, bound).  A number's bound is the inclusive range
+# (lo, hi) of it, or of every entry of a list; a name's bound is the tuple of
+# names it may take.  None: no bound here ([model] names are checked when
+# the model is built).
 _SCHEMA = {
-    "model": {"symbol": str, "nonlinearity": str, "p": float},
-    "wave": {"a": float, "b": float, "kappa": float, "m": float},
-    "numerics": {"N": int, "k_count": int, "q_max": int},
-    "evolve": {"dt": float, "t_end": float, "snap_every": int,
-               "delta": float},
-    "experiment": {"kind": str, "deltas": float_list, "theta0": float,
-                   "t_max": float, "Q": int, "n_nodes": int},
-    "sweep": {"family": str, "grid": float_list, "a": float, "m_exp": float,
-              "N": int, "k_count": int},
-    "output": {"dir": str},
-}
-
-_RANGES = {
-    # p > 1 is NonlinearitySpec's own bound.  Products with f are alias-free
-    # on NonlinearitySpec.pad N = ceil((p + 1) / 2) N points: at p = 16 and
-    # the largest N, 1024, that is 9,216 points a transform, times q <= 64
-    # periods on a multi-period torus.  Past it f'(u) = p u^(p - 1) at the
-    # largest amplitudes, |u| <= |a| + |b| <= 0.2, is below 5e-10, and
-    # near p = 24 below round-off, where the wave is linear to the bit.
-    ("model", "p"): (1.0, 16.0),
-    ("wave", "a"): (-0.1, 0.1),
-    ("wave", "b"): (-0.1, 0.1),
-    ("wave", "kappa"): (1e-6, 64.0),
-    ("wave", "m"): (1e-6, 64.0),
-    ("numerics", "N"): (16, 1024),
-    ("numerics", "k_count"): (16, 4096),
-    ("numerics", "q_max"): (1, 64),
-    ("evolve", "dt"): (1e-9, 10.0),
-    ("evolve", "t_end"): (0.0, 1e9),
-    ("evolve", "snap_every"): (1, 10 ** 9),
-    ("experiment", "deltas"): (1e-300, 1e6),     # every delta > 0
-    ("experiment", "theta0"): (0.0, 1e6),
-    ("experiment", "t_max"): (1e-300, 1e9),      # t_max > 0
-    ("experiment", "Q"): (2, 4096),
-    ("experiment", "n_nodes"): (1, 10 ** 9),
-    ("sweep", "a"): (-0.1, 0.1),
-    ("sweep", "N"): (16, 1024),
-    ("sweep", "k_count"): (16, 4096),
+    "model": {
+        "symbol": (str, None), "nonlinearity": (str, None),
+        # p > 1 is NonlinearitySpec's own bound.  Products with f are
+        # alias-free on NonlinearitySpec.pad N = ceil((p + 1) / 2) N points:
+        # at p = 16 and the largest N, 1024, that is 9,216 points a
+        # transform, times q <= 64 periods on a multi-period torus.  Past it
+        # f'(u) = p u^(p - 1) at the largest amplitudes, |u| <= |a| + |b| <=
+        # 0.2, is below 5e-10, and near p = 24 below round-off, where the
+        # wave is linear to the bit.
+        "p": (float, (1.0, 16.0))},
+    "wave": {"a": (float, (-0.1, 0.1)), "b": (float, (-0.1, 0.1)),
+             "kappa": (float, (1e-6, 64.0)), "m": (float, (1e-6, 64.0))},
+    "numerics": {"N": (int, (16, 1024)), "k_count": (int, (16, 4096)),
+                 "q_max": (int, (1, 64))},
+    "evolve": {"dt": (float, (1e-9, 10.0)), "t_end": (float, (0.0, 1e9)),
+               "snap_every": (int, (1, 10 ** 9)), "delta": (float, None)},
+    "experiment": {"kind": (str, ("multiperiodic", "localized")),
+                   "deltas": (float_list, (1e-300, 1e6)),   # every delta > 0
+                   "theta0": (float, (0.0, 1e6)),
+                   "t_max": (float, (1e-300, 1e9)),         # t_max > 0
+                   "Q": (int, (2, 4096)), "n_nodes": (int, (1, 10 ** 9))},
+    "sweep": {"family": (str, tuple(SWEEP_FAMILIES)), "grid": (float_list, None),
+              "a": (float, (-0.1, 0.1)), "m_exp": (float, None),
+              "N": (int, (16, 1024)), "k_count": (int, (16, 4096))},
+    "output": {"dir": (str, None)},
 }
 
 
@@ -131,19 +123,22 @@ def parse_config(path: str) -> RunConfig:
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            typ = _SCHEMA[section][key]
+            typ, bound = _SCHEMA[section][key]
             try:
                 val = typ(raw) if typ is not str else raw.strip()
             except ValueError as exc:
                 raise ConfigError(
                     f"key [{section}] {key} = {raw!r} is not a {typ.__name__}") from exc
-            rng = _RANGES.get((section, key))
             items = val if isinstance(val, list) else [val]
             if not all(np.isfinite(v) for v in items if isinstance(v, float)):
                 raise ConfigError(f"key [{section}] {key} = {val} is not finite")
-            if rng is not None and not all(rng[0] <= v <= rng[1] for v in items):
+            if typ is str and bound and val not in bound:
+                raise ConfigError(f"key [{section}] {key} = {val!r} is not one "
+                                  f"of {', '.join(bound)}")
+            if typ is not str and bound and not all(
+                    bound[0] <= v <= bound[1] for v in items):
                 raise ConfigError(
-                    f"key [{section}] {key} = {val} outside [{rng[0]}, {rng[1]}]")
+                    f"key [{section}] {key} = {val} outside [{bound[0]}, {bound[1]}]")
             if key == "N" and val % 2:          # every truncation is even
                 raise ConfigError(f"key [{section}] {key} = {val} is not even")
             if key == "deltas":     # strictly decreasing, before any work
@@ -152,6 +147,8 @@ def parse_config(path: str) -> RunConfig:
                 except DomainError as exc:
                     raise ConfigError(f"key [{section}] {key}: {exc}") from exc
             values[section][key] = val
+    if {"kappa", "m"} <= values.get("wave", {}).keys():
+        raise ConfigError("[wave] kappa and m name one wavenumber; give one")
     return RunConfig(values, text)
 
 
@@ -241,8 +238,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     rows = []
     verdicts = {"k": k_probe, "lambda0": sp.lambda0}
     ok = True
-    m_exp = 2.0 if model.symbol.kind != "fractional" else model.symbol.m
-    for s in (-1.0, 0.0, m_exp / 2.0):
+    for s in (-1.0, 0.0, classify_symbol(model.symbol).m / 2.0):
         probe = probe_growth(op, s)
         slope = probe.log_slope()
         rows.extend((k_probe, s, t, nrm)
@@ -311,18 +307,16 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
     t_max = cfg.get("experiment", "t_max")
     sp = scan_bloch(model, wave, k_count=k_count, N=N)
     d = out_dir(cfg)
-    if kind == "multiperiodic":
-        rep = run_multiperiodic(model, wave, sp, deltas, theta0=theta0,
-                                q_max=cfg.get("numerics", "q_max", 8),
-                                N_op=N, t_max=t_max)
-    elif kind == "localized":
+    if kind == "localized":
         curve = fit_band(sp)
         Q = cfg.get("experiment", "Q", 64)
         rep = run_localized(model, wave, sp, curve, Q, deltas, theta0=theta0,
                             n_nodes=cfg.get("experiment", "n_nodes"),
                             N_op=N, t_max=t_max, enforce_envelope=False)
     else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+        rep = run_multiperiodic(model, wave, sp, deltas, theta0=theta0,
+                                q_max=cfg.get("numerics", "q_max", 8),
+                                N_op=N, t_max=t_max)
     path = os.path.join(d, args.name + ".json")
     _write_json(rep.to_dict(), path, cfg)
     for i, run in enumerate(rep.runs):
@@ -334,9 +328,6 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     family = cfg.require("sweep", "family")
-    if family not in SWEEP_FAMILIES:
-        raise ConfigError(f"[sweep] family = {family!r} is not one of "
-                          f"{', '.join(SWEEP_FAMILIES)}")
     grid = cfg.require("sweep", "grid")
     res = threshold_sweep(
         family, grid,
@@ -376,17 +367,22 @@ def cmd_report(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, whether it reads a persisted wave)
+_COMMANDS = {"wave": (cmd_wave, False), "spectrum": (cmd_spectrum, True),
+             "verify": (cmd_verify, True), "evolve": (cmd_evolve, True),
+             "experiment": (cmd_experiment, True), "sweep": (cmd_sweep, False),
+             "report": (cmd_report, False)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="modulon",
         description="Periodic traveling waves of dispersive models, their "
                     "Bloch stability, and nonlinear instability experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, needs_wave in [("wave", False), ("spectrum", True),
-                             ("verify", True), ("evolve", True),
-                             ("experiment", True), ("sweep", False),
-                             ("report", False)]:
+    for name, (handler, needs_wave) in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("config", help="path to the run configuration")
         p.add_argument("--name", default=name,
                        help="basename for output artifacts")
@@ -395,13 +391,7 @@ def main(argv=None) -> int:
                            help="basename of a persisted wave (no extension)")
     args = ap.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        handler = {
-            "wave": cmd_wave, "spectrum": cmd_spectrum, "verify": cmd_verify,
-            "evolve": cmd_evolve, "experiment": cmd_experiment,
-            "sweep": cmd_sweep, "report": cmd_report,
-        }[args.command]
-        return handler(cfg, args)
+        return args.handler(parse_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

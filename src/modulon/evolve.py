@@ -81,7 +81,9 @@ _CONTOUR_BLOCK = 1024
 # memory, and that run, at b = 8-9, peaks 21 bytes an entry over the
 # diagonal run, 11 MB (115.5 against 104.8 MB).  A stepper holds the tables
 # of _HELD_STEPS steps, 80 (2b + 1) bytes a mode each: 0.65 MB a set on the
-# escape wave (b = 8, 480 slots), about 16 MB a set at this cap
+# escape wave (b = 8, 480 slots).  Near this cap a set takes about 16 MB at
+# b = 8-9 (BBM m=2, Q = 416), but 44.3 MB at b = 27 (Whitham kappa = 2,
+# Q = 416), where the two held sets take 88 MB
 SPLIT_MAX_ENTRIES = 2 ** 19
 # table sets a split stepper holds, one per step: the escape runs' pilot and
 # ladder come back to their steps, and holding two cuts the escape

@@ -57,7 +57,7 @@ from .evolve import (SPLIT_MAX_ENTRIES, SplitEvolver, _FiberGenerator,
 from .fields import PeriodicField, l2_norm, zero_field, \
     midpoint_band_nodes, synthesize_packet, write_csv, _lift_eigenfunction
 from .semigroup import fiber_norms
-from .symbols import ModelSpec, SymbolSpec, NonlinearitySpec
+from .symbols import ModelSpec, NonlinearitySpec, SymbolSpec, model_for_symbol
 from .waves import TravelingWave, resample, small_amplitude_solution, \
     model_to_dict
 
@@ -728,11 +728,10 @@ class SweepFamily:
 
 
 SWEEP_FAMILIES = {
-    "bbm": SweepFamily("m", lambda v, m_exp: ModelSpec(
-        "bbm", SymbolSpec("bbm_linear"), NonlinearitySpec("quadratic"),
-        kappa=v), 0.0, True),
-    "fractional": SweepFamily("p", lambda v, m_exp: ModelSpec(
-        "kdv_type", SymbolSpec("fractional", m=m_exp),
+    "bbm": SweepFamily("m", lambda v, m_exp: model_for_symbol(
+        SymbolSpec("bbm_linear"), kappa=v), 0.0, True),
+    "fractional": SweepFamily("p", lambda v, m_exp: model_for_symbol(
+        SymbolSpec("fractional", m=m_exp),
         NonlinearitySpec("minus_power", p=v)), 5.0, False),
 }
 

@@ -1,32 +1,72 @@
 """Dispersive symbols, nonlinearities, and model descriptors.
 
-The catalog covers the usual suspects of the KdV family together with the
-linear BBM multiplier:
-
-    kdv           xi^2
-    benjamin_ono  |xi|
-    fractional    |xi|^m          (m > 1/2)
-    whitham       sqrt(tanh(xi)/xi)
-    ilw           xi*coth(xi*H) - 1/H
-    bbm_linear    1/(1 + xi^2)
-
-All symbols are evaluated through |xi| so evenness holds exactly on any
-grid.  Removable singularities at xi = 0 are handled by series branches.
+The catalog, one row per symbol kind in ``_KINDS``, covers the usual
+suspects of the KdV family together with the linear BBM multiplier.  All
+symbols are evaluated through |xi| so evenness holds exactly on any grid.
+Removable singularities at xi = 0 are handled by series branches.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partialmethod
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 
-SYMBOL_KINDS = ("kdv", "benjamin_ono", "fractional", "whitham", "ilw", "bbm_linear")
-
 # |xi| below which the series branch replaces the closed form
 _SERIES_CUTOFF = 1e-4
+
+
+def _whitham(a, m, H):
+    """sqrt(tanh(a)/a): tanh(x)/x -> 1 - x^2/3, so sqrt -> 1 - x^2/6 near 0."""
+    out = np.empty_like(a)
+    small = a < _SERIES_CUTOFF
+    out[small] = 1.0 - a[small] ** 2 / 6.0
+    xs = a[~small]
+    out[~small] = np.sqrt(np.tanh(xs) / xs)
+    return out
+
+
+def _ilw(a, m, H):
+    """a coth(a H) - 1/H = a^2 H/3 - a^4 H^3/45 + ... near 0."""
+    out = np.empty_like(a)
+    y = a * H
+    small = a < _SERIES_CUTOFF
+    out[small] = a[small] ** 2 * H / 3.0 - a[small] ** 4 * H ** 3 / 45.0
+    big = y > 30.0
+    out[big] = a[big] - 1.0 / H
+    mid = ~(small | big)
+    out[mid] = a[mid] / np.tanh(y[mid]) - 1.0 / H
+    return out
+
+
+class _Kind(NamedTuple):       # one row of the symbol catalog
+    name: str                  # config name, e.g. "bo" in [model] symbol = bo
+    alpha: Callable            # alpha(|xi|, m, H), the raw symbol
+    family: str                # the ModelSpec family it pairs with
+    branch: str                # tail: "differential" |xi|^m, "smoothing" |xi|^-m
+    tail: float | None         # tail exponent m; None: the parameter m itself
+    param: str | None = None   # its one parameter, "m" or "H", if any
+    bound: float = 0.0         # the parameter must be finite and exceed this
+    example: float = 0.0       # its value in the catalog_symbols representative
+
+
+_KINDS = {
+    "kdv": _Kind("kdv", lambda a, m, H: a * a, "kdv_type", "differential", 2.0),
+    "benjamin_ono": _Kind("bo", lambda a, m, H: a, "kdv_type", "differential",
+                          1.0),
+    "fractional": _Kind("frac", lambda a, m, H: a ** m, "kdv_type",
+                        "differential", None, "m", 0.5, 1.5),
+    "whitham": _Kind("whitham", _whitham, "kdv_type", "smoothing", 0.5),
+    "ilw": _Kind("ilw", _ilw, "kdv_type", "differential", 1.0, "H", 0.0, 1.0),
+    "bbm_linear": _Kind("bbm", lambda a, m, H: 1.0 / (1.0 + a * a), "bbm",
+                        "smoothing", 2.0),
+}
+SYMBOL_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -45,19 +85,22 @@ class SymbolSpec:
     shift: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SYMBOL_KINDS:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise DomainError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "fractional" and not self.m > 0.5:
-            raise DomainError(f"fractional exponent must exceed 1/2, got {self.m}")
-        if self.kind == "ilw" and not self.H > 0:
-            raise DomainError(f"ilw depth must be positive, got {self.H}")
+        if row.param and not row.bound < getattr(self, row.param) < np.inf:
+            raise DomainError(f"{self.kind} {row.param} must be finite and exceed "
+                              f"{row.bound:g}, got {getattr(self, row.param)}")
 
     def name(self) -> str:
-        if self.kind == "fractional":
-            return f"frac:m={self.m:g}"
-        if self.kind == "ilw":
-            return f"ilw:H={self.H:g}"
-        return next(k for k, v in _PLAIN_NAMES.items() if v == self.kind)
+        """The config name, which ``parse_symbol`` reads back to this kind and
+        parameter exactly: ``:g`` where that round-trips, else ``repr``."""
+        row = _KINDS[self.kind]
+        if row.param is None:
+            return row.name
+        v = float(getattr(self, row.param))
+        return f"{row.name}:{row.param}=" + (f"{v:g}" if float(f"{v:g}") == v
+                                             else repr(v))
 
 
 @dataclass(frozen=True)
@@ -68,63 +111,22 @@ class Classification:
     m: float
 
 
-def _raw_symbol(kind: str, m: float, H: float, xi: np.ndarray) -> np.ndarray:
-    a = np.abs(xi)
-    if kind == "kdv":
-        return a * a
-    if kind == "benjamin_ono":
-        return a
-    if kind == "fractional":
-        return a ** m
-    if kind == "whitham":
-        # tanh(x)/x -> 1 - x^2/3, so sqrt -> 1 - x^2/6 near 0
-        out = np.empty_like(a)
-        small = a < _SERIES_CUTOFF
-        out[small] = 1.0 - a[small] ** 2 / 6.0
-        xs = a[~small]
-        out[~small] = np.sqrt(np.tanh(xs) / xs)
-        return out
-    if kind == "ilw":
-        # xi*coth(xi*H) - 1/H = xi^2*H/3 - xi^4*H^3/45 + ... near 0
-        out = np.empty_like(a)
-        y = a * H
-        small = a < _SERIES_CUTOFF
-        out[small] = a[small] ** 2 * H / 3.0 - a[small] ** 4 * H ** 3 / 45.0
-        big = y > 30.0
-        out[big] = a[big] - 1.0 / H
-        mid = ~(small | big)
-        out[mid] = a[mid] / np.tanh(y[mid]) - 1.0 / H
-        return out
-    if kind == "bbm_linear":
-        return 1.0 / (1.0 + a * a)
-    raise DomainError(f"unknown symbol kind {kind!r}")
-
-
 def evaluate_symbol(spec: SymbolSpec, xi):
     """Evaluate alpha(xi) - shift; accepts scalars or arrays, even in xi."""
     arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("symbol evaluation requires finite frequencies")
-    out = _raw_symbol(spec.kind, spec.m, spec.H, np.atleast_1d(arr)) - spec.shift
+    out = _KINDS[spec.kind].alpha(np.abs(np.atleast_1d(arr)), spec.m, spec.H) \
+        - spec.shift
     if np.isscalar(xi) or arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-_CLASSIFICATION = {
-    "kdv": ("differential", 2.0),
-    "benjamin_ono": ("differential", 1.0),
-    "ilw": ("differential", 1.0),
-    "whitham": ("smoothing", 0.5),
-    "bbm_linear": ("smoothing", 2.0),
-}
-
-
 def classify_symbol(spec: SymbolSpec) -> Classification:
     """Return the growth/decay branch and analytic tail exponent of the kind."""
-    if spec.kind == "fractional":
-        return Classification("differential", spec.m)
-    return Classification(*_CLASSIFICATION[spec.kind])
+    row = _KINDS[spec.kind]
+    return Classification(row.branch, spec.m if row.tail is None else row.tail)
 
 
 def positive_shift(spec: SymbolSpec, grid_max_xi: float, samples: int = 4097):
@@ -221,10 +223,10 @@ class ModelSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("kdv_type", "bbm"):
-            raise DomainError(f"unknown model family {self.family!r}")
-        if (self.family == "bbm") != (self.symbol.kind == "bbm_linear"):
-            raise DomainError("bbm family pairs only with the bbm_linear symbol")
+        family = _KINDS[self.symbol.kind].family
+        if self.family != family:
+            raise DomainError(f"the {self.symbol.kind} symbol pairs with the "
+                              f"{family} family, not {self.family!r}")
         if not self.kappa > 0:
             raise DomainError("kappa must be positive")
 
@@ -256,46 +258,36 @@ class ModelSpec:
         return -1.0 if self.family == "bbm" else 1.0
 
 
-# config names of the symbol kinds; frac and ilw carry one parameter
-_PLAIN_NAMES = {"kdv": "kdv", "bo": "benjamin_ono", "whitham": "whitham",
-                "bbm": "bbm_linear"}
-_PARAM_NAMES = {"frac": ("fractional", "m"), "ilw": ("ilw", "H")}
-
-
 def parse_symbol(name: str) -> SymbolSpec:
     """Parse a config symbol name: kdv, bo, frac:m=1.5, whitham, ilw:H=1.0, bbm."""
-    base, _, arg = name.strip().partition(":")
-    base = base.lower()
-    if base in _PLAIN_NAMES:
-        return SymbolSpec(_PLAIN_NAMES[base])
-    if base not in _PARAM_NAMES:
+    base, colon, arg = name.strip().partition(":")
+    kind = next((k for k, row in _KINDS.items() if row.name == base.lower()), None)
+    if kind is None:
         raise DomainError(f"unknown symbol name {name!r}")
-    kind, param = _PARAM_NAMES[base]
+    param = _KINDS[kind].param
+    if param is None:
+        if colon:
+            raise DomainError(f"{kind} symbol takes no parameter, got {name!r}")
+        return SymbolSpec(kind)
     key, _, val = arg.partition("=")
     if key != param:
         raise DomainError(f"{kind} symbol takes {param}=<value>, got {name!r}")
     try:
-        return SymbolSpec(kind, **{param: float(val)})
+        value = float(val)
     except ValueError as exc:
         raise DomainError(f"bad numeric parameter in symbol name {name!r}") from exc
+    return SymbolSpec(kind, **{param: value})
 
 
 def catalog_symbols() -> list[SymbolSpec]:
     """One representative of every kind, used by null-spectrum sweeps."""
-    return [
-        SymbolSpec("kdv"),
-        SymbolSpec("benjamin_ono"),
-        SymbolSpec("fractional", m=1.5),
-        SymbolSpec("whitham"),
-        SymbolSpec("ilw", H=1.0),
-        SymbolSpec("bbm_linear"),
-    ]
+    return [SymbolSpec(kind, **({row.param: row.example} if row.param else {}))
+            for kind, row in _KINDS.items()]
 
 
 def model_for_symbol(sym: SymbolSpec, nonlinearity: NonlinearitySpec | None = None,
                      kappa: float = 1.0) -> ModelSpec:
     """Wrap a symbol in the matching family with a default f(u) = u^2."""
-    family = "bbm" if sym.kind == "bbm_linear" else "kdv_type"
     if nonlinearity is None:
         nonlinearity = NonlinearitySpec("quadratic")
-    return ModelSpec(family, sym, nonlinearity, kappa=kappa)
+    return ModelSpec(_KINDS[sym.kind].family, sym, nonlinearity, kappa=kappa)

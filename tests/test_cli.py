@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,11 @@ def test_parse_config_out_of_range(tmp_path):
     ("wave", "[model]\nsymbol = kdv\nnonlinearity = power\np = 1e5\n"
              "[wave]\na = 0.05\n"),
     ("wave", "[model]\nsymbol = kdv\np = 3\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = bo:m=2\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = kdv:x\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = frac:m=inf\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = ilw:H=inf\n[wave]\na = 0.05\n"),
+    ("wave", "[model]\nsymbol = bbm\n[wave]\nm = 2\nkappa = 3\na = 0.05\n"),
 ], ids=["snap_every_zero", "snap_every_negative", "delta_not_a_number",
         "delta_negative", "grid_empty_entry", "unknown_symbol",
         "unknown_nonlinearity", "symbol_parameter_out_of_domain",
@@ -102,7 +109,9 @@ def test_parse_config_out_of_range(tmp_path):
         "experiment_Q_negative", "n_nodes_zero", "n_nodes_negative",
         "t_max_zero", "t_max_negative", "numerics_Q_unknown",
         "deltas_increasing", "localized_deltas_repeated", "power_p_huge",
-        "power_p_above_range", "quadratic_p_not_two"])
+        "power_p_above_range", "quadratic_p_not_two", "bo_with_parameter",
+        "kdv_with_parameter", "frac_m_infinite", "ilw_H_infinite",
+        "wave_kappa_and_m"])
 def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
                                                text):
     monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))
@@ -114,9 +123,39 @@ def test_malformed_config_value_is_usage_error(tmp_path, monkeypatch, command,
     assert not (tmp_path / "out").exists()     # refused before any work
 
 
+def test_unknown_experiment_kind_is_refused_before_the_scan(tmp_path,
+                                                            monkeypatch):
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path))
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    monkeypatch.setenv("MODULON_OUT", str(tmp_path / "out"))
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path) +
+                     "[experiment]\nkind = bogus\n", name="bogus.cfg")
+    assert main(["experiment", path, "--wave", str(tmp_path / "w")]) \
+        == EXIT_USAGE
+    assert not (tmp_path / "out").exists()     # refused before any work
+
+
+def _bound_text(typ, bound):
+    if bound is None:
+        return "-"
+    if typ is str:
+        return ", ".join(f"`{name}`" for name in bound)
+    return f"[{bound[0]:g}, {bound[1]:g}]"
+
+
+def test_readme_key_table_lists_the_schema():
+    # a key or bound changed in the schema and not in the README fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `\[(\w+)\]` +\| `(\w+)` +\| (\w+) +\| (.+?) +\|",
+                      readme.read_text(), re.M)
+    assert rows == [(section, key, typ.__name__, _bound_text(typ, bound))
+                    for section, keys in _SCHEMA.items()
+                    for key, (typ, bound) in keys.items()]
+
+
 _FLOAT_KEYS = [(section, key, typ is float_list)
                for section, keys in _SCHEMA.items()
-               for key, typ in keys.items() if typ in (float, float_list)]
+               for key, (typ, _) in keys.items() if typ in (float, float_list)]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -166,7 +205,7 @@ def test_config_fuzz_parses_or_is_config_error(tmp_path, text):
         return
     for section, values in cfg.values.items():
         for key, val in values.items():
-            typ = _SCHEMA[section][key]
+            typ, _ = _SCHEMA[section][key]
             items = val if typ is float_list else [val]
             assert all(isinstance(v, float if typ is float_list else typ)
                        for v in items)
@@ -352,6 +391,18 @@ def test_verify_determinism(tmp_path):
     for ext in (".csv", ".json"):
         assert ((tmp_path / ("v1" + ext)).read_bytes() ==
                 (tmp_path / ("v2" + ext)).read_bytes())
+
+
+def test_verify_probes_the_order_of_the_symbol_tail(tmp_path):
+    # s = m/2 with the Whitham tail exponent m = 1/2, as criterion 08 probes
+    path = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path).replace(
+        "symbol = bbm", "symbol = whitham").replace("k_count = 32",
+                                                    "k_count = 16"))
+    assert main(["wave", path, "--name", "w"]) == EXIT_OK
+    main(["verify", path, "--wave", str(tmp_path / "w"), "--name", "v"])
+    verdicts = json.loads((tmp_path / "v.json").read_text())
+    assert sorted(k for k in verdicts if k.startswith("slope_")) == \
+        ["slope_s-1", "slope_s0", "slope_s0.25"]
 
 
 def test_experiment_on_stable_wave_is_numeric_failure(tmp_path):

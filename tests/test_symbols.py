@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modulon import (Classification, ModelSpec, NonlinearitySpec, SymbolSpec,
                      catalog_symbols, classify_symbol, evaluate_symbol,
                      parse_symbol, positive_shift)
 from modulon.errors import DomainError
+from modulon.symbols import SYMBOL_KINDS
 
 
 def test_whitham_limit_at_zero():
@@ -248,7 +252,29 @@ def test_parse_symbol(name, kind):
     assert parse_symbol(spec.name()).kind == kind
 
 
+@pytest.mark.parametrize("name", ["frac:m=1.5", "ilw:H=1", "frac:m=1.2345678",
+                                  "ilw:H=0.30000000000000004", "frac:m=1e+20"])
+def test_symbol_name_is_the_shortest_exact_form(name):
+    spec = parse_symbol(name)
+    assert spec.name() == name
+    param = "m" if spec.kind == "fractional" else "H"     # numpy names alike
+    assert replace(spec, **{param: np.float64(getattr(spec, param))}).name() \
+        == name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(
+    st.sampled_from([SymbolSpec(kind) for kind in SYMBOL_KINDS
+                     if kind not in ("fractional", "ilw")]),
+    st.floats(0.5, 1e300, exclude_min=True).map(
+        lambda m: SymbolSpec("fractional", m=m)),
+    st.floats(0.0, 1e300, exclude_min=True).map(lambda H: SymbolSpec("ilw", H=H))))
+def test_symbol_name_round_trips(spec):
+    assert parse_symbol(spec.name()) == spec
+
+
 def test_parse_symbol_rejects_garbage():
-    for bad in ("kdv2", "frac:p=2", "ilw:H=x", ""):
+    for bad in ("kdv2", "frac:p=2", "ilw:H=x", "", "bo:m=2", "kdv:x",
+                "frac:m=inf", "ilw:H=nan"):
         with pytest.raises(DomainError):
             parse_symbol(bad)

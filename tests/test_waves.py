@@ -237,6 +237,12 @@ def test_wave_persistence_round_trip(tmp_path, whitham_wave):
     assert abs(back.c - whitham_wave.c) < 1e-15
     assert np.array_equal(back.profile.coef, whitham_wave.profile.coef)
     assert back.model.symbol.kind == "whitham"
+    # a symbol parameter that ":g" would cut to 6 digits comes back exactly
+    model = model_for_symbol(SymbolSpec("fractional", m=1.2345678))
+    wave = refine_newton(model, small_amplitude_wave(model, a=0.05, N=32),
+                         fix_amplitude=0.05, fix_a_const=0.0)
+    save_wave(wave, tmp_path / "f")
+    assert load_wave(tmp_path / "f").model == wave.model
 
 
 def test_newton_jacobian_matches_loop(bbm2_model, bbm2_wave):
